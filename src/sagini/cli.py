@@ -13,16 +13,7 @@ import sys
 import click
 
 from . import __version__
-from .errors import (
-    BadEndpointError,
-    BadParamsError,
-    EmptyOrSingletonError,
-    NonFiniteValueError,
-    NonPositiveTotalError,
-    ParseError,
-    SaginiError,
-    UnequalSpacingError,
-)
+from .errors import BadParamsError, ParseError, SaginiError
 from .generators import FAMILIES, ExperimentConfig, sensitivity_sweep
 from .io import (
     InputSpec,
@@ -48,14 +39,6 @@ from .plot import render_ascii, render_svg
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CONFIG = 4
-
-_VALIDATION_ERRORS = (
-    EmptyOrSingletonError,
-    NonFiniteValueError,
-    NonPositiveTotalError,
-    UnequalSpacingError,
-    BadEndpointError,
-)
 
 _INPUT_OPTIONS = [
     click.option(
@@ -116,26 +99,28 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _load_curve(path, input_format, column, header, from_lorenz):
-    """Parse one input into (curve, result, stats, digest)."""
+    """Parse and validate one input into (curve, data, stats, digest).
+
+    ``data`` (the :class:`Dataset`) and ``stats`` are None for Lorenz-point
+    input, whose validated curve is all there is.
+    """
     spec = InputSpec(path=path, format=input_format, column=column, header=header)
     if from_lorenz:
         points, digest = read_lorenz_points(spec)
         curve = lorenz_from_points(points)
-        result = metrics_from_lorenz(points)
-        stats = None
+        data = stats = None
     else:
         values, digest = read_values(spec)
         data = build_dataset(values)
         curve = lorenz_curve(data)
-        result = report(data)
         stats = values_stats(values, data.total)
-    if not result.convex:
+    if not curve.convex:
         click.echo(
             f"warning: {path}: Lorenz points are not convex; no sorted "
             "dataset produces this curve",
             err=True,
         )
-    return curve, result, stats, digest
+    return curve, data, stats, digest
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -173,14 +158,15 @@ def compute(
 ) -> None:
     """Compute gini, g_right, g_left, and sag for one input."""
     try:
-        curve, result, stats, digest = _load_curve(
+        curve, data, stats, digest = _load_curve(
             input_path, input_format, column, header, from_lorenz
         )
+        result = metrics_from_lorenz(curve) if data is None else report(data)
     except ParseError as exc:
         _fail(EXIT_PARSE, exc)
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot read {input_path!r}: {exc}")
-    except _VALIDATION_ERRORS as exc:
+    except SaginiError as exc:
         _fail(EXIT_VALIDATION, exc)
     doc = build_document(
         result,
@@ -228,7 +214,7 @@ def lorenz(input_paths, input_format, column, header, from_lorenz, style, output
         _fail(EXIT_PARSE, exc)
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot read input: {exc}")
-    except _VALIDATION_ERRORS as exc:
+    except SaginiError as exc:
         _fail(EXIT_VALIDATION, exc)
     text = render_svg(curves, labels) if style == "svg" else render_ascii(curves, labels)
     _write_output(output, text)

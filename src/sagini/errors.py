@@ -18,7 +18,11 @@ class NonPositiveTotalError(SaginiError):
 
 
 class InvalidNError(SaginiError):
-    """A weight vector was requested for a population of fewer than two."""
+    """A population size the weights do not support.
+
+    Fewer than two for a weight vector, or more than the kernel's exact
+    float64 rank weights allow.
+    """
 
 
 class UnequalSpacingError(SaginiError):

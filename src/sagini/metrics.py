@@ -9,18 +9,44 @@ weights each gap by ``2i/n`` (upper tail), ``g_left`` by ``(2n-2i)/n``
 index, and ``sag = gini + |g_right - g_left|/2`` equals the larger of the
 two, so it adds asymmetry information on top of dispersion.
 
-All gap sums use :func:`math.fsum` (error-free transformation summation),
-which is exact up to the final rounding and therefore invariant to term
-order. Every value type is immutable after construction; all operations
-are pure functions and safe to call concurrently.
+Summed by parts, each index is an L-statistic: with ``x`` sorted ascending,
+``T`` its total and ``k`` the 1-based rank,
+
+* ``gini    = sum(c1_k x_k) / (n T)``,      ``c1 = 2k - n - 1``,
+* ``g_right = 2 sum(c2_k x_k) / (3 n^2 T)``, ``c2 = 3k(k-1) - (n^2 - 1)``,
+* ``g_left  = 2 sum(c3_k x_k) / (3 n^2 T)``, ``c3 = 3n c1 - c2``.
+
+:func:`report` and :func:`metrics_from_lorenz` evaluate these with one
+kernel: a compensated dot product (Dot2 of Ogita, Rump and Oishi, "Accurate
+Sum and Dot Product", SIAM J. Sci. Comput. 2005) that runs over the sorted
+values in fixed-size chunks and keeps one error-free TwoProduct/TwoSum
+accumulator per chunk column; :func:`math.fsum` adds up the columns at the
+end. With ``L`` the number of chunks plus one, ``u = 2**-53`` and
+``gamma_L = L u / (1 - L u)``, each dot product ``D`` comes out within
+``u |D| + gamma_L**2 * sum|c_k x_k|`` of its exact value, so the result is
+as accurate as if it were computed in twice the working precision and then
+rounded. The total ``T`` is the same chunked compensated sum without the
+products, so it is within ``u |T| + gamma_L**2 * sum|x_k|``. Values are
+first scaled by the power of two that brings the largest ``|x|`` into
+[0.5, 1), which leaves every index unchanged, so no product or partial sum
+overflows; the bounds hold barring underflow, which only touches values
+some 1e290 times smaller than the largest. The rank weights are exact
+integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
+inputs raise :class:`InvalidNError`.
+
+The gap-level functions (:func:`gini`, :func:`g_right`, :func:`g_left`,
+:func:`sag`) work on an explicit :class:`GapVector` and use
+:func:`math.fsum`, which is exact up to the final rounding. Every value
+type is immutable after construction; all operations are pure functions
+and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -43,6 +69,21 @@ SKEW_TOLERANCE = 1e-9
 #: Slack for float checks that are exact identities in real arithmetic
 #: (convexity of share increments, gaps above the diagonal).
 _CONVEXITY_SLACK = 1e-12
+
+#: Values per chunk of the compensated kernel: large enough to amortise
+#: numpy's per-call cost, small enough that a chunk's temporaries stay in
+#: cache and peak memory does not grow with n.
+_CHUNK = 8192
+
+#: Dekker's splitting constant ``2**27 + 1``: ``a * _SPLIT`` cuts a float
+#: into two halves of at most 26 significant bits each, whose products are
+#: exact.
+_SPLIT = 134217729.0
+
+#: Largest n for which every rank weight, and the products ``3k(k-1)`` and
+#: ``3n c1`` it is built from, is an exact integer in float64
+#: (``3 n^2 <= 2**53``).
+_MAX_EXACT_N = math.isqrt(2**53 // 3)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -147,7 +188,8 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         Fewer than two observations; the gap vector needs at least one
         interior point.
     NonFiniteValueError
-        Any NaN or infinity; the first offending index is reported.
+        Any NaN or infinity (the first offending index is reported), or a
+        sum beyond the float64 range.
     NonPositiveTotalError
         Values summing to zero or less; shares would be undefined or
         sign-flipped.
@@ -166,7 +208,12 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise NonFiniteValueError(
             f"non-finite value {values[bad[0]]!r} at index {int(bad[0])}"
         )
-    total = math.fsum(values)
+    top = max(-values.min(), values.max())
+    e, (scaled_total,) = _compensated_sums(values, top)
+    try:
+        total = math.ldexp(scaled_total, e)
+    except OverflowError:
+        raise NonFiniteValueError("the sum of the values overflows float64") from None
     if total <= 0.0:
         raise NonPositiveTotalError(
             f"sum of values must be positive, got {total!r}"
@@ -264,9 +311,18 @@ def _skew_call(gr: float, gl: float) -> SkewDirection:
 
 
 def report(data: Dataset) -> InequalityReport:
-    """Full pipeline: Lorenz curve, gap vector, all four indices, skew call."""
-    curve = lorenz_curve(data)
-    return _report_from_curve(curve, mean=data.mean)
+    """All four indices and the skew call, from one pass over the sorted values.
+
+    Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module doc).
+    """
+    x = data.sorted_values
+    n = data.n
+    if x[0] == x[-1]:
+        # Perfect equality. The compensated sums would leave rounding noise
+        # of order u**2 here; the exact answer is zero.
+        return _make_report(n, data.mean, (0.0, 0.0, 0.0), 1.0, convex=True)
+    e, sums = _compensated_sums(x, max(-x[0], x[-1]), partial(_rank_weights, n))
+    return _make_report(n, data.mean, sums, math.ldexp(data.total, -e), convex=True)
 
 
 def lorenz_from_points(points: Sequence[tuple[float, float]]) -> LorenzCurve:
@@ -315,29 +371,150 @@ def lorenz_from_points(points: Sequence[tuple[float, float]]) -> LorenzCurve:
     return LorenzCurve(p=_readonly(grid), q=_readonly(q), convex=_is_convex(q))
 
 
-def metrics_from_lorenz(points: Sequence[tuple[float, float]]) -> InequalityReport:
+def metrics_from_lorenz(
+    points: Sequence[tuple[float, float]] | LorenzCurve,
+) -> InequalityReport:
     """Indices straight from ``(p, q)`` points on the uniform grid.
 
-    The report's ``mean`` is None (shares carry no scale) and ``convex``
-    is False when some share increment decreases; that is a warning flag,
-    not an error.
+    ``points`` may also be a curve already validated by
+    :func:`lorenz_from_points`, which is then used as it is. The report's
+    ``mean`` is None (shares carry no scale) and ``convex`` is False when
+    some share increment decreases; that is a warning flag, not an error.
+
+    The increments of ``q`` play the sorted values with total 1. Summed by
+    parts, ``sum(c_k (q_k - q_(k-1)))`` becomes ``c_n - sum((c_(k+1) - c_k) q_k)``
+    over ``k < n``: integer weight differences ``2``, ``6k`` and ``6(n-k)``
+    and the exact constants ``c_n``, evaluated by the same kernel as
+    :func:`report`.
     """
-    curve = lorenz_from_points(points)
-    return _report_from_curve(curve, mean=None)
+    curve = points if isinstance(points, LorenzCurve) else lorenz_from_points(points)
+    n = curve.n
+    q = curve.q[:-1]
+    # At least 1, so scaling the constants ``last`` (up to 2n^2) by 2**-e
+    # cannot overflow when the shares are tiny.
+    top = max(1.0, -q.min(), q.max())
+    last = (n - 1, (n - 1) * (2 * n - 1), n * n - 1)
+    e, sums = _compensated_sums(q, top, partial(_share_weights, n), last)
+    return _make_report(n, None, sums, math.ldexp(1.0, -e), convex=curve.convex)
 
 
-def _report_from_curve(curve: LorenzCurve, mean: float | None) -> InequalityReport:
-    gapv = gap_vector(curve)
-    g = gini(gapv)
-    gr = g_right(gapv)
-    gl = g_left(gapv)
+def _make_report(
+    n: int,
+    mean: float | None,
+    sums: tuple[float, float, float],
+    total: float,
+    convex: bool,
+) -> InequalityReport:
+    """Divide the three weighted sums by their normalisers (see module doc)."""
+    d1, d2, d3 = sums
+    g = d1 / (n * total)
+    right_left_scale = 3 * n * n * total
+    gr = 2.0 * d2 / right_left_scale
+    gl = 2.0 * d3 / right_left_scale
     return InequalityReport(
-        n=curve.n,
+        n=n,
         mean=mean,
         gini=g,
         g_right=gr,
         g_left=gl,
         sag=_combine_sag(g, gr, gl),
         skew_direction=_skew_call(gr, gl),
-        convex=curve.convex,
+        convex=convex,
+    )
+
+
+def _check_exact_n(n: int) -> None:
+    if n > _MAX_EXACT_N:
+        raise InvalidNError(
+            f"n = {n} is above {_MAX_EXACT_N}, beyond which the rank weights "
+            "are not exact in float64"
+        )
+
+
+def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``c1, c2, c3`` of centred rank weights for ranks ``start+1 .. stop``."""
+    _check_exact_n(n)
+    k = np.arange(start + 1, stop + 1, dtype=float)
+    w = np.empty((3, k.size))
+    np.multiply(k, 2.0, out=w[0])
+    w[0] -= n + 1
+    np.multiply(k - 1.0, k, out=w[1])
+    w[1] *= 3.0
+    w[1] -= n * n - 1
+    np.multiply(w[0], 3 * n, out=w[2])
+    w[2] -= w[1]
+    return w
+
+
+def _share_weights(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``-(c_(k+1) - c_k)`` for shares ``q_k``, ``k = start+1 .. stop``."""
+    _check_exact_n(n)
+    k = np.arange(start + 1, stop + 1, dtype=float)
+    w = np.empty((3, k.size))
+    w[0] = -2.0
+    np.multiply(k, -6.0, out=w[1])
+    np.multiply(k, 6.0, out=w[2])
+    w[2] -= 6 * n
+    return w
+
+
+def _compensated_sums(
+    x: np.ndarray,
+    top: float,
+    weights: Callable[[int, int], np.ndarray] | None = None,
+    base: tuple[int, ...] = (0, 0, 0),
+) -> tuple[int, tuple[float, ...]]:
+    """Chunked compensated dot products ``base_j + sum_k w_jk x_k``, scaled.
+
+    ``x`` is first multiplied by ``2**-e``, with ``e`` the binary exponent
+    of ``top >= max|x|``, so ``|x| < 1`` and neither the split products nor
+    the partial sums can overflow; ``base`` is scaled likewise. Returns
+    ``e`` and the scaled sums. ``weights(start, stop)`` gives the weight
+    rows for ``x[start:stop]``; without it the single sum ``sum_k x_k`` is
+    taken.
+
+    Each chunk column keeps a running sum ``hi`` (TwoSum, error-free) and
+    the rounding errors of every product and addition in ``lo``
+    (TwoProduct by Dekker splitting, error-free); :func:`math.fsum` adds
+    up the columns at the end. Memory beyond ``x`` is a few chunks.
+    """
+    e = math.frexp(top)[1]
+    hi = lo = None
+    for start in range(0, x.size, _CHUNK):
+        stop = min(start + _CHUNK, x.size)
+        xs = np.ldexp(x[start:stop], -e)
+        if weights is None:
+            h = xs[np.newaxis]
+            r = None
+        else:
+            w = weights(start, stop)
+            h = w * xs
+            t = xs * _SPLIT
+            xh = t - (t - xs)
+            xl = xs - xh
+            t = w * _SPLIT
+            wh = t - (t - w)
+            wl = w - wh
+            r = wh * xh
+            r -= h
+            r += wl * xh
+            r += wh * xl
+            r += wl * xl
+        if hi is None:
+            hi = h
+            lo = np.zeros_like(h) if r is None else r
+            continue
+        m = stop - start
+        p = hi[:, :m]
+        s = p + h
+        z = s - p
+        err = p - (s - z)
+        err += h - z
+        if r is not None:
+            err += r
+        p[...] = s
+        lo[:, :m] += err
+    columns = np.concatenate((hi, lo), axis=1).tolist()
+    return e, tuple(
+        math.fsum([math.ldexp(b, -e), *row]) for b, row in zip(base, columns)
     )

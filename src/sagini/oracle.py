@@ -1,8 +1,7 @@
-"""Independent verification paths for the float index implementations.
-
-Three routes that never touch the Lorenz-gap float pipeline:
+"""Verification paths for the float index implementations.
 
 * exact rational evaluation of all four indices (:func:`rational_report`),
+  the ground truth for the float pipeline,
 * the pairwise mean-absolute-difference identity (:func:`pairwise_gini`),
 * rank-preserving progressive transfers (:func:`apply_transfer`), the
   constructive side of the transfer-principle checks.
@@ -139,9 +138,10 @@ def pairwise_gini(values: Sequence[float]) -> float:
 
     Evaluated through the O(n log n) sorted form
     ``sum_i (2i - n - 1) x_(i) / (n * total)``, which equals the double sum
-    exactly. Shares the summation discipline but nothing else with
-    :func:`sagini.metrics.gini`, so the two cross-check each other through
-    an independent identity.
+    exactly. That sorted form is the same L-statistic identity that
+    :func:`sagini.metrics.report` evaluates for ``gini`` (weights
+    ``c1 = 2k - n - 1``), so agreement between the two is no independent
+    check of ``report``; only :func:`rational_report` is ground truth.
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size

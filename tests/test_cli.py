@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sagini import cli
 from sagini.cli import main
+from sagini.errors import ParseError, SaginiError
 
 DATA = Path(__file__).parent / "data"
 SYMMETRIC = str(DATA / "symmetric.csv")
@@ -21,6 +23,41 @@ def runner():
 
 def run(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+VALIDATION_ERRORS = sorted(
+    (e for e in _subclasses(SaginiError) if not issubclass(e, ParseError)),
+    key=lambda e: e.__name__,
+)
+
+
+class TestLoadErrorExitCodes:
+    @pytest.mark.parametrize("error", VALIDATION_ERRORS, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_validation_error_exit_3(self, runner, monkeypatch, command, error):
+        def fail(_):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "build_dataset", fail)
+        result = runner.invoke(main, [command, "-i", SYMMETRIC])
+        assert result.exit_code == 3
+        assert error.__name__ in result.stderr
+
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_parse_error_keeps_exit_2(self, runner, monkeypatch, command):
+        def fail(_):
+            raise ParseError("injected")
+
+        monkeypatch.setattr(cli, "read_values", fail)
+        result = runner.invoke(main, [command, "-i", SYMMETRIC])
+        assert result.exit_code == 2
+        assert "ParseError" in result.stderr
 
 
 class TestCompute:

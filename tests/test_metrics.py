@@ -1,6 +1,7 @@
 """Unit tests for the core metric pipeline."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from sagini import (
     lorenz_from_points,
     make_weights,
     metrics_from_lorenz,
+    rational_report,
+    rational_report_from_lorenz,
     report,
     sag,
 )
-from sagini.metrics import GapVector
+from sagini.metrics import _CHUNK, _MAX_EXACT_N, GapVector, _rank_weights
 
 from fixtures import (
     LEFT_SKEWED_EXPECTED,
@@ -337,3 +340,71 @@ class TestMetricsFromLorenz:
         assert from_points.g_right == from_data.g_right
         assert from_points.g_left == from_data.g_left
         assert from_points.sag == from_data.sag
+
+
+def assert_matches_oracle(result, exact, rel=Fraction(1, 10**12)):
+    for name in ("gini", "g_right", "g_left", "sag"):
+        want = getattr(exact, name)
+        got = Fraction(getattr(result, name))
+        assert abs(got - want) <= rel * abs(want), (name, float(got), float(want))
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize(
+        "values",
+        [[-1e20, 1e20, 1.0], [1e300, 2e300, 3e300], [1e-310, 2e-310, 3e-310]],
+        ids=["cancelling", "near-overflow", "subnormal"],
+    )
+    def test_extreme_magnitudes(self, values):
+        exact = rational_report([Fraction(v) for v in values])
+        assert_matches_oracle(report(build_dataset(values)), exact)
+
+    @pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_values_across_chunk_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.lognormal(0.0, 1.5, n) - 0.2
+        values[0] = abs(values[0])
+        exact = rational_report([Fraction(v) for v in values.tolist()])
+        assert_matches_oracle(report(build_dataset(values)), exact)
+
+    @pytest.mark.parametrize("n", [2, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 2])
+    def test_points_across_chunk_boundaries(self, n):
+        # n points carry n - 1 interior shares, so these n put the chunk
+        # edges at the same places as the values test above.
+        values = np.sort(np.random.default_rng(n).lognormal(0.0, 1.5, n))
+        q = np.cumsum(values) / values.sum()
+        q[-1] = 1.0
+        points = [((i + 1) / n, v) for i, v in enumerate(q.tolist())]
+        exact = rational_report_from_lorenz(
+            [(Fraction(i + 1, n), Fraction(v)) for i, v in enumerate(q.tolist())]
+        )
+        assert_matches_oracle(metrics_from_lorenz(points), exact)
+
+    def test_near_equal_values_need_the_compensation(self):
+        # Index sums 1e12 times smaller than the sums of |terms|: a plain
+        # float dot product is off by 2.5e-3 relative here, and dropping
+        # any part of the TwoProduct error term costs more than 1e-12.
+        values = 1e12 + np.random.default_rng(7).random(4 * _CHUNK + 3)
+        exact = rational_report([Fraction(v) for v in values.tolist()])
+        assert_matches_oracle(report(build_dataset(values)), exact)
+
+    def test_all_equal_across_chunks_is_exactly_zero(self):
+        result = report(build_dataset([0.1] * (2 * _CHUNK + 1)))
+        assert (result.gini, result.g_right, result.g_left, result.sag) == (0.0,) * 4
+        assert result.skew_direction == "symmetric"
+
+
+class TestRankWeights:
+    def test_exact_integers_up_to_the_limit(self):
+        n = _MAX_EXACT_N
+        assert 3 * n * n <= 2**53 < 3 * (n + 1) ** 2
+        for start, stop in ((0, 3), (n // 2 - 1, n // 2 + 2), (n - 3, n)):
+            weights = _rank_weights(n, start, stop)
+            for k, column in zip(range(start + 1, stop + 1), weights.T.tolist()):
+                c1 = 2 * k - n - 1
+                c2 = 3 * k * (k - 1) - (n * n - 1)
+                assert column == [c1, c2, 3 * n * c1 - c2]
+
+    def test_beyond_the_limit_raises(self):
+        with pytest.raises(InvalidNError):
+            _rank_weights(_MAX_EXACT_N + 1, 0, 3)
