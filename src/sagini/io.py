@@ -2,8 +2,20 @@
 
 Numbers are parsed with the decimal point only; comma decimals are a hard
 error, as are missing cells -- silently dropping a row would change n and
-with it every index. JSON output uses shortest round-trip float formatting
-(15+ significant digits), text output is fixed to 6 decimals and says so.
+with it every index. Input is UTF-8 (a leading byte-order mark is
+ignored); undecodable bytes are a parse error naming their line.
+
+There is one fast reader: it splits the whole text at once, checks that
+every line has the same number of cells and converts the needed columns
+with ``float``. Anything it is not sure of -- quotes, line breaks other
+than ``\n`` and ``\r\n``, ragged or blank lines, a cell ``float``
+rejects -- sends the text to the line-by-line parser, which gives the
+same values and is the only source of parse errors and their line
+numbers.
+
+JSON output uses shortest round-trip float formatting (15+ significant
+digits) and is byte-identical to ``json.dumps(doc, indent=2)``; text
+output is fixed to 6 decimals and says so.
 """
 
 from __future__ import annotations
@@ -14,13 +26,19 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, repeat
 
 from .errors import ParseError
 from .metrics import InequalityReport, LorenzCurve
 
 SCHEMA_VERSION = "1"
 
+_FORMATS = ("csv", "tsv", "whitespace")
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
+
+#: Characters :meth:`str.splitlines` breaks lines at, besides ``\n`` and
+#: ``\r\n``; text holding any of them takes the line-by-line parser.
+_OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 @dataclass(frozen=True)
@@ -44,9 +62,68 @@ def _read_raw(path: str) -> bytes:
         return fh.read()
 
 
+def _decode(raw: bytes) -> str:
+    """UTF-8 text with any leading byte-order mark removed."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before the bad byte decoded; the sentinel character
+        # makes a trailing line break start the line the byte is on.
+        lineno = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"line {lineno}: byte {raw[exc.start]:#04x} is not valid UTF-8"
+        ) from None
+    return text.removeprefix("\ufeff")
+
+
+def _split_table(text: str, fmt: str) -> tuple[list[str], int] | None:
+    """Split the whole text into row-major cells; returns (cells, width).
+
+    Returns None, leaving the text to :func:`_rows`, unless every line has
+    the same number of cells and the text holds nothing :func:`_rows` reads
+    differently: a quote, a NUL, a line break other than ``\n`` or
+    ``\r\n``, a blank first line, or a cell beyond the csv module's field
+    limit. Later blank lines need no check of their own: every cell of a
+    blank line is whitespace, which ``float`` rejects in whichever column
+    the caller converts. Cells keep their padding.
+    """
+    if fmt not in _FORMATS or '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(brk in text for brk in _OTHER_BREAKS):
+        return None
+    text = text.removesuffix("\n")
+    if not text:
+        return None
+    if fmt == "whitespace":
+        rows = [line.split() for line in text.split("\n")]
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            return None
+        cells = list(chain.from_iterable(rows))
+    else:
+        delim = _DELIMITERS[fmt]
+        width = text.partition("\n")[0].count(delim) + 1
+        # A delimiter before every line break splits lines and cells in
+        # one pass: every line after the first begins with the one cell
+        # that starts with "\n". The line count pins the number of cells,
+        # the places of those cells pin each line's cell count.
+        cells = text.replace("\n", delim + "\n").split(delim)
+        if len(cells) != (text.count("\n") + 1) * width or not all(
+            map(str.startswith, cells[width::width], repeat("\n"))
+        ):
+            return None
+        if max(map(len, cells)) > csv.field_size_limit():
+            return None
+    if not "".join(cells[:width]).strip():
+        return None
+    return cells, width
+
+
 def _rows(text: str, fmt: str) -> list[tuple[int, list[str]]]:
     """Split into (1-based line number, cells); blank lines are dropped."""
-    if fmt not in ("csv", "tsv", "whitespace"):
+    if fmt not in _FORMATS:
         raise ParseError(f"unknown input format {fmt!r}")
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -125,7 +202,39 @@ def read_values(spec: InputSpec) -> tuple[list[float], str]:
     """Read one numeric column; returns (values, sha256 hex of raw bytes)."""
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
-    rows = _rows(raw.decode("utf-8"), spec.format)
+    text = _decode(raw)
+    values = _table_values(text, spec)
+    if values is None:
+        values = _line_values(text, spec)
+    return values, digest
+
+
+def _table_values(text: str, spec: InputSpec) -> list[float] | None:
+    """The selected column via :func:`_split_table`, or None if unsure."""
+    table = _split_table(text, spec.format)
+    if table is None:
+        return None
+    cells, width = table
+    names = None
+    start = 0
+    if spec.header:
+        names = [cell.strip() for cell in cells[:width]]
+        start = width
+    if start == len(cells):
+        return []
+    try:
+        col = _resolve_column(
+            spec, names, (start // width + 1, cells[start : start + width])
+        )
+        if col >= width:
+            return None
+        return list(map(float, cells[start + col :: width]))
+    except (ParseError, ValueError):
+        return None
+
+
+def _line_values(text: str, spec: InputSpec) -> list[float]:
+    rows = _rows(text, spec.format)
     names: list[str] | None = None
     if spec.header:
         if not rows:
@@ -133,7 +242,7 @@ def read_values(spec: InputSpec) -> tuple[list[float], str]:
         names = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
     if not rows:
-        return [], digest
+        return []
     col = _resolve_column(spec, names, rows[0])
     values = []
     for lineno, cells in rows:
@@ -143,14 +252,40 @@ def read_values(spec: InputSpec) -> tuple[list[float], str]:
                 f"need column {col + 1}"
             )
         values.append(_parse_cell(cells[col], lineno, col + 1))
-    return values, digest
+    return values
 
 
 def read_lorenz_points(spec: InputSpec) -> tuple[list[tuple[float, float]], str]:
     """Read two-column (p, q) points; returns (points, sha256 hex)."""
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
-    rows = _rows(raw.decode("utf-8"), spec.format)
+    text = _decode(raw)
+    points = _table_points(text, spec)
+    if points is None:
+        points = _line_points(text, spec)
+    return points, digest
+
+
+def _table_points(text: str, spec: InputSpec) -> list[tuple[float, float]] | None:
+    """The first two columns via :func:`_split_table`, or None if unsure."""
+    table = _split_table(text, spec.format)
+    if table is None or table[1] < 2:
+        return None
+    cells, width = table
+    start = width if spec.header else 0
+    try:
+        return list(
+            zip(
+                map(float, cells[start::width]),
+                map(float, cells[start + 1 :: width]),
+            )
+        )
+    except ValueError:
+        return None
+
+
+def _line_points(text: str, spec: InputSpec) -> list[tuple[float, float]]:
+    rows = _rows(text, spec.format)
     if spec.header:
         rows = rows[1:]
     points = []
@@ -162,7 +297,7 @@ def read_lorenz_points(spec: InputSpec) -> tuple[list[tuple[float, float]], str]
         p = _parse_cell(cells[0], lineno, 1)
         q = _parse_cell(cells[1], lineno, 2)
         points.append((p, q))
-    return points, digest
+    return points
 
 
 def build_document(
@@ -198,8 +333,8 @@ def build_document(
             "convex": result.convex,
         },
         "lorenz": {
-            "p": [float(v) for v in curve.p],
-            "q": [float(v) for v in curve.q],
+            "p": curve.p.tolist(),
+            "q": curve.q.tolist(),
         },
     }
     if with_provenance:
@@ -212,7 +347,36 @@ def build_document(
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, built faster.
+
+    With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
+    which spends nearly all its time on the two Lorenz arrays. Those are
+    written here by joining ``float.__repr__`` -- what :mod:`json` itself
+    uses for a finite float -- with the separator it would put between
+    them; everything else still goes through :func:`json.dumps`.
+    """
+    return _json_at(doc, 0) + "\n"
+
+
+def _json_at(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep."""
+    close = "\n" + "  " * level
+    indent = close + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = (f"{json.dumps(k)}: {_json_at(v, level + 1)}" for k, v in value.items())
+        return "{" + indent + ("," + indent).join(items) + close + "}"
+    if isinstance(value, list) and value:
+        try:
+            body = ("," + indent).join(map(float.__repr__, value))
+        except TypeError:
+            body = None  # not all floats
+        # Among float reprs only "nan", "inf" and "-inf" hold an "n";
+        # json spells those differently.
+        if body is not None and "n" not in body:
+            return "[" + indent + body + close + "]"
+    # A JSON string never holds a raw line break, so every "\n" in the
+    # encoding starts an indented line.
+    return json.dumps(value, indent=2).replace("\n", close)
 
 
 def document_to_csv(doc: dict) -> str:

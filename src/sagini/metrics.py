@@ -224,22 +224,18 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
 def lorenz_curve(data: Dataset) -> LorenzCurve:
     """Sort ascending and accumulate shares: ``p_i = i/n``, ``q_i = s_i/T``.
 
-    The endpoint ``q_n`` is forced to exactly 1.0 so cumulative-sum drift
-    cannot leak into the last interior gap.
+    ``T`` is the dataset's compensated total, not the running float sum,
+    which can cancel to zero or below on mixed-sign data whose exact total
+    is positive. The endpoint ``q_n`` is forced to exactly 1.0 so
+    cumulative-sum drift cannot leak into the last interior gap. Sorted
+    data always gives a convex curve, so the curve is marked convex
+    without looking at float noise in ``q``.
     """
     n = data.n
-    s = np.cumsum(data.sorted_values)
-    denom = s[-1]
-    if denom <= 0.0:
-        # The exact total was checked positive at construction; the running
-        # float sum can only land here through catastrophic cancellation.
-        raise NonPositiveTotalError(
-            "cumulative sum of sorted values collapsed to a non-positive total"
-        )
-    q = s / denom
+    q = np.cumsum(data.sorted_values) / data.total
     q[-1] = 1.0
     p = np.arange(1, n + 1, dtype=float) / n
-    return LorenzCurve(p=_readonly(p), q=_readonly(q), convex=_is_convex(q))
+    return LorenzCurve(p=_readonly(p), q=_readonly(q), convex=True)
 
 
 def _is_convex(q: np.ndarray) -> bool:

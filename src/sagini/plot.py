@@ -9,6 +9,7 @@ the 45-degree line is shaded (the polygon's closing edge is the diagonal).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from .metrics import LorenzCurve
@@ -56,11 +57,11 @@ def render_svg(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
         f'width="{PLOT_RIGHT - PLOT_LEFT:.4f}" height="{PLOT_BOTTOM - PLOT_TOP:.4f}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    for k, curve in enumerate(curves):
-        xs, ys = _curve_xy(curve)
+    points = [_pts(*_curve_xy(curve)) for curve in curves]
+    for k, pts in enumerate(points):
         color = PALETTE[k % len(PALETTE)]
         out.append(
-            f'<polygon points="{_pts(xs, ys)}" fill="{color}" '
+            f'<polygon points="{pts}" fill="{color}" '
             'fill-opacity="0.18" stroke="none"/>'
         )
     out.append(
@@ -68,11 +69,10 @@ def render_svg(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
         f'x2="{map_x(1):.4f}" y2="{map_y(1):.4f}" '
         'stroke="#000000" stroke-width="1.5"/>'
     )
-    for k, curve in enumerate(curves):
-        xs, ys = _curve_xy(curve)
+    for k, pts in enumerate(points):
         color = PALETTE[k % len(PALETTE)]
         out.append(
-            f'<polyline points="{_pts(xs, ys)}" fill="none" '
+            f'<polyline points="{pts}" fill="none" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
     mid_x = (PLOT_LEFT + PLOT_RIGHT) / 2
@@ -109,17 +109,20 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _interp(curve: LorenzCurve, x: float) -> float:
-    """Piecewise-linear q at population share x, with (0, 0) prepended."""
-    xs, ys = _curve_xy(curve)
+def _interp(xs: list[float], ys: list[float], x: float) -> float:
+    """Piecewise-linear y at x through ascending ``xs`` (from :func:`_curve_xy`).
+
+    The segment is the first one whose right end is at or past ``x``.
+    """
     if x <= xs[0]:
         return ys[0]
-    for left in range(len(xs) - 1):
-        if x <= xs[left + 1]:
-            span = xs[left + 1] - xs[left]
-            t = 0.0 if span == 0 else (x - xs[left]) / span
-            return ys[left] + t * (ys[left + 1] - ys[left])
-    return ys[-1]
+    right = bisect_left(xs, x, 1)
+    if right == len(xs):
+        return ys[-1]
+    left = right - 1
+    span = xs[right] - xs[left]
+    t = 0.0 if span == 0 else (x - xs[left]) / span
+    return ys[left] + t * (ys[right] - ys[left])
 
 
 def render_ascii(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
@@ -133,9 +136,10 @@ def render_ascii(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
         grid[row][col] = "."
     for k, curve in enumerate(curves):
         mark = _ASCII_MARKS[k % len(_ASCII_MARKS)]
+        xs, ys = _curve_xy(curve)
         for col in range(ASCII_WIDTH):
             x = col / (ASCII_WIDTH - 1)
-            q = _interp(curve, x)
+            q = _interp(xs, ys, x)
             row = round((1.0 - q) * (ASCII_HEIGHT - 1))
             if 0 <= row < ASCII_HEIGHT:
                 grid[row][col] = mark

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sagini import cli
+from sagini import build_dataset, cli, report
 from sagini.cli import main
 from sagini.errors import ParseError, SaginiError
 
@@ -166,6 +166,46 @@ class TestCompute:
             main, ["compute", "-i", SYMMETRIC, "-o", "no/such/dir/out.json"]
         )
         assert result.exit_code == 2
+
+
+class TestInputEdges:
+    def test_cancelling_cumsum_exit_0(self, runner, tmp_path):
+        rows = ["-1e20", "1e20", "1"]
+        path = tmp_path / "cancel.csv"
+        path.write_text("\n".join(rows) + "\n")
+        result = run(runner, "compute", "-i", str(path), "--no-provenance")
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        expected = report(build_dataset([float(r) for r in rows]))
+        assert doc["indices"]["gini"] == expected.gini
+        assert doc["lorenz"]["q"][-1] == 1.0
+
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_raw_values_never_warn_non_convex(self, runner, command):
+        # The float cumulative sum of these sorted values has a decreasing
+        # step; the exact curve does not.
+        result = run(runner, command, "-i", "-", input="-1e16\n2\n2\n2\n1e16\n")
+        assert result.exit_code == 0
+        assert "not convex" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_leading_bom_ignored(self, runner, command):
+        result = run(
+            runner, command, "-i", "-", "--header", "-c", "income",
+            input=b"\xef\xbb\xbfid,income\n1,2\n2,3\n3,4\n",
+        )
+        assert result.exit_code == 0
+        result = run(runner, command, "-i", "-", input=b"\xef\xbb\xbf2\n3\n4\n")
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize("from_lorenz", [[], ["--from-lorenz"]])
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_invalid_utf8_exit_2_with_line(self, runner, command, from_lorenz):
+        result = runner.invoke(
+            main, [command, "-i", "-", *from_lorenz], input=b"0.5,0.25\n1.0,\xff1.0\n"
+        )
+        assert result.exit_code == 2
+        assert "ParseError: line 2: byte 0xff is not valid UTF-8" in result.stderr
 
 
 class TestLorenzCommand:

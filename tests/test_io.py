@@ -1,14 +1,30 @@
 """Unit tests for input parsing and report-document serialization."""
 
+import csv
+import io
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sagini import build_dataset, lorenz_curve, metrics_from_lorenz, report
+from sagini import (
+    build_dataset,
+    lorenz_curve,
+    lorenz_from_points,
+    metrics_from_lorenz,
+    report,
+)
 from sagini.errors import ParseError
 from sagini.io import (
     InputSpec,
+    _decode,
+    _line_points,
+    _line_values,
+    _split_table,
+    _table_points,
+    _table_values,
     build_document,
     document_to_csv,
     document_to_json,
@@ -17,6 +33,7 @@ from sagini.io import (
     read_values,
     values_stats,
 )
+from sagini.metrics import LorenzCurve
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,3 +202,238 @@ class TestDocument:
         )
         text = document_to_text(doc)
         assert "mean:             n/a" in text
+
+
+class TestDecoding:
+    def test_bom_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,income\n1,10\n2,20\n")
+        spec = InputSpec(path=str(path), column="income", header=True)
+        assert read_values(spec)[0] == [10, 20]
+
+    def test_bom_before_first_numeric_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1\n2\n")
+        assert read_values(InputSpec(path=str(path)))[0] == [1, 2]
+        path.write_bytes(b"\xef\xbb\xbf0.5,0.25\n1,1\n")
+        assert read_lorenz_points(InputSpec(path=str(path)))[0] == [(0.5, 0.25), (1, 1)]
+
+    def test_digest_covers_the_bom(self, tmp_path):
+        plain, marked = tmp_path / "a.csv", tmp_path / "b.csv"
+        plain.write_bytes(b"1\n2\n")
+        marked.write_bytes(b"\xef\xbb\xbf1\n2\n")
+        assert read_values(InputSpec(path=str(plain)))[1] != read_values(
+            InputSpec(path=str(marked))
+        )[1]
+
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"\xff1\n2\n", 1),
+            (b"1\n2\n\xff\n", 3),
+            (b"1\r\n2\r\n3\xe9\r\n", 3),
+            (b"1\r2\r\xc3", 3),
+            (b"\xef\xbb\xbf1\n\xed\xa0\x80\n", 2),
+        ],
+    )
+    @pytest.mark.parametrize("reader", [read_values, read_lorenz_points])
+    def test_invalid_utf8_names_line(self, tmp_path, reader, raw, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        message = rf"^line {line}: byte 0x[0-9a-f]{{2}} is not valid UTF-8$"
+        with pytest.raises(ParseError, match=message):
+            reader(InputSpec(path=str(path)))
+
+
+# (text, InputSpec keywords): every case is read by both readers and must
+# give what the line-by-line parser gives.
+READER_CORPUS = {
+    "plain": ("1\n2.5\n-3\n", {}),
+    "quoted": ('"1",2\n"3",4\n', {"column": 1}),
+    "quoted comma decimal": ('"1,5"\n"2,0"\n', {}),
+    "crlf": ("1,2\r\n3,4\r\n", {"column": 2}),
+    "crlf no final break": ("1,2\r\n3,4", {"column": 2}),
+    "mixed lf crlf": ("1,2\n3,4\r\n5,6\n", {"column": 2}),
+    "cr only": ("1,2\r3,4\r", {"column": 2}),
+    "form feed break": ("1,2\x0c3,4\n", {"column": 2}),
+    "line separator": ("1,2\u20283,4\n", {"column": 2}),
+    "blank line": ("1,2\n\n3,4\n", {"column": 2}),
+    "trailing blank lines": ("1\n2\n\n\n", {}),
+    "leading blank line": ("\n1\n2\n", {}),
+    "whitespace-only line": ("1\n   \n2\n", {}),
+    "tab-only line tsv": ("1\t2\n \t \n3\t4\n", {"format": "tsv", "column": 2}),
+    "blank line before header": ("\n5\n1\n2\n", {"header": True, "column": 1}),
+    "blank line after header": ("x,y\n\n1,2\n", {"header": True}),
+    "no final break": ("1,2\n3,4", {"column": 2}),
+    "only breaks": ("\n\n", {}),
+    "empty": ("", {}),
+    "empty with header": ("", {"header": True}),
+    "header only": ("id,income\n", {"header": True, "column": "income"}),
+    "padded cells": (" 1 , 2 \n 3 ,4\t\n", {"column": 2}),
+    "unicode padding": ("\u30001\u3000,\xa02\n3,4\n", {"column": 1}),
+    "missing cell": ("1,a\n,b\n3,c\n", {"column": 1}),
+    "missing last cell": ("1,2\n3,\n", {"column": 2}),
+    "balanced ragged": ("1,2,3\n4,5\n6,7,8,9\n", {"column": 3}),
+    "balanced ragged two": ("1,2\n3\n4,5,6\n", {"column": 1}),
+    "long row then short": ("1,2,3\n4,5,6,7\n8,9\n", {"column": 2}),
+    "short rows between full ones": ("1,2\n3\n4\n5,6\n", {"column": 1}),
+    "ragged but wide enough": ("1,2,3\n4,5,6,7\n", {"column": 2}),
+    "column past width": ("1,2\n3,4\n", {"column": 3}),
+    "column zero": ("1,2\n3,4\n", {"column": 0}),
+    "underscore": ("1_000\n2\n", {}),
+    "specials": ("nan\n-inf\n-0.0\n1e-05\n5e-324\n", {}),
+    "not a number": ("1\npotato\n4\n", {}),
+    "first numeric column": ("alpha,4.5,x\nbeta,2.5,y\n", {}),
+    "no numeric column": ("a,b\nc,d\n", {}),
+    "nul": ("1\x00,2\n3,4\n", {"column": 2}),
+    "tsv": ("1\t2\n3\t4\n", {"format": "tsv", "column": 2}),
+    "tsv with commas": ("1,5\t2\n3\t4\n", {"format": "tsv", "column": 1}),
+    "whitespace": ("1  2\t3\n4 5 6\n", {"format": "whitespace", "column": 2}),
+    "whitespace ragged": ("1 2\n3\n", {"format": "whitespace", "column": 2}),
+    "whitespace unit separator": ("1\x1f2\n3\x1f4\n", {"format": "whitespace", "column": 2}),
+    "whitespace quotes": ('"1" 2\n3 4\n', {"format": "whitespace", "column": 2}),
+    "header named column": ("id,income\n1,10\n2,20\n", {"header": True, "column": "income"}),
+    "header numeric index": ("id,income\n1,10\n2,20\n", {"header": True, "column": "2"}),
+    "header unknown name": ("id,income\n1,10\n", {"header": True, "column": "wealth"}),
+    "name without header": ("1\n2\n", {"column": "income"}),
+    "points": ("0.5,0.25\n1.0,1.0\n", {}),
+    "points header": ("p,q\n0.5,0.25\n1.0,1.0\n", {"header": True}),
+    "points three columns": ("0.5,0.25,x\n1.0,1.0,y\n", {}),
+    "points bad q": ("0.5,oops\n1.0,1.0\n", {}),
+    "unknown format": ("1\n2\n", {"format": "json"}),
+}
+
+
+def outcome(read, *args):
+    try:
+        return "ok", repr(read(*args))
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+class TestReaderDifferential:
+    """The table reader agrees with the line-by-line parser it stands in for."""
+
+    @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+    def test_values(self, tmp_path, text, kwargs):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        spec = InputSpec(path=str(path), **kwargs)
+        expected = outcome(_line_values, text, spec)
+        assert outcome(lambda: read_values(spec)[0]) == expected
+
+    @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+    def test_points(self, tmp_path, text, kwargs):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        spec = InputSpec(path=str(path), **kwargs)
+        expected = outcome(_line_points, text, spec)
+        assert outcome(lambda: read_lorenz_points(spec)[0]) == expected
+
+    def test_stdin(self, monkeypatch):
+        class Stdin:
+            buffer = io.BytesIO(b"id,income\r\n1,10\r\n2,20\r\n")
+
+        monkeypatch.setattr(sys, "stdin", Stdin)
+        spec = InputSpec(path="-", header=True, column="income")
+        assert read_values(spec)[0] == [10, 20]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["plain", "crlf", "mixed lf crlf", "no final break", "padded cells",
+         "unicode padding", "underscore", "specials", "tsv", "whitespace",
+         "header named column", "header only", "first numeric column"],
+    )
+    def test_regular_values_take_the_table_path(self, name):
+        text, kwargs = READER_CORPUS[name]
+        assert _table_values(text, InputSpec(**kwargs)) is not None
+
+    @pytest.mark.parametrize("name", ["points", "points header", "points three columns"])
+    def test_regular_points_take_the_table_path(self, name):
+        text, kwargs = READER_CORPUS[name]
+        assert _table_points(text, InputSpec(**kwargs)) is not None
+
+    @pytest.mark.parametrize(
+        "name",
+        ["balanced ragged", "balanced ragged two", "long row then short",
+         "short rows between full ones", "quoted", "cr only", "form feed break",
+         "line separator", "nul", "leading blank line", "blank line before header",
+         "whitespace ragged"],
+    )
+    def test_irregular_text_is_left_to_the_line_parser(self, name):
+        text, kwargs = READER_CORPUS[name]
+        assert _split_table(_decode(text.encode()), kwargs.get("format", "csv")) is None
+
+    def test_balanced_ragged_rows_still_fail(self, tmp_path):
+        path = write(tmp_path, "1,2,3\n4,5\n6,7,8,9\n")
+        message = r"^line 2: only 2 column\(s\), need column 3$"
+        with pytest.raises(ParseError, match=message):
+            read_values(InputSpec(path=path, column=3))
+
+    def test_oversized_field_is_left_to_the_line_parser(self):
+        text = "1," + "9" * (csv.field_size_limit() + 1) + "\n2,3\n"
+        assert _split_table(text, "csv") is None
+
+
+def json_golden(doc):
+    assert document_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def curve_document(q, **kwargs):
+    n = len(q)
+    curve = LorenzCurve(
+        p=np.arange(1, n + 1) / n, q=np.asarray(q, dtype=float), convex=False
+    )
+    return build_document(
+        metrics_from_lorenz(lorenz_from_points([(0.5, 0.25), (1.0, 1.0)])),
+        curve,
+        input_stats=None,
+        digest=None,
+        tool_version="0.0-test",
+        **kwargs,
+    )
+
+
+class TestJsonGolden:
+    """document_to_json is exactly json.dumps(doc, indent=2) plus a newline."""
+
+    @pytest.mark.parametrize("with_provenance", [True, False])
+    def test_values_document(self, with_provenance):
+        json_golden(document_for([3.0, 1.0, 4.0, 1.0, 5.0, 9.0], with_provenance))
+
+    def test_two_values(self):
+        json_golden(document_for([1.0, 3.0]))
+
+    def test_points_document(self):
+        points = [(0.25, 0.1), (0.5, 0.2), (0.75, 0.5), (1.0, 1.0)]
+        curve = lorenz_from_points(points)
+        doc = build_document(
+            metrics_from_lorenz(curve),
+            curve,
+            input_stats=None,
+            digest="cd" * 32,
+            tool_version="0.0-test",
+        )
+        assert doc["input"]["mean"] is None
+        json_golden(doc)
+
+    @pytest.mark.parametrize("with_provenance", [True, False])
+    def test_float_spellings(self, with_provenance):
+        json_golden(
+            curve_document(
+                [-0.0, 5e-324, 1e-05, 0.1, 1e16, 1e22, -1e-300, 1.0],
+                with_provenance=with_provenance,
+            )
+        )
+
+    def test_non_finite_falls_back_to_json_spelling(self):
+        doc = curve_document([float("nan"), float("inf"), -float("inf"), 1.0])
+        assert "NaN" in document_to_json(doc)
+        json_golden(doc)
+
+    def test_other_shapes(self):
+        json_golden({})
+        json_golden({"a": [], "b": {}, "c": [1, 2.5, True, None, "x\ny"]})
+        json_golden({"a": {"b": [1.5, 2]}, "c": [[0.5]], "d": ("t", 1)})
+        json_golden({"numpy": {"v": [np.float64(0.1), 1e-07]}, 1: "int key"})
+        json_golden({"text": "\u00e9\u2028\n", "lorenz": {"p": [0.5, 1.0]}})

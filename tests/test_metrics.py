@@ -121,6 +121,16 @@ class TestLorenzCurve:
         curve = lorenz_curve(build_dataset(SYMMETRIC_VALUES))
         assert np.all(np.diff(curve.p) > 0)
 
+    def test_cancelling_cumsum_uses_exact_total(self):
+        # The float cumulative sum ends at 0.0; the exact total is 1.
+        curve = lorenz_curve(build_dataset([-1e20, 1e20, 1.0]))
+        assert curve.q.tolist() == [-1e20, -1e20, 1.0]
+        assert curve.convex
+
+    def test_float_noise_does_not_flag_sorted_data(self):
+        curve = lorenz_curve(build_dataset([-1e16, 2.0, 2.0, 2.0, 1e16]))
+        assert curve.convex
+
 
 class TestGapVector:
     def test_symmetric_fixture_gaps(self):

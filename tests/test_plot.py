@@ -1,5 +1,6 @@
 """Unit tests for the SVG and ASCII Lorenz renderers."""
 
+import random
 import re
 
 import pytest
@@ -12,6 +13,8 @@ from sagini.plot import (
     PLOT_TOP,
     X_LABEL,
     Y_LABEL,
+    _curve_xy,
+    _interp,
     render_ascii,
     render_svg,
 )
@@ -75,11 +78,51 @@ class TestSvg:
         curve = lorenz_curve(build_dataset(SYMMETRIC_VALUES))
         assert render_svg([curve], ["a"]) == render_svg([curve], ["a"])
 
+    def test_polygon_and_polyline_share_points(self):
+        curves = [
+            lorenz_curve(build_dataset(SYMMETRIC_VALUES)),
+            lorenz_from_points(points_from_q(RIGHT_SKEWED_Q)),
+        ]
+        svg = render_svg(curves, ["sym", "red"])
+        polygons = re.findall(r'<polygon points="([^"]+)"', svg)
+        lines = re.findall(r'<polyline points="([^"]+)"', svg)
+        assert len(polygons) == 2
+        assert polygons == lines
+
     def test_label_escaped(self):
         curve = lorenz_curve(build_dataset([1.0, 2.0]))
         svg = render_svg([curve, curve], ["a<b", "c&d"])
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
+
+
+def interp_by_scan(xs, ys, x):
+    """The first segment whose right end is at or past x, by linear scan."""
+    if x <= xs[0]:
+        return ys[0]
+    for left in range(len(xs) - 1):
+        if x <= xs[left + 1]:
+            span = xs[left + 1] - xs[left]
+            t = 0.0 if span == 0 else (x - xs[left]) / span
+            return ys[left] + t * (ys[left + 1] - ys[left])
+    return ys[-1]
+
+
+class TestInterp:
+    @pytest.mark.parametrize("n", [2, 3, 7, 60, 61, 1000])
+    def test_matches_linear_scan(self, n):
+        rng = random.Random(n)
+        values = [rng.lognormvariate(0, 1) for _ in range(n)]
+        xs, ys = _curve_xy(lorenz_curve(build_dataset(values)))
+        probes = [i / 60 for i in range(61)] + xs + [-0.5, 1.5]
+        probes += [rng.random() for _ in range(200)]
+        for x in probes:
+            assert _interp(xs, ys, x) == interp_by_scan(xs, ys, x)
+
+    def test_repeated_grid_point(self):
+        xs, ys = [0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0]
+        for x in (0.25, 0.5, 0.75):
+            assert _interp(xs, ys, x) == interp_by_scan(xs, ys, x)
 
 
 class TestAscii:
