@@ -3,9 +3,24 @@
 The package computes the classical Lorenz-gap dispersion index (``gini``)
 together with upper- and lower-tail weighted variants (``g_right``,
 ``g_left``) and their skew-adjusted combination (``sag``), from raw
-observations or directly from Lorenz-curve points. It ships exact rational
-and pairwise-difference oracles, rank-preserving transfer construction,
-seeded Monte-Carlo dataset generators, and a deterministic CLI.
+observations or directly from Lorenz-curve points. The public API:
+
+* indices: :func:`build_dataset` validates raw values into a
+  :class:`Dataset`, :func:`report` gives all four indices of one as an
+  :class:`InequalityReport`; :func:`metrics_from_lorenz` does the same
+  from ``(p, q)`` points. :func:`lorenz_curve` and
+  :func:`lorenz_from_points` build the :class:`LorenzCurve` itself;
+* exact checks: :func:`rational_report` and
+  :func:`rational_report_from_lorenz` (a :class:`RationalReport`, the
+  ground truth), :func:`pairwise_gini`, and rank-preserving transfers
+  (:class:`TransferSpec`, :func:`apply_transfer`);
+* seeded Monte-Carlo sweeps: :data:`FAMILIES`, :class:`ExperimentConfig`,
+  :func:`generate`, :func:`sensitivity_sweep` (a :class:`SweepResult` of
+  :class:`SweepRow`);
+* errors: :class:`SaginiError`, the base of one typed error per kind of
+  validation failure.
+
+The ``sagini`` command line lives in :mod:`sagini.cli`.
 """
 
 __version__ = "0.1.0"
@@ -33,21 +48,13 @@ from .generators import (
 )
 from .metrics import (
     Dataset,
-    GapVector,
     InequalityReport,
     LorenzCurve,
-    WeightVector,
     build_dataset,
-    g_left,
-    g_right,
-    gap_vector,
-    gini,
     lorenz_curve,
     lorenz_from_points,
-    make_weights,
     metrics_from_lorenz,
     report,
-    sag,
 )
 from .oracle import (
     RationalReport,
@@ -63,18 +70,10 @@ __all__ = [
     # metrics
     "Dataset",
     "LorenzCurve",
-    "GapVector",
-    "WeightVector",
     "InequalityReport",
     "build_dataset",
     "lorenz_curve",
     "lorenz_from_points",
-    "gap_vector",
-    "make_weights",
-    "gini",
-    "g_right",
-    "g_left",
-    "sag",
     "report",
     "metrics_from_lorenz",
     # oracle

@@ -203,6 +203,11 @@ def compute(
 @click.option("--output", "-o", default="-", help="Output path, '-' for stdout.")
 def lorenz(input_paths, input_format, column, header, from_lorenz, style, output) -> None:
     """Render the Lorenz curve(s): diagonal, curve, shaded gap region."""
+    if input_paths.count("-") > 1:
+        _fail(
+            EXIT_PARSE,
+            "stdin ('-') can be read only once; pass '-' to --input at most once",
+        )
     curves = []
     labels = []
     try:

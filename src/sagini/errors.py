@@ -18,11 +18,7 @@ class NonPositiveTotalError(SaginiError):
 
 
 class InvalidNError(SaginiError):
-    """A population size the weights do not support.
-
-    Fewer than two for a weight vector, or more than the kernel's exact
-    float64 rank weights allow.
-    """
+    """More values than the kernel's exact float64 rank weights allow."""
 
 
 class UnequalSpacingError(SaginiError):

@@ -132,7 +132,10 @@ def _rows(text: str, fmt: str) -> list[tuple[int, list[str]]]:
         if fmt == "whitespace":
             cells = line.split()
         else:
-            cells = next(csv.reader([line], delimiter=_DELIMITERS[fmt]))
+            try:
+                cells = next(csv.reader([line], delimiter=_DELIMITERS[fmt]))
+            except csv.Error as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         out.append((lineno, cells))
     return out
 

@@ -1,4 +1,4 @@
-"""Lorenz curves, gap vectors, and asymmetry-sensitive inequality indices.
+"""Lorenz curves and asymmetry-sensitive inequality indices.
 
 The classical dispersion index is ``(2/n) * sum(p_i - q_i)`` over the n-1
 interior points of the Lorenz curve; the textbook prefactor ``2n/n^2``
@@ -34,9 +34,8 @@ some 1e290 times smaller than the largest. The rank weights are exact
 integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
 inputs raise :class:`InvalidNError`.
 
-The gap-level functions (:func:`gini`, :func:`g_right`, :func:`g_left`,
-:func:`sag`) work on an explicit :class:`GapVector` and use
-:func:`math.fsum`, which is exact up to the final rounding. Every value
+This kernel is the only float path for the indices; the exact rational
+evaluations in :mod:`sagini.oracle` are its ground truth. Every value
 type is immutable after construction; all operations are pure functions
 and safe to call concurrently.
 """
@@ -59,11 +58,10 @@ from .errors import (
     UnequalSpacingError,
 )
 
-Direction = Literal["right", "left"]
 SkewDirection = Literal["symmetric", "right", "left"]
 
 #: |g_right - g_left| at or below this reports as "symmetric", so float noise
-#: on palindromic gap vectors never shows up as spurious skew.
+#: on palindromic gaps never shows up as spurious skew.
 SKEW_TOLERANCE = 1e-9
 
 #: Slack for float checks that are exact identities in real arithmetic
@@ -136,24 +134,6 @@ class LorenzCurve:
         return self.p.size
 
 
-@dataclass(frozen=True, eq=False)
-class GapVector:
-    """Distances ``d_i = p_i - q_i`` at the n-1 interior grid points.
-
-    The i = n term is identically zero (both endpoints are 1) and is not
-    stored.
-    """
-
-    gaps: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    weights: np.ndarray
-    direction: Direction
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     """The four indices plus the skew call for one dataset or point set.
@@ -184,8 +164,12 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
 
     Raises
     ------
+    TypeError
+        Any string (or bytes) value; numeric text is not silently parsed,
+        so read it with :mod:`sagini.io` or convert it first. The first
+        offending index is reported.
     EmptyOrSingletonError
-        Fewer than two observations; the gap vector needs at least one
+        Fewer than two observations; the curve needs at least one
         interior point.
     NonFiniteValueError
         Any NaN or infinity (the first offending index is reported), or a
@@ -196,6 +180,8 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     """
     if not hasattr(raw, "__len__"):
         raw = list(raw)
+    _reject_strings(raw)
+    # A copy, so the caller's array is never made read-only.
     values = np.array(raw, dtype=float)
     if values.ndim != 1:
         raise ValueError("expected a one-dimensional sequence of values")
@@ -221,6 +207,24 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     return Dataset(values=_readonly(values), total=total)
 
 
+def _reject_strings(raw: Iterable[float]) -> None:
+    """Raise :class:`TypeError` at the first str or bytes value.
+
+    A numeric array costs only a dtype check; other input is scanned once
+    for the set of types it holds.
+    """
+    if isinstance(raw, np.ndarray):
+        if raw.dtype.kind not in "OSU":
+            return
+        raw = raw.tolist()
+    if any(issubclass(t, (str, bytes)) for t in set(map(type, raw))):
+        i, v = next((i, v) for i, v in enumerate(raw) if isinstance(v, (str, bytes)))
+        raise TypeError(
+            f"values: string {v!r} at index {i} is not silently parsed as a "
+            "number; pass int or float"
+        )
+
+
 def lorenz_curve(data: Dataset) -> LorenzCurve:
     """Sort ascending and accumulate shares: ``p_i = i/n``, ``q_i = s_i/T``.
 
@@ -241,60 +245,6 @@ def lorenz_curve(data: Dataset) -> LorenzCurve:
 def _is_convex(q: np.ndarray) -> bool:
     inc = np.diff(q, prepend=0.0)
     return bool(np.all(np.diff(inc) >= -_CONVEXITY_SLACK))
-
-
-def gap_vector(curve: LorenzCurve) -> GapVector:
-    """Interior distances between the diagonal and the curve."""
-    gaps = (curve.p - curve.q)[:-1]
-    return GapVector(gaps=_readonly(gaps), n=curve.n)
-
-
-def make_weights(n: int, direction: Direction) -> WeightVector:
-    """Tail-emphasis weights on the n-1 interior grid points.
-
-    ``right`` weights ``2i/n`` grow toward the upper tail; ``left`` weights
-    ``(2n-2i)/n`` are the same floats in reversed order. Both range over
-    (0, 2), average to 1, and satisfy ``right_i + left_i == 2`` exactly.
-    """
-    if n < 2:
-        raise InvalidNError(f"need n >= 2, got {n}")
-    i = np.arange(1, n, dtype=float)
-    if direction == "right":
-        w = 2.0 * i / n
-    elif direction == "left":
-        w = 2.0 * (n - i) / n
-    else:
-        raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    return WeightVector(weights=_readonly(w), direction=direction)
-
-
-def gini(gapv: GapVector) -> float:
-    """Classical dispersion index ``(2/n) * sum(gaps)``."""
-    return (2.0 / gapv.n) * math.fsum(gapv.gaps)
-
-
-def g_right(gapv: GapVector) -> float:
-    """Upper-tail weighted index ``(2/n) * sum(gaps_i * 2i/n)``."""
-    w = make_weights(gapv.n, "right").weights
-    return (2.0 / gapv.n) * math.fsum(gapv.gaps * w)
-
-
-def g_left(gapv: GapVector) -> float:
-    """Lower-tail weighted index ``(2/n) * sum(gaps_i * (2n-2i)/n)``."""
-    w = make_weights(gapv.n, "left").weights
-    return (2.0 / gapv.n) * math.fsum(gapv.gaps * w)
-
-
-def sag(gapv: GapVector) -> float:
-    """Skew-adjusted index ``gini + |g_right - g_left| / 2``.
-
-    Numerically equal to ``max(g_right, g_left)`` and never below ``gini``.
-    """
-    return _combine_sag(gini(gapv), g_right(gapv), g_left(gapv))
-
-
-def _combine_sag(g: float, gr: float, gl: float) -> float:
-    return g + abs(gr - gl) / 2.0
 
 
 def _skew_call(gr: float, gl: float) -> SkewDirection:
@@ -413,7 +363,7 @@ def _make_report(
         gini=g,
         g_right=gr,
         g_left=gl,
-        sag=_combine_sag(g, gr, gl),
+        sag=g + abs(gr - gl) / 2.0,
         skew_direction=_skew_call(gr, gl),
         convex=convex,
     )

@@ -6,6 +6,8 @@ values are confirmed exactly by the rational oracle (see test_oracle.py
 and test_acceptance.py) before being asserted against the float pipeline.
 """
 
+from fractions import Fraction
+
 from sagini import TransferSpec
 
 SYMMETRIC_VALUES = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 14.0, 16.0, 17.0, 18.0]
@@ -15,7 +17,6 @@ LEFT_SKEWED_Q = [0.01, 0.03, 0.06, 0.11, 0.24, 0.38, 0.53, 0.67, 0.83, 1.00]
 
 SYMMETRIC_GAPS = [0.08, 0.15, 0.21, 0.25, 0.27, 0.25, 0.21, 0.15, 0.08]
 RIGHT_SKEWED_GAPS = [0.04, 0.08, 0.12, 0.16, 0.20, 0.24, 0.27, 0.30, 0.24]
-LEFT_SKEWED_GAPS = [0.09, 0.17, 0.24, 0.29, 0.26, 0.22, 0.17, 0.13, 0.07]
 
 SYMMETRIC_EXPECTED = {
     "gini": 0.33,
@@ -44,6 +45,18 @@ def points_from_q(q_values):
     """Lorenz (p, q) pairs on the uniform grid for the given q column."""
     n = len(q_values)
     return [((i + 1) / n, q) for i, q in enumerate(q_values)]
+
+
+def points_from_gaps(gaps):
+    """Lorenz (p, q) pairs on the grid i/n whose gaps p_i - q_i are ``gaps``."""
+    n = len(gaps) + 1
+    return [(i / n, i / n - d) for i, d in enumerate(gaps, start=1)] + [(1.0, 1.0)]
+
+
+def exact_points(points):
+    """The same points for the rational oracle: p on the exact grid i/n, q as is."""
+    n = len(points)
+    return [(Fraction(i, n), Fraction(q)) for i, (_, q) in enumerate(points, start=1)]
 
 
 def propose_transfer(values):

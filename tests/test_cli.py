@@ -207,8 +207,23 @@ class TestInputEdges:
         assert result.exit_code == 2
         assert "ParseError: line 2: byte 0xff is not valid UTF-8" in result.stderr
 
+    def test_cell_over_csv_field_limit_exit_2_with_line(self, runner):
+        cell = "7" * 140_000
+        result = run(
+            runner, "compute", "-i", "-", "-c", "2", input=f"a,1\nb,2\nc,{cell}\n"
+        )
+        assert result.exit_code == 2
+        assert "ParseError: line 3: field larger than field limit" in result.stderr
+
 
 class TestLorenzCommand:
+    def test_stdin_twice_rejected_before_reading(self, runner):
+        result = run(runner, "lorenz", "-i", "-", "-i", "-", input="1\n2\n3\n")
+        assert result.exit_code == 2
+        assert "stdin ('-') can be read only once" in result.stderr
+        assert "EmptyOrSingletonError" not in result.stderr
+
+
     def test_svg_output(self, runner):
         result = run(runner, "lorenz", "-i", SYMMETRIC)
         assert result.exit_code == 0

@@ -1,6 +1,5 @@
 """Unit tests for the core metric pipeline."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,20 +13,14 @@ from sagini import (
     NonPositiveTotalError,
     UnequalSpacingError,
     build_dataset,
-    g_left,
-    g_right,
-    gap_vector,
-    gini,
     lorenz_curve,
     lorenz_from_points,
-    make_weights,
     metrics_from_lorenz,
     rational_report,
     rational_report_from_lorenz,
     report,
-    sag,
 )
-from sagini.metrics import _CHUNK, _MAX_EXACT_N, GapVector, _rank_weights
+from sagini.metrics import _CHUNK, _MAX_EXACT_N, _rank_weights
 
 from fixtures import (
     LEFT_SKEWED_EXPECTED,
@@ -38,12 +31,37 @@ from fixtures import (
     SYMMETRIC_GAPS,
     SYMMETRIC_Q,
     SYMMETRIC_VALUES,
+    exact_points,
+    points_from_gaps,
     points_from_q,
 )
 
 
 def gaps_of(values):
-    return gap_vector(lorenz_curve(build_dataset(values)))
+    """The n-1 interior distances ``p_i - q_i`` of the dataset's curve."""
+    curve = lorenz_curve(build_dataset(values))
+    return (curve.p - curve.q)[:-1]
+
+
+def indices(result):
+    return result.gini, result.g_right, result.g_left, result.sag
+
+
+def tail_weights(n):
+    """Each interior point's right and left weight, read off the indices.
+
+    A curve that leaves the diagonal at point i alone has the single gap
+    ``d_i``, so ``g_right / gini`` and ``g_left / gini`` are that point's
+    weights ``2i/n`` and ``(2n - 2i)/n``.
+    """
+    right, left = [], []
+    for i in range(1, n):
+        gaps = [0.0] * (n - 1)
+        gaps[i - 1] = 0.25 / n
+        result = metrics_from_lorenz(points_from_gaps(gaps))
+        right.append(result.g_right / result.gini)
+        left.append(result.g_left / result.gini)
+    return np.array(right), np.array(left)
 
 
 class TestBuildDataset:
@@ -91,6 +109,27 @@ class TestBuildDataset:
         data = build_dataset([-2.0, 0.0, 5.0])
         assert data.total == 3.0
 
+    @pytest.mark.parametrize(
+        "raw, where",
+        [
+            (["1", "2"], "'1' at index 0"),
+            ([1.0, "2"], "'2' at index 1"),
+            (np.array(["1", "2"]), "'1' at index 0"),
+            ([1.0, b"2"], "b'2' at index 1"),
+        ],
+        ids=["strings", "mixed", "string-array", "bytes"],
+    )
+    def test_strings_rejected_with_index(self, raw, where):
+        with pytest.raises(TypeError, match=f"string {where}"):
+            build_dataset(raw)
+
+    def test_caller_array_stays_writeable(self):
+        raw = np.array([1.0, 2.0, 3.0])
+        data = build_dataset(raw)
+        raw[0] = 9.0
+        assert data.values.tolist() == [1.0, 2.0, 3.0]
+        assert data.n == 3
+
 
 class TestLorenzCurve:
     def test_q_matches_fixture(self):
@@ -133,124 +172,132 @@ class TestLorenzCurve:
 
 
 class TestGapVector:
+    """The distances ``d_i = p_i - q_i`` read off the curve."""
+
     def test_symmetric_fixture_gaps(self):
-        gapv = gaps_of(SYMMETRIC_VALUES)
-        assert gapv.n == 10
-        assert len(gapv.gaps) == 9
-        assert gapv.gaps == pytest.approx(SYMMETRIC_GAPS, abs=1e-15)
+        curve = lorenz_curve(build_dataset(SYMMETRIC_VALUES))
+        gaps = gaps_of(SYMMETRIC_VALUES)
+        assert curve.n == 10
+        assert len(gaps) == 9
+        assert gaps == pytest.approx(SYMMETRIC_GAPS, abs=1e-15)
 
     def test_palindrome_shape(self):
-        gapv = gaps_of(SYMMETRIC_VALUES)
-        assert gapv.gaps == pytest.approx(gapv.gaps[::-1], abs=1e-15)
+        gaps = gaps_of(SYMMETRIC_VALUES)
+        assert gaps == pytest.approx(gaps[::-1], abs=1e-15)
 
     def test_perfect_equality_gaps_zero(self):
-        gapv = gaps_of([1.0] * 6)
-        assert gapv.gaps.tolist() == [0.0] * 5
+        assert gaps_of([1.0] * 6).tolist() == [0.0] * 5
 
     def test_right_skewed_fixture_gaps(self):
         curve = lorenz_from_points(points_from_q(RIGHT_SKEWED_Q))
-        gapv = gap_vector(curve)
-        assert gapv.gaps == pytest.approx(RIGHT_SKEWED_GAPS, abs=1e-15)
+        gaps = (curve.p - curve.q)[:-1]
+        assert gaps == pytest.approx(RIGHT_SKEWED_GAPS, abs=1e-15)
 
     def test_boundary_term_is_exactly_zero(self):
-        # The i = n distance is dropped because it is identically zero;
-        # folding it into the sums would change nothing.
+        # The i = n distance is identically zero, so the indices sum over
+        # the n-1 interior points only; both curve builders pin it.
         curve = lorenz_curve(build_dataset(SYMMETRIC_VALUES))
         assert curve.p[-1] - curve.q[-1] == 0.0
-        gapv = gap_vector(curve)
-        assert len(gapv.gaps) == curve.n - 1
-        extended = np.append(gapv.gaps, curve.p[-1] - curve.q[-1])
-        assert (2.0 / gapv.n) * math.fsum(extended) == gini(gapv)
-        # the would-be weight at i = n is exactly 2, times a zero gap
-        assert (2.0 / gapv.n) * math.fsum(
-            extended * np.append(make_weights(gapv.n, "right").weights, 2.0)
-        ) == g_right(gapv)
+        points = points_from_q(RIGHT_SKEWED_Q[:-1] + [1.0 + 5e-10])
+        curve = lorenz_from_points(points)
+        assert curve.p[-1] - curve.q[-1] == 0.0
 
 
 class TestWeights:
+    """The tail weights ``2i/n`` and ``(2n - 2i)/n`` as the indices apply them."""
+
     def test_right_weights_n10(self):
-        w = make_weights(10, "right").weights
-        assert w.tolist() == [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
+        right, _ = tail_weights(10)
+        expected = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
+        assert right == pytest.approx(expected, rel=1e-12)
 
     def test_left_weights_n10(self):
-        w = make_weights(10, "left").weights
-        assert w.tolist() == [1.8, 1.6, 1.4, 1.2, 1.0, 0.8, 0.6, 0.4, 0.2]
+        _, left = tail_weights(10)
+        expected = [1.8, 1.6, 1.4, 1.2, 1.0, 0.8, 0.6, 0.4, 0.2]
+        assert left == pytest.approx(expected, rel=1e-12)
 
     def test_left_is_right_reversed_bitwise(self):
+        # Reversing the gaps swaps the tails: exactly in the oracle, to
+        # 1e-12 in the kernel.
         for n in (2, 3, 7, 10, 101, 1000):
-            right = make_weights(n, "right").weights
-            left = make_weights(n, "left").weights
-            assert np.array_equal(left, right[::-1])
+            gaps = np.random.default_rng(n).random(n - 1) / n
+            exact = [Fraction(d) for d in gaps.tolist()]
+            forward, backward = (
+                rational_report_from_lorenz(
+                    [(Fraction(i, n), Fraction(i, n) - d) for i, d in enumerate(ds, 1)]
+                    + [(1, 1)]
+                )
+                for ds in (exact, exact[::-1])
+            )
+            assert backward.g_right == forward.g_left
+            assert backward.g_left == forward.g_right
+            a = metrics_from_lorenz(points_from_gaps(gaps))
+            b = metrics_from_lorenz(points_from_gaps(gaps[::-1]))
+            assert b.g_right == pytest.approx(a.g_left, rel=1e-12)
+            assert b.g_left == pytest.approx(a.g_right, rel=1e-12)
 
     def test_n2_degenerate(self):
-        assert make_weights(2, "right").weights.tolist() == [1.0]
-        assert make_weights(2, "left").weights.tolist() == [1.0]
+        # One interior point, weighted 1 from either side.
+        result = metrics_from_lorenz([(0.5, 0.25), (1.0, 1.0)])
+        assert indices(result) == (0.25, 0.25, 0.25, 0.25)
+        assert result.skew_direction == "symmetric"
 
     def test_mean_is_one(self):
+        # Equal gaps everywhere: the weights average to 1, so both tails
+        # equal gini.
         for n in (2, 5, 10, 137, 10_000):
-            w = make_weights(n, "right").weights
-            assert math.fsum(w) / (n - 1) == pytest.approx(1.0, abs=1e-12)
+            result = metrics_from_lorenz(points_from_gaps([0.25 / n] * (n - 1)))
+            assert result.g_right == pytest.approx(result.gini, rel=1e-12)
+            assert result.g_left == pytest.approx(result.gini, rel=1e-12)
 
     def test_mirror_sum_exactly_two(self):
-        for n in (2, 3, 9, 10, 64, 997, 12345):
-            right = make_weights(n, "right").weights
-            left = make_weights(n, "left").weights
-            assert np.all(right + left == 2.0)
+        # right_i + left_i = 2, so g_right + g_left = 2 gini for any gaps:
+        # exactly in the oracle, to 1e-12 in the kernel.
+        for n in (2, 3, 9, 10, 64, 997):
+            points = points_from_gaps(np.random.default_rng(n).random(n - 1) / n)
+            exact = rational_report_from_lorenz(exact_points(points))
+            assert exact.g_right + exact.g_left == 2 * exact.gini
+            r = metrics_from_lorenz(points)
+            assert r.g_right + r.g_left == pytest.approx(2 * r.gini, rel=1e-12)
 
     def test_range_and_monotonicity(self):
-        w = make_weights(50, "right").weights
-        assert np.all(w > 0) and np.all(w < 2)
-        assert np.all(np.diff(w) > 0)
-        wl = make_weights(50, "left").weights
-        assert np.all(np.diff(wl) < 0)
-
-    def test_invalid_n(self):
-        with pytest.raises(InvalidNError):
-            make_weights(1, "right")
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            make_weights(5, "up")
+        right, left = tail_weights(50)
+        assert np.all(right > 0) and np.all(right < 2)
+        assert np.all(np.diff(right) > 0)
+        assert np.all(np.diff(left) < 0)
 
 
 class TestIndices:
     def test_symmetric_fixture_all_033(self):
-        gapv = gaps_of(SYMMETRIC_VALUES)
-        for fn in (gini, g_right, g_left, sag):
-            assert fn(gapv) == pytest.approx(0.33, abs=1e-14)
+        from_values = report(build_dataset(SYMMETRIC_VALUES))
+        from_points = metrics_from_lorenz(points_from_q(SYMMETRIC_Q))
+        for value in indices(from_values) + indices(from_points):
+            assert value == pytest.approx(0.33, abs=1e-14)
 
     def test_zero_gaps_give_zero(self):
-        gapv = GapVector(gaps=np.zeros(4), n=5)
-        assert gini(gapv) == 0.0
-        assert g_right(gapv) == 0.0
-        assert g_left(gapv) == 0.0
-        assert sag(gapv) == 0.0
+        result = metrics_from_lorenz(points_from_gaps([0.0] * 3))
+        assert indices(result) == (0.0, 0.0, 0.0, 0.0)
 
     def test_two_zeros_one_three(self):
-        gapv = gaps_of([0.0, 0.0, 3.0])
-        assert gini(gapv) == pytest.approx(2 / 3, rel=1e-15)
-        assert g_right(gapv) == pytest.approx(20 / 27, rel=1e-15)
-        assert g_left(gapv) == pytest.approx(16 / 27, rel=1e-15)
-        assert sag(gapv) == pytest.approx(20 / 27, rel=1e-15)
+        result = report(build_dataset([0.0, 0.0, 3.0]))
+        assert result.gini == pytest.approx(2 / 3, rel=1e-15)
+        assert result.g_right == pytest.approx(20 / 27, rel=1e-15)
+        assert result.g_left == pytest.approx(16 / 27, rel=1e-15)
+        assert result.sag == pytest.approx(20 / 27, rel=1e-15)
 
     def test_prefactor_simplification_at_n7(self):
-        # 2n/n^2 and 2/n are the same float, so the shorter form is used.
+        # 2n/n^2 and 2/n are the same float, so the shorter form is used;
+        # the kernel's gini of 1..7 is the exact 2/7, correctly rounded.
         n = 7
         assert 2 * n / n**2 == 2 / n
-        gapv = gaps_of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        direct = (2 * n / n**2) * math.fsum(gapv.gaps)
-        assert gini(gapv) == direct
+        assert rational_report(range(1, n + 1)).gini == Fraction(2, 7)
+        assert report(build_dataset(range(1, n + 1))).gini == 2 / 7
 
     def test_permutation_of_input_is_bit_identical(self):
         values = [17.0, 2.0, 9.0, 4.0, 250.0, 4.0, 61.0]
         shuffled = [4.0, 250.0, 17.0, 61.0, 2.0, 9.0, 4.0]
         a, b = report(build_dataset(values)), report(build_dataset(shuffled))
-        assert (a.gini, a.g_right, a.g_left, a.sag) == (
-            b.gini,
-            b.g_right,
-            b.g_left,
-            b.sag,
-        )
+        assert indices(a) == indices(b)
 
 
 class TestReport:

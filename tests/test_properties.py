@@ -1,10 +1,9 @@
 """Property-based suites for the algebraic and axiomatic invariants.
 
 Exact identities are asserted bitwise where the construction guarantees
-them (power-of-two rescaling, reversed weights, the rational oracle);
-float-path comparisons use 1e-12/1e-10 relative tolerances with a matching
-absolute floor for the near-equality corner where every index collapses
-to zero.
+them (power-of-two rescaling, the rational oracle); float-path
+comparisons use 1e-12/1e-10 relative tolerances with a matching absolute
+floor for the near-equality corner where every index collapses to zero.
 """
 
 import math
@@ -15,22 +14,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sagini import (
-    GapVector,
     apply_transfer,
     build_dataset,
-    g_left,
-    g_right,
-    gap_vector,
-    gini,
     lorenz_curve,
-    make_weights,
+    metrics_from_lorenz,
     pairwise_gini,
     rational_report,
+    rational_report_from_lorenz,
     report,
-    sag,
 )
 
-from fixtures import propose_transfer
+from fixtures import exact_points, points_from_gaps, propose_transfer
 
 int_values = st.lists(st.integers(-10, 10**6), min_size=2, max_size=60).filter(
     lambda v: sum(v) > 0
@@ -74,14 +68,15 @@ def test_sag_is_max_and_dominates_gini(values):
     assert s >= g
 
 
-@given(st.integers(2, 5000))
-def test_weight_mirror_identity_exact(n):
-    right = make_weights(n, "right").weights
-    left = make_weights(n, "left").weights
-    assert np.all(right + left == 2.0)
-    assert np.array_equal(left, right[::-1])
-    assert math.fsum(right) / (n - 1) == pytest.approx(1.0, abs=1e-12)
-    assert np.all((right > 0) & (right < 2))
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=60))
+def test_weight_mirror_identity_exact(gaps):
+    # right_i + left_i = 2 at every point, so g_right + g_left = 2 gini:
+    # with zero tolerance in the oracle, to 1e-12 in the kernel.
+    points = points_from_gaps(gaps)
+    exact = rational_report_from_lorenz(exact_points(points))
+    assert exact.g_right + exact.g_left == 2 * exact.gini
+    r = metrics_from_lorenz(points)
+    assert close(r.g_right + r.g_left, 2 * r.gini, rel=1e-12)
 
 
 @given(
@@ -90,12 +85,13 @@ def test_weight_mirror_identity_exact(n):
 )
 def test_palindromic_gaps_make_tails_equal(half, odd):
     middle = [half[-1]] if odd else []
-    gaps = half + middle + half[::-1]
-    gapv = GapVector(gaps=np.asarray(gaps), n=len(gaps) + 1)
-    # identical product multisets under exact summation: equality is bitwise
-    assert g_right(gapv) == g_left(gapv)
-    assert close(g_right(gapv), gini(gapv), rel=1e-12)
-    assert close(sag(gapv), gini(gapv), rel=1e-12)
+    points = points_from_gaps(half + middle + half[::-1])
+    r = metrics_from_lorenz(points)
+    assert r.skew_direction == "symmetric"
+    assert close(r.sag, r.gini, rel=1e-12)
+    exact = rational_report_from_lorenz(exact_points(points))
+    for name in ("gini", "g_right", "g_left", "sag"):
+        assert close(getattr(r, name), float(getattr(exact, name)), rel=1e-12)
 
 
 @given(nonneg_values, st.integers(1, 10**6))
@@ -226,8 +222,7 @@ def test_gini_bounds_for_nonnegative_data(values):
 def test_nonnegative_data_gaps_above_diagonal(values):
     curve = lorenz_curve(build_dataset(values))
     assert curve.convex
-    gaps = gap_vector(curve).gaps
-    assert np.all(gaps >= -1e-12)
+    assert np.all(curve.p - curve.q >= -1e-12)
 
 
 @given(float_values)
@@ -243,7 +238,7 @@ def test_lorenz_endpoints_and_grid(values):
     assert curve.p[-1] == 1.0
     assert curve.q[-1] == 1.0
     assert np.all(np.diff(curve.p) > 0)
-    assert len(gap_vector(curve).gaps) == curve.n - 1
+    assert curve.n == curve.q.size == len(values)
 
 
 @given(st.floats(1e-3, 1e6, allow_nan=False), st.integers(2, 30))
