@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
 from . import __version__
-from .errors import BadParamsError, ParseError, SaginiError
+from .errors import ParseError, SaginiError
 from .generators import FAMILIES, ExperimentConfig, sensitivity_sweep
 from .io import (
     InputSpec,
@@ -25,7 +26,6 @@ from .io import (
     read_values,
     sweep_to_csv,
     sweep_to_json,
-    values_stats,
 )
 from .metrics import (
     build_dataset,
@@ -87,6 +87,24 @@ def _fail(code: int, error: Exception | str) -> None:
     sys.exit(code)
 
 
+@contextmanager
+def _exit_on_error(invalid: int):
+    """Turn an expected error into an ``error:`` line and its exit code.
+
+    ``ParseError`` and ``OSError`` (input that cannot be read) exit 2;
+    any other :class:`SaginiError` exits ``invalid``: 3 for data or
+    Lorenz-point validation, 4 for experiment parameters.
+    """
+    try:
+        yield
+    except ParseError as exc:
+        _fail(EXIT_PARSE, exc)
+    except OSError as exc:
+        _fail(EXIT_PARSE, f"cannot read input: {exc}")
+    except SaginiError as exc:
+        _fail(invalid, exc)
+
+
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         click.echo(text, nl=False)
@@ -99,28 +117,27 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _load_curve(path, input_format, column, header, from_lorenz):
-    """Parse and validate one input into (curve, data, stats, digest).
+    """Parse and validate one input into (curve, data, digest).
 
-    ``data`` (the :class:`Dataset`) and ``stats`` are None for Lorenz-point
-    input, whose validated curve is all there is.
+    ``data`` (the :class:`Dataset`) is None for Lorenz-point input, whose
+    validated curve is all there is.
     """
     spec = InputSpec(path=path, format=input_format, column=column, header=header)
     if from_lorenz:
         points, digest = read_lorenz_points(spec)
         curve = lorenz_from_points(points)
-        data = stats = None
+        data = None
     else:
         values, digest = read_values(spec)
         data = build_dataset(values)
         curve = lorenz_curve(data)
-        stats = values_stats(values, data.total)
     if not curve.convex:
         click.echo(
             f"warning: {path}: Lorenz points are not convex; no sorted "
             "dataset produces this curve",
             err=True,
         )
-    return curve, data, stats, digest
+    return curve, data, digest
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -157,21 +174,15 @@ def compute(
     input_path, input_format, column, header, from_lorenz, out_format, output, no_provenance
 ) -> None:
     """Compute gini, g_right, g_left, and sag for one input."""
-    try:
-        curve, data, stats, digest = _load_curve(
+    with _exit_on_error(EXIT_VALIDATION):
+        curve, data, digest = _load_curve(
             input_path, input_format, column, header, from_lorenz
         )
         result = metrics_from_lorenz(curve) if data is None else report(data)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, exc)
-    except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read {input_path!r}: {exc}")
-    except SaginiError as exc:
-        _fail(EXIT_VALIDATION, exc)
     doc = build_document(
         result,
         curve,
-        input_stats=stats,
+        data=data,
         digest=digest,
         tool_version=__version__,
         with_provenance=not no_provenance,
@@ -210,17 +221,11 @@ def lorenz(input_paths, input_format, column, header, from_lorenz, style, output
         )
     curves = []
     labels = []
-    try:
+    with _exit_on_error(EXIT_VALIDATION):
         for path in input_paths:
-            curve, _, _, _ = _load_curve(path, input_format, column, header, from_lorenz)
+            curve, _, _ = _load_curve(path, input_format, column, header, from_lorenz)
             curves.append(curve)
             labels.append(_label_for(path))
-    except ParseError as exc:
-        _fail(EXIT_PARSE, exc)
-    except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read input: {exc}")
-    except SaginiError as exc:
-        _fail(EXIT_VALIDATION, exc)
     text = render_svg(curves, labels) if style == "svg" else render_ascii(curves, labels)
     _write_output(output, text)
 
@@ -259,7 +264,7 @@ def simulate(
         for key, value in (("sigma", sigma), ("alpha", alpha), ("low", low), ("high", high))
         if value is not None
     }
-    try:
+    with _exit_on_error(EXIT_CONFIG):
         config = ExperimentConfig(
             family=dist,
             sample_size=sample_size,
@@ -267,11 +272,8 @@ def simulate(
             seed=seed,
             params=params,
         )
+    with _exit_on_error(EXIT_VALIDATION):
         result = sensitivity_sweep(config)
-    except BadParamsError as exc:
-        _fail(EXIT_CONFIG, exc)
-    except SaginiError as exc:
-        _fail(EXIT_VALIDATION, exc)
     text = sweep_to_json(result) if out_format == "json" else sweep_to_csv(result)
     _write_output(output, text)
 

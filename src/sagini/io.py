@@ -1,17 +1,25 @@
 """Input parsing and report-document serialization for the CLI.
 
-Numbers are parsed with the decimal point only; comma decimals are a hard
-error, as are missing cells -- silently dropping a row would change n and
-with it every index. Input is UTF-8 (a leading byte-order mark is
-ignored); undecodable bytes are a parse error naming their line.
+A number is what Python's ``float`` reads from the cell with surrounding
+whitespace (any Unicode whitespace) stripped, restricted to ASCII and
+without underscores: an optional sign, decimal digits with an optional
+point and exponent, or ``inf``, ``infinity`` or ``nan`` in any case.
+``1_000`` and non-ASCII digits such as ``"\u0663"`` are not numbers.
+Comma decimals are a hard error, as are missing cells -- silently
+dropping a row would change n and with it every index. Input is UTF-8 (a
+leading byte-order mark is ignored); undecodable bytes are a parse error
+naming their line.
 
+Both readers return float64 arrays: :func:`read_values` one value per
+row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
 There is one fast reader: it splits the whole text at once, checks that
 every line has the same number of cells and converts the needed columns
-with ``float``. Anything it is not sure of -- quotes, line breaks other
-than ``\n`` and ``\r\n``, ragged or blank lines, a cell ``float``
-rejects -- sends the text to the line-by-line parser, which gives the
-same values and is the only source of parse errors and their line
-numbers.
+with ``numpy.array(cells, dtype=float)``, which reads each cell with
+``float``. Anything it is not sure of -- quotes, line breaks other than
+``\n`` and ``\r\n``, ragged or blank lines, a non-ASCII character or an
+underscore in a converted column, a cell ``float`` rejects -- sends the
+text to the line-by-line parser, which gives the same values and is the
+only source of parse errors and their line numbers.
 
 JSON output uses shortest round-trip float formatting (15+ significant
 digits) and is byte-identical to ``json.dumps(doc, indent=2)``; text
@@ -28,8 +36,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, repeat
 
+import numpy as np
+
 from .errors import ParseError
-from .metrics import InequalityReport, LorenzCurve
+from .metrics import Dataset, InequalityReport, LorenzCurve
 
 SCHEMA_VERSION = "1"
 
@@ -140,26 +150,38 @@ def _rows(text: str, fmt: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _in_grammar(text: str) -> bool:
+    """False if ``text`` holds an underscore or a non-ASCII character.
+
+    ``float`` reads digit-group underscores (``1_000``) and non-ASCII
+    digits; the input grammar has neither. Applied to one stripped cell,
+    or to a whole column joined, padding included.
+    """
+    return text.isascii() and "_" not in text
+
+
 def _parse_cell(cell: str, lineno: int, colno: int) -> float:
     text = cell.strip()
     if not text:
         raise ParseError(f"line {lineno}, column {colno}: missing value")
-    try:
-        return float(text)
-    except ValueError:
-        if "," in text:
-            raise ParseError(
-                f"line {lineno}, column {colno}: {cell!r} uses a comma "
-                "decimal separator; use a decimal point"
-            ) from None
-        raise ParseError(
-            f"line {lineno}, column {colno}: {cell!r} is not a number"
-        ) from None
+    if _in_grammar(text):
+        try:
+            return float(text)
+        except ValueError:
+            if "," in text:
+                raise ParseError(
+                    f"line {lineno}, column {colno}: {cell!r} uses a comma "
+                    "decimal separator; use a decimal point"
+                ) from None
+    raise ParseError(f"line {lineno}, column {colno}: {cell!r} is not a number")
 
 
 def _is_numeric(cell: str) -> bool:
+    text = cell.strip()
+    if not _in_grammar(text):
+        return False
     try:
-        float(cell.strip())
+        float(text)
         return True
     except ValueError:
         return False
@@ -201,8 +223,8 @@ def _resolve_column(
     raise ParseError(f"line {lineno}: no numeric column found")
 
 
-def read_values(spec: InputSpec) -> tuple[list[float], str]:
-    """Read one numeric column; returns (values, sha256 hex of raw bytes)."""
+def read_values(spec: InputSpec) -> tuple[np.ndarray, str]:
+    """Read one numeric column; returns (float64 values, sha256 hex of raw bytes)."""
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
     text = _decode(raw)
@@ -212,7 +234,7 @@ def read_values(spec: InputSpec) -> tuple[list[float], str]:
     return values, digest
 
 
-def _table_values(text: str, spec: InputSpec) -> list[float] | None:
+def _table_values(text: str, spec: InputSpec) -> np.ndarray | None:
     """The selected column via :func:`_split_table`, or None if unsure."""
     table = _split_table(text, spec.format)
     if table is None:
@@ -224,19 +246,22 @@ def _table_values(text: str, spec: InputSpec) -> list[float] | None:
         names = [cell.strip() for cell in cells[:width]]
         start = width
     if start == len(cells):
-        return []
+        return np.empty(0)
     try:
         col = _resolve_column(
             spec, names, (start // width + 1, cells[start : start + width])
         )
         if col >= width:
             return None
-        return list(map(float, cells[start + col :: width]))
+        column = cells[start + col :: width]
+        if not _in_grammar("".join(column)):
+            return None
+        return np.array(column, dtype=float)
     except (ParseError, ValueError):
         return None
 
 
-def _line_values(text: str, spec: InputSpec) -> list[float]:
+def _line_values(text: str, spec: InputSpec) -> np.ndarray:
     rows = _rows(text, spec.format)
     names: list[str] | None = None
     if spec.header:
@@ -245,7 +270,7 @@ def _line_values(text: str, spec: InputSpec) -> list[float]:
         names = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
     if not rows:
-        return []
+        return np.empty(0)
     col = _resolve_column(spec, names, rows[0])
     values = []
     for lineno, cells in rows:
@@ -255,11 +280,11 @@ def _line_values(text: str, spec: InputSpec) -> list[float]:
                 f"need column {col + 1}"
             )
         values.append(_parse_cell(cells[col], lineno, col + 1))
-    return values
+    return np.array(values, dtype=float)
 
 
-def read_lorenz_points(spec: InputSpec) -> tuple[list[tuple[float, float]], str]:
-    """Read two-column (p, q) points; returns (points, sha256 hex)."""
+def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
+    """Read two-column (p, q) points; returns (an (n, 2) float64 array, sha256 hex)."""
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
     text = _decode(raw)
@@ -269,25 +294,23 @@ def read_lorenz_points(spec: InputSpec) -> tuple[list[tuple[float, float]], str]
     return points, digest
 
 
-def _table_points(text: str, spec: InputSpec) -> list[tuple[float, float]] | None:
+def _table_points(text: str, spec: InputSpec) -> np.ndarray | None:
     """The first two columns via :func:`_split_table`, or None if unsure."""
     table = _split_table(text, spec.format)
     if table is None or table[1] < 2:
         return None
     cells, width = table
     start = width if spec.header else 0
+    columns = cells[start::width], cells[start + 1 :: width]
+    if not _in_grammar("".join(chain(*columns))):
+        return None
     try:
-        return list(
-            zip(
-                map(float, cells[start::width]),
-                map(float, cells[start + 1 :: width]),
-            )
-        )
+        return np.column_stack([np.array(c, dtype=float) for c in columns])
     except ValueError:
         return None
 
 
-def _line_points(text: str, spec: InputSpec) -> list[tuple[float, float]]:
+def _line_points(text: str, spec: InputSpec) -> np.ndarray:
     rows = _rows(text, spec.format)
     if spec.header:
         rows = rows[1:]
@@ -300,33 +323,38 @@ def _line_points(text: str, spec: InputSpec) -> list[tuple[float, float]]:
         p = _parse_cell(cells[0], lineno, 1)
         q = _parse_cell(cells[1], lineno, 2)
         points.append((p, q))
-    return points
+    return np.array(points, dtype=float).reshape(-1, 2)
 
 
 def build_document(
     result: InequalityReport,
     curve: LorenzCurve,
     *,
-    input_stats: dict[str, float] | None,
+    data: Dataset | None,
     digest: str | None,
     tool_version: str,
     with_provenance: bool = True,
 ) -> dict:
     """Assemble the report document (JSON-ready plain dict).
 
-    ``input_stats`` supplies mean/min/max/total for raw-value input and is
-    None for Lorenz-point input, where only n is known.
+    ``data``, the dataset behind a raw-value report, supplies the input's
+    mean, min, max and total; it is None for Lorenz-point input, where
+    only n is known and the rest are null.
     """
-    stats = input_stats or {}
+    stats = dict.fromkeys(("mean", "min", "max", "total"))
+    if data is not None:
+        v = data.values
+        # argmin and argmax give the first extreme in input order, as min()
+        # and max() do, so a zero extreme keeps the sign it was read with.
+        stats.update(
+            mean=data.mean,
+            min=float(v[v.argmin()]),
+            max=float(v[v.argmax()]),
+            total=data.total,
+        )
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "input": {
-            "n": result.n,
-            "mean": stats.get("mean"),
-            "min": stats.get("min"),
-            "max": stats.get("max"),
-            "total": stats.get("total"),
-        },
+        "input": {"n": result.n, **stats},
         "indices": {
             "gini": result.gini,
             "g_right": result.g_right,
@@ -433,15 +461,6 @@ def document_to_text(doc: dict) -> str:
         "(6-decimal display; the JSON output is authoritative)",
     ]
     return "\n".join(lines) + "\n"
-
-
-def values_stats(values: list[float], total: float) -> dict[str, float]:
-    return {
-        "mean": total / len(values),
-        "min": min(values),
-        "max": max(values),
-        "total": total,
-    }
 
 
 def sweep_to_json(result) -> str:

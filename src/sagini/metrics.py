@@ -84,6 +84,10 @@ _SPLIT = 134217729.0
 _MAX_EXACT_N = math.isqrt(2**53 // 3)
 
 
+#: Element types :func:`build_dataset` refuses rather than converting.
+_NOT_NUMBERS = (str, bytes, type(None))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -117,21 +121,27 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class LorenzCurve:
-    """Cumulative population shares ``p`` and resource shares ``q``.
+    """Cumulative resource shares ``q`` at the population shares ``p_i = i/n``.
 
-    ``p_i = i/n`` on the uniform grid and ``q_n`` is exactly 1. ``convex``
-    records whether successive increments of ``q`` are non-decreasing;
-    curves built from sorted observations always are, point-set input may
-    not be.
+    A curve holds only ``q`` (``q_n`` is exactly 1) and ``convex``; ``n`` is
+    the length of ``q`` and the grid ``p`` is derived from it, so every
+    curve is scored on the grid it shows. ``convex`` records whether
+    successive increments of ``q`` are non-decreasing; curves built from
+    sorted observations always are, point-set input may not be.
     """
 
-    p: np.ndarray
     q: np.ndarray
     convex: bool
 
     @property
     def n(self) -> int:
-        return self.p.size
+        return self.q.size
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """The uniform grid ``i/n``, ``i = 1 .. n``."""
+        n = self.n
+        return _readonly(np.arange(1, n + 1, dtype=float) / n)
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,9 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     Raises
     ------
     TypeError
-        Any string (or bytes) value; numeric text is not silently parsed,
-        so read it with :mod:`sagini.io` or convert it first. The first
-        offending index is reported.
+        Any string (or bytes) value, or None; numeric text is not silently
+        parsed, so read it with :mod:`sagini.io` or convert it first, and
+        None is not read as NaN. The first offending index is reported.
     EmptyOrSingletonError
         Fewer than two observations; the curve needs at least one
         interior point.
@@ -180,7 +190,7 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     """
     if not hasattr(raw, "__len__"):
         raw = list(raw)
-    _reject_strings(raw)
+    _reject_non_numbers(raw)
     # A copy, so the caller's array is never made read-only.
     values = np.array(raw, dtype=float)
     if values.ndim != 1:
@@ -192,7 +202,7 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteValueError(
-            f"non-finite value {values[bad[0]]!r} at index {int(bad[0])}"
+            f"non-finite value {float(values[bad[0]])!r} at index {int(bad[0])}"
         )
     top = max(-values.min(), values.max())
     e, (scaled_total,) = _compensated_sums(values, top)
@@ -207,26 +217,30 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     return Dataset(values=_readonly(values), total=total)
 
 
-def _reject_strings(raw: Iterable[float]) -> None:
-    """Raise :class:`TypeError` at the first str or bytes value.
+def _reject_non_numbers(raw: Iterable[float]) -> None:
+    """Raise :class:`TypeError` at the first str, bytes or None value.
 
-    A numeric array costs only a dtype check; other input is scanned once
-    for the set of types it holds.
+    numpy would parse numeric text and turn None into NaN, so neither
+    reaches the conversion. A numeric array costs only a dtype check;
+    other input is scanned once for the set of types it holds.
     """
     if isinstance(raw, np.ndarray):
         if raw.dtype.kind not in "OSU":
             return
         raw = raw.tolist()
-    if any(issubclass(t, (str, bytes)) for t in set(map(type, raw))):
-        i, v = next((i, v) for i, v in enumerate(raw) if isinstance(v, (str, bytes)))
-        raise TypeError(
-            f"values: string {v!r} at index {i} is not silently parsed as a "
-            "number; pass int or float"
-        )
+    if not any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, raw))):
+        return
+    i, v = next((i, v) for i, v in enumerate(raw) if isinstance(v, _NOT_NUMBERS))
+    if v is None:
+        raise TypeError(f"values: None at index {i} is not a number; pass int or float")
+    raise TypeError(
+        f"values: string {v!r} at index {i} is not silently parsed as a "
+        "number; pass int or float"
+    )
 
 
 def lorenz_curve(data: Dataset) -> LorenzCurve:
-    """Sort ascending and accumulate shares: ``p_i = i/n``, ``q_i = s_i/T``.
+    """Sort ascending and accumulate shares ``q_i = s_i/T``.
 
     ``T`` is the dataset's compensated total, not the running float sum,
     which can cancel to zero or below on mixed-sign data whose exact total
@@ -235,11 +249,9 @@ def lorenz_curve(data: Dataset) -> LorenzCurve:
     data always gives a convex curve, so the curve is marked convex
     without looking at float noise in ``q``.
     """
-    n = data.n
     q = np.cumsum(data.sorted_values) / data.total
     q[-1] = 1.0
-    p = np.arange(1, n + 1, dtype=float) / n
-    return LorenzCurve(p=_readonly(p), q=_readonly(q), convex=True)
+    return LorenzCurve(q=_readonly(q), convex=True)
 
 
 def _is_convex(q: np.ndarray) -> bool:
@@ -271,12 +283,14 @@ def report(data: Dataset) -> InequalityReport:
     return _make_report(n, data.mean, sums, math.ldexp(data.total, -e), convex=True)
 
 
-def lorenz_from_points(points: Sequence[tuple[float, float]]) -> LorenzCurve:
+def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> LorenzCurve:
     """Validate and normalize raw ``(p, q)`` pairs into a curve.
 
-    The ``p`` grid must be uniform (``p_i = i/n``, the grid the weights are
-    defined on) and the last ``q`` must be 1; both are checked to 1e-9. A
-    leading (0, 0) point is tolerated and dropped. No sorting or convexity
+    ``points`` is a sequence of pairs or an ``(n, 2)`` float64 array, such
+    as :func:`sagini.io.read_lorenz_points` returns, which is read without
+    a copy. The ``p`` grid must be uniform (``p_i = i/n``, the grid the
+    weights are defined on) and the last ``q`` must be 1; both are checked
+    to 1e-9. A leading (0, 0) point is tolerated and dropped. No sorting or convexity
     enforcement happens here: point sets that no sorted dataset can produce
     are accepted and merely flagged ``convex=False``.
     """
@@ -293,7 +307,7 @@ def lorenz_from_points(points: Sequence[tuple[float, float]]) -> LorenzCurve:
     if pts.shape[0] and abs(pts[0, 0]) <= 1e-12:
         if abs(pts[0, 1]) > 1e-9:
             raise BadEndpointError(
-                f"a curve through p=0 must start at q=0, got q={pts[0, 1]!r}"
+                f"a curve through p=0 must start at q=0, got q={float(pts[0, 1])!r}"
             )
         pts = pts[1:]
     n = pts.shape[0]
@@ -309,12 +323,12 @@ def lorenz_from_points(points: Sequence[tuple[float, float]]) -> LorenzCurve:
     if off[worst] > 1e-9:
         raise UnequalSpacingError(
             f"p grid must be uniform i/n: point {worst + 1} has "
-            f"p={p[worst]!r}, expected {grid[worst]!r}"
+            f"p={float(p[worst])!r}, expected {float(grid[worst])!r}"
         )
     if abs(q[-1] - 1.0) > 1e-9:
-        raise BadEndpointError(f"last q must be 1, got {q[-1]!r}")
+        raise BadEndpointError(f"last q must be 1, got {float(q[-1])!r}")
     q[-1] = 1.0
-    return LorenzCurve(p=_readonly(grid), q=_readonly(q), convex=_is_convex(q))
+    return LorenzCurve(q=_readonly(q), convex=_is_convex(q))
 
 
 def metrics_from_lorenz(

@@ -105,6 +105,34 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "-i", "no/such/file.csv"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_missing_file_same_message_in_every_command(self, runner, command):
+        result = runner.invoke(main, [command, "-i", "no/such/file.csv"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: cannot read input: [Errno 2] No such file or directory: "
+            "'no/such/file.csv'\n"
+        )
+
+    def test_nan_message_names_a_plain_float(self, runner):
+        result = runner.invoke(main, ["compute"], input="1\nnan\n2\n")
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "error: NonFiniteValueError: non-finite value nan at index 1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n2_000\n", "line 2, column 1: '2_000' is not a number"),
+            ("1\n\u0663\n", "line 2, column 1: '\u0663' is not a number"),
+        ],
+    )
+    def test_underscore_and_non_ascii_digits_exit_2(self, runner, text, message):
+        result = runner.invoke(main, ["compute", "-c", "1"], input=text.encode())
+        assert result.exit_code == 2
+        assert result.stderr == f"error: ParseError: {message}\n"
+
     def test_from_lorenz_right_fixture(self, runner):
         result = run(runner, "compute", "-i", RIGHT, "--from-lorenz", "--no-provenance")
         assert result.exit_code == 0

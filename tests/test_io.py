@@ -31,7 +31,6 @@ from sagini.io import (
     document_to_text,
     read_lorenz_points,
     read_values,
-    values_stats,
 )
 from sagini.metrics import LorenzCurve
 
@@ -47,31 +46,31 @@ def write(tmp_path, text, name="in.csv"):
 class TestReadValues:
     def test_single_column(self):
         values, digest = read_values(InputSpec(path=str(DATA / "symmetric.csv")))
-        assert values == [2, 3, 4, 6, 8, 12, 14, 16, 17, 18]
+        assert values.tolist() == [2, 3, 4, 6, 8, 12, 14, 16, 17, 18]
         assert len(digest) == 64
 
     def test_header_and_named_column(self):
         spec = InputSpec(path=str(DATA / "labeled.csv"), column="income", header=True)
         values, _ = read_values(spec)
-        assert values == [2, 3, 4, 6, 8, 12, 14, 16, 17, 18]
+        assert values.tolist() == [2, 3, 4, 6, 8, 12, 14, 16, 17, 18]
 
     def test_one_based_index_column(self, tmp_path):
         path = write(tmp_path, "9,1\n8,2\n7,3\n")
-        assert read_values(InputSpec(path=path, column=2))[0] == [1, 2, 3]
-        assert read_values(InputSpec(path=path, column="2"))[0] == [1, 2, 3]
+        assert read_values(InputSpec(path=path, column=2))[0].tolist() == [1, 2, 3]
+        assert read_values(InputSpec(path=path, column="2"))[0].tolist() == [1, 2, 3]
 
     def test_first_numeric_column_detected(self, tmp_path):
         path = write(tmp_path, "alpha,4.5,x\nbeta,2.5,y\n")
-        assert read_values(InputSpec(path=path))[0] == [4.5, 2.5]
+        assert read_values(InputSpec(path=path))[0].tolist() == [4.5, 2.5]
 
     def test_whitespace_format(self, tmp_path):
         path = write(tmp_path, "1  2\t3\n4 5 6\n", "in.txt")
         spec = InputSpec(path=path, format="whitespace", column=2)
-        assert read_values(spec)[0] == [2, 5]
+        assert read_values(spec)[0].tolist() == [2, 5]
 
     def test_tsv_format(self, tmp_path):
         path = write(tmp_path, "1\t2\n3\t4\n", "in.tsv")
-        assert read_values(InputSpec(path=path, format="tsv", column=2))[0] == [2, 4]
+        assert read_values(InputSpec(path=path, format="tsv", column=2))[0].tolist() == [2, 4]
 
     def test_non_numeric_cell_reports_line_and_column(self, tmp_path):
         path = write(tmp_path, "1\n2\npotato\n4\n")
@@ -105,12 +104,46 @@ class TestReadValues:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "1\n\n2\n\n")
-        assert read_values(InputSpec(path=path))[0] == [1, 2]
+        assert read_values(InputSpec(path=path))[0].tolist() == [1, 2]
 
     def test_empty_file_yields_no_values(self, tmp_path):
         path = write(tmp_path, "")
         values, _ = read_values(InputSpec(path=path))
-        assert values == []
+        assert values.dtype == np.float64 and values.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "text, line, cell",
+        [
+            ("1_000\n2\n", 1, "1_000"),
+            ("1\n2_0\n", 2, "2_0"),
+            ("1\n\u0663\n", 2, "\u0663"),
+            ("1\n\uff15\n", 2, "\uff15"),
+            ("1\n1e1_0\n", 2, "1e1_0"),
+        ],
+    )
+    def test_underscore_and_non_ascii_are_not_numbers(self, tmp_path, text, line, cell):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        message = rf"^line {line}, column 1: {cell!r} is not a number$"
+        with pytest.raises(ParseError, match=message):
+            read_values(InputSpec(path=str(path), column=1))
+
+    def test_unicode_padding_is_stripped(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes("\u30001.5\u3000\n\xa02\n".encode())
+        assert read_values(InputSpec(path=str(path)))[0].tolist() == [1.5, 2.0]
+
+    def test_auto_column_skips_underscore_cells(self, tmp_path):
+        path = write(tmp_path, "1_0,5\n2_0,6\n")
+        assert read_values(InputSpec(path=path))[0].tolist() == [5.0, 6.0]
+
+    def test_returns_float64_array_on_both_paths(self, tmp_path):
+        table = read_values(InputSpec(path=write(tmp_path, "1\n2\n", "a.csv")))[0]
+        lines = read_values(InputSpec(path=write(tmp_path, '"1"\n2\n', "b.csv")))[0]
+        for values in (table, lines):
+            assert isinstance(values, np.ndarray)
+            assert values.dtype == np.float64 and values.shape == (2,)
+            assert values.tolist() == [1.0, 2.0]
 
     def test_digest_tracks_bytes(self, tmp_path):
         a = read_values(InputSpec(path=write(tmp_path, "1\n2\n", "a.csv")))[1]
@@ -122,18 +155,31 @@ class TestReadValues:
 class TestReadLorenzPoints:
     def test_two_columns(self):
         points, _ = read_lorenz_points(InputSpec(path=str(DATA / "right_lorenz.csv")))
-        assert points[0] == (0.1, 0.06)
-        assert points[-1] == (1.0, 1.0)
+        assert points.dtype == np.float64 and points.shape == (10, 2)
+        assert points[0].tolist() == [0.1, 0.06]
+        assert points[-1].tolist() == [1.0, 1.0]
 
     def test_single_column_rejected(self, tmp_path):
         path = write(tmp_path, "0.5\n1.0\n")
         with pytest.raises(ParseError, match="two columns"):
             read_lorenz_points(InputSpec(path=path))
 
+    def test_returns_n_by_2_float64_array_on_both_paths(self, tmp_path):
+        table = read_lorenz_points(InputSpec(path=write(tmp_path, "0.5,0.2\n1,1\n", "a.csv")))[0]
+        lines = read_lorenz_points(InputSpec(path=write(tmp_path, '"0.5",0.2\n1,1\n', "b.csv")))[0]
+        for points in (table, lines):
+            assert isinstance(points, np.ndarray)
+            assert points.dtype == np.float64 and points.shape == (2, 2)
+            assert points.tolist() == [[0.5, 0.2], [1.0, 1.0]]
+
+    def test_empty_input_is_zero_by_2(self, tmp_path):
+        points, _ = read_lorenz_points(InputSpec(path=write(tmp_path, "")))
+        assert points.dtype == np.float64 and points.shape == (0, 2)
+
     def test_header_skipped(self, tmp_path):
         path = write(tmp_path, "p,q\n0.5,0.2\n1.0,1.0\n")
         points, _ = read_lorenz_points(InputSpec(path=path, header=True))
-        assert points == [(0.5, 0.2), (1.0, 1.0)]
+        assert points.tolist() == [[0.5, 0.2], [1.0, 1.0]]
 
 
 def document_for(values, with_provenance=True):
@@ -141,7 +187,7 @@ def document_for(values, with_provenance=True):
     return build_document(
         report(data),
         lorenz_curve(data),
-        input_stats=values_stats(list(data.values), data.total),
+        data=data,
         digest="ab" * 32,
         tool_version="0.0-test",
         with_provenance=with_provenance,
@@ -157,6 +203,28 @@ class TestDocument:
         assert doc["indices"]["skew_direction"] == "symmetric"
         assert len(doc["lorenz"]["p"]) == 10
         assert doc["provenance"]["input_digest"].startswith("sha256:")
+
+    @pytest.mark.parametrize(
+        "values, min_max",
+        [
+            ([0.0, -0.0, 1.0], '"min": 0.0,\n    "max": 1.0,'),
+            ([-0.0, 0.0, 1.0], '"min": -0.0,\n    "max": 1.0,'),
+        ],
+        ids=["zero first", "negative zero first"],
+    )
+    def test_min_max_keep_the_first_extreme(self, values, min_max):
+        doc = document_for(values, with_provenance=False)
+        assert min_max in document_to_json(doc)
+        assert type(doc["input"]["min"]) is float and type(doc["input"]["max"]) is float
+
+    def test_stats_come_from_the_dataset(self):
+        data = build_dataset([3.0, -1.0, 4.0, 1.5])
+        doc = build_document(
+            report(data), lorenz_curve(data), data=data, digest=None, tool_version="t"
+        )
+        assert doc["input"] == {"n": 4, "mean": data.mean, "min": -1.0, "max": 4.0,
+                                "total": data.total}
+        assert list(doc["input"]) == ["n", "mean", "min", "max", "total"]
 
     def test_provenance_suppressed(self):
         doc = document_for([1.0, 2.0], with_provenance=False)
@@ -196,7 +264,7 @@ class TestDocument:
         doc = build_document(
             metrics_from_lorenz(points),
             lorenz_curve(build_dataset([1.0, 3.0])),
-            input_stats=None,
+            data=None,
             digest=None,
             tool_version="0.0-test",
         )
@@ -209,14 +277,14 @@ class TestDecoding:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfid,income\n1,10\n2,20\n")
         spec = InputSpec(path=str(path), column="income", header=True)
-        assert read_values(spec)[0] == [10, 20]
+        assert read_values(spec)[0].tolist() == [10, 20]
 
     def test_bom_before_first_numeric_row(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf1\n2\n")
-        assert read_values(InputSpec(path=str(path)))[0] == [1, 2]
+        assert read_values(InputSpec(path=str(path)))[0].tolist() == [1, 2]
         path.write_bytes(b"\xef\xbb\xbf0.5,0.25\n1,1\n")
-        assert read_lorenz_points(InputSpec(path=str(path)))[0] == [(0.5, 0.25), (1, 1)]
+        assert read_lorenz_points(InputSpec(path=str(path)))[0].tolist() == [[0.5, 0.25], [1, 1]]
 
     def test_digest_covers_the_bom(self, tmp_path):
         plain, marked = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -281,6 +349,14 @@ READER_CORPUS = {
     "column past width": ("1,2\n3,4\n", {"column": 3}),
     "column zero": ("1,2\n3,4\n", {"column": 0}),
     "underscore": ("1_000\n2\n", {}),
+    "underscore later": ("1\n2_0\n", {}),
+    "underscore in exponent": ("1\n1e1_0\n", {"column": 1}),
+    "arabic-indic digit": ("1\n\u0663\n", {}),
+    "fullwidth digit": ("\uff11,2\n3,4\n", {"column": 1}),
+    "first numeric column skips underscore": ("1_0,5\n2_0,6\n", {}),
+    "non-ascii label": ("caf\xe9,10\nna\xefve,20\n", {"column": 2}),
+    "points underscore": ("0.5,0.2_5\n1.0,1.0\n", {}),
+    "points unicode padding": ("0.5,\u20030.25\n1.0,1.0\n", {}),
     "specials": ("nan\n-inf\n-0.0\n1e-05\n5e-324\n", {}),
     "not a number": ("1\npotato\n4\n", {}),
     "first numeric column": ("alpha,4.5,x\nbeta,2.5,y\n", {}),
@@ -305,10 +381,15 @@ READER_CORPUS = {
 
 
 def outcome(read, *args):
+    """A reader's result as comparable text, every float bit for bit.
+
+    ``repr`` of the list, not of the array: numpy prints 8 digits.
+    """
     try:
-        return "ok", repr(read(*args))
+        result = read(*args)
     except ParseError as exc:
         return "error", str(exc)
+    return "ok", result.dtype.str, result.shape, repr(result.tolist())
 
 
 class TestReaderDifferential:
@@ -336,17 +417,31 @@ class TestReaderDifferential:
 
         monkeypatch.setattr(sys, "stdin", Stdin)
         spec = InputSpec(path="-", header=True, column="income")
-        assert read_values(spec)[0] == [10, 20]
+        assert read_values(spec)[0].tolist() == [10, 20]
 
     @pytest.mark.parametrize(
         "name",
         ["plain", "crlf", "mixed lf crlf", "no final break", "padded cells",
-         "unicode padding", "underscore", "specials", "tsv", "whitespace",
-         "header named column", "header only", "first numeric column"],
+         "specials", "tsv", "whitespace", "header named column", "header only",
+         "first numeric column", "non-ascii label"],
     )
     def test_regular_values_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
         assert _table_values(text, InputSpec(**kwargs)) is not None
+
+    @pytest.mark.parametrize(
+        "name",
+        ["underscore", "underscore later", "underscore in exponent",
+         "arabic-indic digit", "fullwidth digit", "unicode padding"],
+    )
+    def test_outside_grammar_is_left_to_the_line_parser(self, name):
+        text, kwargs = READER_CORPUS[name]
+        assert _table_values(text, InputSpec(**kwargs)) is None
+
+    @pytest.mark.parametrize("name", ["points underscore", "points unicode padding"])
+    def test_points_outside_grammar_are_left_to_the_line_parser(self, name):
+        text, kwargs = READER_CORPUS[name]
+        assert _table_points(text, InputSpec(**kwargs)) is None
 
     @pytest.mark.parametrize("name", ["points", "points header", "points three columns"])
     def test_regular_points_take_the_table_path(self, name):
@@ -380,14 +475,11 @@ def json_golden(doc):
 
 
 def curve_document(q, **kwargs):
-    n = len(q)
-    curve = LorenzCurve(
-        p=np.arange(1, n + 1) / n, q=np.asarray(q, dtype=float), convex=False
-    )
+    curve = LorenzCurve(q=np.asarray(q, dtype=float), convex=False)
     return build_document(
         metrics_from_lorenz(lorenz_from_points([(0.5, 0.25), (1.0, 1.0)])),
         curve,
-        input_stats=None,
+        data=None,
         digest=None,
         tool_version="0.0-test",
         **kwargs,
@@ -410,7 +502,7 @@ class TestJsonGolden:
         doc = build_document(
             metrics_from_lorenz(curve),
             curve,
-            input_stats=None,
+            data=None,
             digest="cd" * 32,
             tool_version="0.0-test",
         )

@@ -1,5 +1,6 @@
 """Unit tests for the core metric pipeline."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from sagini import (
     rational_report_from_lorenz,
     report,
 )
-from sagini.metrics import _CHUNK, _MAX_EXACT_N, _rank_weights
+from sagini.metrics import _CHUNK, _MAX_EXACT_N, LorenzCurve, _rank_weights
 
 from fixtures import (
     LEFT_SKEWED_EXPECTED,
@@ -100,6 +101,28 @@ class TestBuildDataset:
         with pytest.raises(NonFiniteValueError):
             build_dataset([1.0, float("inf")])
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([float("nan"), 1.0], "non-finite value nan at index 0"),
+            ([1.0, 2.0, float("inf")], "non-finite value inf at index 2"),
+            (np.array([1.0, -np.inf]), "non-finite value -inf at index 1"),
+        ],
+    )
+    def test_non_finite_message_uses_the_float_repr(self, raw, message):
+        with pytest.raises(NonFiniteValueError) as info:
+            build_dataset(raw)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "raw, index",
+        [([1.0, None, 2.0], 1), ([None, 1.0], 0), (np.array([1.0, 2.0, None]), 2)],
+        ids=["list", "first", "object-array"],
+    )
+    def test_none_rejected_with_index(self, raw, index):
+        with pytest.raises(TypeError, match=f"^values: None at index {index} is not a number"):
+            build_dataset(raw)
+
     def test_values_immutable(self):
         data = build_dataset([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -132,6 +155,16 @@ class TestBuildDataset:
 
 
 class TestLorenzCurve:
+    def test_fields_are_q_and_convex(self):
+        assert [f.name for f in dataclasses.fields(LorenzCurve)] == ["q", "convex"]
+
+    def test_grid_is_derived_from_n(self):
+        curve = LorenzCurve(q=np.array([0.1, 0.3, 1.0]), convex=True)
+        assert curve.n == 3
+        assert curve.p.tolist() == (np.arange(1, 4, dtype=float) / 3).tolist()
+        assert curve.p is curve.p
+        assert not curve.p.flags.writeable
+
     def test_q_matches_fixture(self):
         curve = lorenz_curve(build_dataset(SYMMETRIC_VALUES))
         assert curve.q == pytest.approx(SYMMETRIC_Q, abs=1e-15)
@@ -372,6 +405,22 @@ class TestMetricsFromLorenz:
         points = [(0.1, 0.05), (0.35, 0.2), (1.0, 1.0)]
         with pytest.raises(UnequalSpacingError):
             metrics_from_lorenz(points)
+
+    @pytest.mark.parametrize(
+        "points, error, message",
+        [
+            ([(0.0, 0.2), (0.5, 0.3), (1.0, 1.0)], BadEndpointError,
+             "a curve through p=0 must start at q=0, got q=0.2"),
+            ([(0.1, 0.05), (0.35, 0.2), (1.0, 1.0)], UnequalSpacingError,
+             "p grid must be uniform i/n: point 2 has p=0.35, expected 0.6666666666666666"),
+            ([(0.5, 0.2), (1.0, 0.9)], BadEndpointError, "last q must be 1, got 0.9"),
+        ],
+        ids=["origin", "grid", "last-q"],
+    )
+    def test_messages_name_plain_floats(self, points, error, message):
+        with pytest.raises(error) as info:
+            lorenz_from_points(np.array(points))
+        assert str(info.value) == message
 
     def test_bad_final_q_rejected(self):
         points = [(0.5, 0.2), (1.0, 0.9)]
