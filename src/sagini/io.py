@@ -12,14 +12,16 @@ naming their line.
 
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
-There is one fast reader: it splits the whole text at once, checks that
-every line has the same number of cells and converts the needed columns
-with ``numpy.array(cells, dtype=float)``, which reads each cell with
-``float``. Anything it is not sure of -- quotes, line breaks other than
-``\n`` and ``\r\n``, ragged or blank lines, a non-ASCII character or an
-underscore in a converted column, a cell ``float`` rejects -- sends the
-text to the line-by-line parser, which gives the same values and is the
-only source of parse errors and their line numbers.
+There is one fast reader, numpy's C reader :func:`numpy.loadtxt`, which
+converts only the needed columns. Its float parser reads the same grammar
+and gives the same values: it strips Unicode whitespace padding, so
+padded cells stay on the fast path, and rejects underscores and
+non-ASCII digits. A cheap pre-screen sends to the line-by-line parser
+any text holding a quote, a NUL or a line break other than ``\n`` and
+``\r\n``, a blank first line, a line longer than the csv module's field
+limit, or no data row among its first three lines; so does any error
+:func:`numpy.loadtxt` raises. The line parser gives the same values and
+is the only source of parse errors and their line numbers.
 
 JSON output uses shortest round-trip float formatting (15+ significant
 digits) and is byte-identical to ``json.dumps(doc, indent=2)``; text
@@ -34,7 +36,6 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -86,51 +87,6 @@ def _decode(raw: bytes) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _split_table(text: str, fmt: str) -> tuple[list[str], int] | None:
-    """Split the whole text into row-major cells; returns (cells, width).
-
-    Returns None, leaving the text to :func:`_rows`, unless every line has
-    the same number of cells and the text holds nothing :func:`_rows` reads
-    differently: a quote, a NUL, a line break other than ``\n`` or
-    ``\r\n``, a blank first line, or a cell beyond the csv module's field
-    limit. Later blank lines need no check of their own: every cell of a
-    blank line is whitespace, which ``float`` rejects in whichever column
-    the caller converts. Cells keep their padding.
-    """
-    if fmt not in _FORMATS or '"' in text or "\x00" in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if any(brk in text for brk in _OTHER_BREAKS):
-        return None
-    text = text.removesuffix("\n")
-    if not text:
-        return None
-    if fmt == "whitespace":
-        rows = [line.split() for line in text.split("\n")]
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            return None
-        cells = list(chain.from_iterable(rows))
-    else:
-        delim = _DELIMITERS[fmt]
-        width = text.partition("\n")[0].count(delim) + 1
-        # A delimiter before every line break splits lines and cells in
-        # one pass: every line after the first begins with the one cell
-        # that starts with "\n". The line count pins the number of cells,
-        # the places of those cells pin each line's cell count.
-        cells = text.replace("\n", delim + "\n").split(delim)
-        if len(cells) != (text.count("\n") + 1) * width or not all(
-            map(str.startswith, cells[width::width], repeat("\n"))
-        ):
-            return None
-        if max(map(len, cells)) > csv.field_size_limit():
-            return None
-    if not "".join(cells[:width]).strip():
-        return None
-    return cells, width
-
-
 def _rows(text: str, fmt: str) -> list[tuple[int, list[str]]]:
     """Split into (1-based line number, cells); blank lines are dropped."""
     if fmt not in _FORMATS:
@@ -154,8 +110,8 @@ def _in_grammar(text: str) -> bool:
     """False if ``text`` holds an underscore or a non-ASCII character.
 
     ``float`` reads digit-group underscores (``1_000``) and non-ASCII
-    digits; the input grammar has neither. Applied to one stripped cell,
-    or to a whole column joined, padding included.
+    digits; the input grammar has neither. Applied to one stripped cell:
+    the fast reader's float parser rejects both on its own.
     """
     return text.isascii() and "_" not in text
 
@@ -192,7 +148,8 @@ def _resolve_column(
 ) -> int:
     """Return the 0-based index of the selected column."""
     column = spec.column
-    if isinstance(column, str) and column.lstrip("-").isdigit():
+    # Only ASCII digits make an index: "²".isdigit() holds, but int() rejects it.
+    if isinstance(column, str) and column.isascii() and column.removeprefix("-").isdigit():
         column = int(column)
     if isinstance(column, int):
         if column < 1:
@@ -228,37 +185,69 @@ def read_values(spec: InputSpec) -> tuple[np.ndarray, str]:
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
     text = _decode(raw)
-    values = _table_values(text, spec)
+    values = _loadtxt(text, spec, points=False)
     if values is None:
         values = _line_values(text, spec)
     return values, digest
 
 
-def _table_values(text: str, spec: InputSpec) -> np.ndarray | None:
-    """The selected column via :func:`_split_table`, or None if unsure."""
-    table = _split_table(text, spec.format)
-    if table is None:
+def _loadtxt(text: str, spec: InputSpec, points: bool) -> np.ndarray | None:
+    """The selected column, or the (p, q) columns if ``points``, read by
+    :func:`numpy.loadtxt`; None leaves the text to the line parser.
+
+    The pre-screen sends on what ``loadtxt`` reads differently from
+    :func:`_rows`: a quote, a NUL, a line break other than ``\n`` or
+    ``\r\n``, a blank first line (``skiprows`` counts it, :func:`_rows`
+    drops it) and a line beyond the csv module's field limit. ``loadtxt``
+    warns on input without data, so it never sees a header alone: that is
+    an empty table, or left to the line parser if data may follow the
+    first three lines. Later blank lines need no check: ``loadtxt`` skips
+    empty lines and rejects a whitespace-only cell.
+    """
+    fmt = spec.format
+    if fmt not in _FORMATS or '"' in text or "\x00" in text:
         return None
-    cells, width = table
-    names = None
-    start = 0
-    if spec.header:
-        names = [cell.strip() for cell in cells[:width]]
-        start = width
-    if start == len(cells):
-        return np.empty(0)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(brk in text for brk in _OTHER_BREAKS):
+        return None
+    if fmt != "whitespace" and _longest_line(text) > csv.field_size_limit():
+        return None
+    # loadtxt reads any source line by line; a StringIO would first copy the
+    # text at four bytes a character, a list of lines does not.
+    lines = text.split("\n")
+    if not lines[0].strip():
+        return None
+    rows = _rows("\n".join(lines[:3]), fmt)
+    skip = int(spec.header)
+    if len(rows) <= skip:  # a header and no data row in the first three lines
+        return None if len(lines) > 3 else np.empty((0, 2) if points else 0)
+    usecols, ndmin = (0, 1), 2
+    if not points:
+        names = [cell.strip() for cell in rows[0][1]] if skip else None
+        try:
+            usecols, ndmin = _resolve_column(spec, names, rows[skip]), 1
+        except ParseError:
+            return None
     try:
-        col = _resolve_column(
-            spec, names, (start // width + 1, cells[start : start + width])
+        return np.loadtxt(
+            lines,
+            delimiter=_DELIMITERS.get(fmt),
+            usecols=usecols,
+            skiprows=skip,
+            comments=None,
+            dtype=float,
+            ndmin=ndmin,
         )
-        if col >= width:
-            return None
-        column = cells[start + col :: width]
-        if not _in_grammar("".join(column)):
-            return None
-        return np.array(column, dtype=float)
-    except (ParseError, ValueError):
+    except ValueError:
         return None
+
+
+def _longest_line(text: str) -> int:
+    """The longest line's length in UTF-8 bytes, never less than in characters."""
+    data = np.frombuffer(text.encode(), np.uint8)
+    breaks = np.flatnonzero(data == ord("\n"))
+    return int(np.diff(breaks, prepend=-1, append=data.size).max()) - 1
 
 
 def _line_values(text: str, spec: InputSpec) -> np.ndarray:
@@ -288,26 +277,10 @@ def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
     text = _decode(raw)
-    points = _table_points(text, spec)
+    points = _loadtxt(text, spec, points=True)
     if points is None:
         points = _line_points(text, spec)
     return points, digest
-
-
-def _table_points(text: str, spec: InputSpec) -> np.ndarray | None:
-    """The first two columns via :func:`_split_table`, or None if unsure."""
-    table = _split_table(text, spec.format)
-    if table is None or table[1] < 2:
-        return None
-    cells, width = table
-    start = width if spec.header else 0
-    columns = cells[start::width], cells[start + 1 :: width]
-    if not _in_grammar("".join(chain(*columns))):
-        return None
-    try:
-        return np.column_stack([np.array(c, dtype=float) for c in columns])
-    except ValueError:
-        return None
 
 
 def _line_points(text: str, spec: InputSpec) -> np.ndarray:

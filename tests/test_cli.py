@@ -243,6 +243,35 @@ class TestInputEdges:
         assert result.exit_code == 2
         assert "ParseError: line 3: field larger than field limit" in result.stderr
 
+    def test_header_only_points_exit_3_with_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("p,q\n")
+        result = runner.invoke(
+            main, ["compute", "-i", str(path), "--from-lorenz", "--header"]
+        )
+        assert result.exit_code == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("spec", ["\u00b2", "\u0661", "\uff11"])
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_non_ascii_digit_column_is_a_name(self, runner, command, spec):
+        result = runner.invoke(main, [command, "-i", "-", "-c", spec], input="1\n2\n")
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: ParseError: column selected by name {spec!r} but no header "
+            "row (pass --header)\n"
+        )
+
+    @pytest.mark.parametrize("spec", ["\u00b2", "\u0661"])
+    def test_non_ascii_digit_column_selects_by_header(self, runner, spec):
+        result = run(
+            runner, "compute", "--header", "-c", spec, "--no-provenance",
+            input=f"a,{spec}\n1,5\n2,7\n",
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["input"]["total"] == 12.0
+
 
 class TestLorenzCommand:
     def test_stdin_twice_rejected_before_reading(self, runner):

@@ -44,7 +44,10 @@ inputs = st.one_of(
     input_format=st.sampled_from(["csv", "tsv", "whitespace"]),
     header=st.booleans(),
     from_lorenz=st.booleans(),
-    column=st.sampled_from([None, "1", "2", "income"]),
+    column=st.one_of(
+        st.sampled_from([None, "1", "2", "income", "0", "-1", "\u00b2", "\u0661"]),
+        st.text(max_size=3),
+    ),
 )
 def test_compute_exits_0_2_or_3_on_any_bytes(data, input_format, header, from_lorenz, column):
     args = ["compute", "-i", "-", "--input-format", input_format, "--no-provenance"]

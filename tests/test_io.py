@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sagini import (
     build_dataset,
@@ -22,9 +23,7 @@ from sagini.io import (
     _decode,
     _line_points,
     _line_values,
-    _split_table,
-    _table_points,
-    _table_values,
+    _loadtxt,
     build_document,
     document_to_csv,
     document_to_json,
@@ -96,6 +95,13 @@ class TestReadValues:
         path = write(tmp_path, "1\n2\n")
         with pytest.raises(ParseError, match="header"):
             read_values(InputSpec(path=path, column="income"))
+
+    @pytest.mark.parametrize("spec", ["\u00b2", "\u0661", "\uff11", "--1", "-"])
+    def test_column_spec_other_than_ascii_digits_is_a_name(self, tmp_path, spec):
+        path = write(tmp_path, f"a,{spec}\n1,5\n2,7\n")
+        assert read_values(InputSpec(path=path, column=spec, header=True))[0].tolist() == [5, 7]
+        with pytest.raises(ParseError, match="selected by name"):
+            read_values(InputSpec(path=write(tmp_path, "1\n2\n", "b.csv"), column=spec))
 
     def test_unknown_header_name(self):
         spec = InputSpec(path=str(DATA / "labeled.csv"), column="wealth", header=True)
@@ -423,41 +429,44 @@ class TestReaderDifferential:
         "name",
         ["plain", "crlf", "mixed lf crlf", "no final break", "padded cells",
          "specials", "tsv", "whitespace", "header named column", "header only",
-         "first numeric column", "non-ascii label"],
+         "first numeric column", "non-ascii label", "unicode padding",
+         "balanced ragged two", "long row then short",
+         "short rows between full ones"],
     )
     def test_regular_values_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _table_values(text, InputSpec(**kwargs)) is not None
+        assert _loadtxt(text, InputSpec(**kwargs), points=False) is not None
 
     @pytest.mark.parametrize(
         "name",
         ["underscore", "underscore later", "underscore in exponent",
-         "arabic-indic digit", "fullwidth digit", "unicode padding"],
+         "arabic-indic digit", "fullwidth digit"],
     )
     def test_outside_grammar_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _table_values(text, InputSpec(**kwargs)) is None
+        assert _loadtxt(text, InputSpec(**kwargs), points=False) is None
 
-    @pytest.mark.parametrize("name", ["points underscore", "points unicode padding"])
+    @pytest.mark.parametrize("name", ["points underscore"])
     def test_points_outside_grammar_are_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _table_points(text, InputSpec(**kwargs)) is None
+        assert _loadtxt(text, InputSpec(**kwargs), points=True) is None
 
-    @pytest.mark.parametrize("name", ["points", "points header", "points three columns"])
+    @pytest.mark.parametrize(
+        "name", ["points", "points header", "points three columns", "points unicode padding"]
+    )
     def test_regular_points_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _table_points(text, InputSpec(**kwargs)) is not None
+        assert _loadtxt(text, InputSpec(**kwargs), points=True) is not None
 
     @pytest.mark.parametrize(
         "name",
-        ["balanced ragged", "balanced ragged two", "long row then short",
-         "short rows between full ones", "quoted", "cr only", "form feed break",
+        ["balanced ragged", "quoted", "cr only", "form feed break",
          "line separator", "nul", "leading blank line", "blank line before header",
          "whitespace ragged"],
     )
     def test_irregular_text_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _split_table(_decode(text.encode()), kwargs.get("format", "csv")) is None
+        assert _loadtxt(_decode(text.encode()), InputSpec(**kwargs), points=False) is None
 
     def test_balanced_ragged_rows_still_fail(self, tmp_path):
         path = write(tmp_path, "1,2,3\n4,5\n6,7,8,9\n")
@@ -467,7 +476,50 @@ class TestReaderDifferential:
 
     def test_oversized_field_is_left_to_the_line_parser(self):
         text = "1," + "9" * (csv.field_size_limit() + 1) + "\n2,3\n"
-        assert _split_table(text, "csv") is None
+        assert _loadtxt(text, InputSpec(), points=False) is None
+        assert _loadtxt(text, InputSpec(), points=True) is None
+
+
+# Cells for the reader differential: numbers in every spelling ``float``
+# takes, with and without Unicode padding, and cells the grammar rejects.
+_CELL_ALPHABET = "0123456789.-+eE_ \t\x1f\xa0\u3000\u0663\uff11naifINF"
+_reader_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["", " ", " 7 ", "\u30001.5\u3000", "\xa02", "1_000", "\u0663", "\uff11",
+         "nan", "-inf", "Infinity", "5e-324", "0.1000000000000000055511151231257827",
+         "1e1_0", "0x10", "1d5", "nan(1)", "income"]
+    ),
+    st.text(_CELL_ALPHABET, max_size=5),
+)
+
+
+@st.composite
+def reader_tables(draw):
+    """(text, InputSpec): a table as the readers see it after decoding."""
+    fmt, sep = draw(st.sampled_from(
+        [("csv", ","), ("tsv", "\t"), ("whitespace", " "), ("whitespace", "\t"), ("whitespace", "  ")]
+    ))
+    rows = draw(st.lists(st.lists(_reader_cells, min_size=1, max_size=4), max_size=6))
+    header = draw(st.booleans())
+    if header and draw(st.booleans()):
+        rows.insert(0, draw(st.lists(st.sampled_from(["a", "b", "income"]), min_size=1, max_size=3)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+    column = draw(st.sampled_from([None, 1, 2, 3, "2", "income"]))
+    return text, InputSpec(format=fmt, column=column, header=header)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=reader_tables(), points=st.booleans())
+def test_loadtxt_agrees_with_the_line_parser(table, points):
+    """Whatever numpy's reader returns, the line parser returns bit for bit."""
+    text, spec = table
+    fast = _loadtxt(text, spec, points)
+    if fast is not None:
+        expected = outcome(_line_points if points else _line_values, text, spec)
+        assert outcome(lambda: fast) == expected
 
 
 def json_golden(doc):
