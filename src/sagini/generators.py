@@ -10,12 +10,13 @@ from the bit stream to values is pinned down too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadParamsError
-from .metrics import Dataset, build_dataset, report
+from .metrics import _MAX_EXACT_N, Dataset, build_dataset, report
 
 FAMILIES = ("lognormal", "pareto", "uniform", "symmetric_triangular", "one_holder")
 
@@ -45,8 +46,10 @@ class ExperimentConfig:
             raise BadParamsError(
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}"
             )
-        if self.sample_size < 2:
-            raise BadParamsError(f"sample_size must be >= 2, got {self.sample_size}")
+        if not 2 <= self.sample_size <= _MAX_EXACT_N:
+            raise BadParamsError(
+                f"sample_size must be in [2, {_MAX_EXACT_N}], got {self.sample_size}"
+            )
         if self.replications < 1:
             raise BadParamsError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.seed < 2**64:
@@ -58,6 +61,11 @@ class ExperimentConfig:
                 f"parameter(s) {sorted(unknown)} not valid for family {self.family!r}"
             )
         merged = {**defaults, **dict(self.params)}
+        for name, value in merged.items():
+            if not math.isfinite(value):
+                raise BadParamsError(f"{name} must be finite, got {value}")
+        if self.family == "lognormal" and not merged["sigma"] >= 0.0:
+            raise BadParamsError(f"lognormal sigma must be >= 0, got {merged['sigma']}")
         if self.family == "pareto" and not merged["alpha"] > 1.0:
             raise BadParamsError(
                 f"pareto alpha must exceed 1 for a finite mean, got {merged['alpha']}"

@@ -18,10 +18,9 @@ and gives the same values: it strips Unicode whitespace padding, so
 padded cells stay on the fast path, and rejects underscores and
 non-ASCII digits. A cheap pre-screen sends to the line-by-line parser
 any text holding a quote, a NUL or a line break other than ``\n`` and
-``\r\n``, a blank first line, a line longer than the csv module's field
-limit, or no data row among its first three lines; so does any error
-:func:`numpy.loadtxt` raises. The line parser gives the same values and
-is the only source of parse errors and their line numbers.
+``\r\n``, or a line longer than the csv module's field limit; so does
+any error :func:`numpy.loadtxt` raises. The line parser gives the same
+values and is the only source of parse errors and their line numbers.
 
 JSON output uses shortest round-trip float formatting (15+ significant
 digits) and is byte-identical to ``json.dumps(doc, indent=2)``; text
@@ -36,6 +35,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -87,12 +87,11 @@ def _decode(raw: bytes) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _rows(text: str, fmt: str) -> list[tuple[int, list[str]]]:
-    """Split into (1-based line number, cells); blank lines are dropped."""
+def _rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, list[str]]]:
+    """Split lazily into (1-based line number, cells); blank lines are dropped."""
     if fmt not in _FORMATS:
         raise ParseError(f"unknown input format {fmt!r}")
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if fmt == "whitespace":
@@ -102,45 +101,42 @@ def _rows(text: str, fmt: str) -> list[tuple[int, list[str]]]:
                 cells = next(csv.reader([line], delimiter=_DELIMITERS[fmt]))
             except csv.Error as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-        out.append((lineno, cells))
-    return out
+        yield lineno, cells
 
 
-def _in_grammar(text: str) -> bool:
-    """False if ``text`` holds an underscore or a non-ASCII character.
+def _number(cell: str) -> float | None:
+    """The cell's value, or None if it is not a number of the input grammar.
 
-    ``float`` reads digit-group underscores (``1_000``) and non-ASCII
-    digits; the input grammar has neither. Applied to one stripped cell:
-    the fast reader's float parser rejects both on its own.
+    ``float`` also reads digit-group underscores (``1_000``) and non-ASCII
+    digits; the grammar has neither.
     """
-    return text.isascii() and "_" not in text
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _reject_comma_decimal(cell: str, lineno: int, colno: int) -> None:
+    """Raise the comma-separator error if ``cell`` reads as a number once its
+    comma becomes a point."""
+    if "," in cell and _number(cell.replace(",", ".")) is not None:
+        raise ParseError(
+            f"line {lineno}, column {colno}: {cell!r} uses a comma "
+            "decimal separator; use a decimal point"
+        )
 
 
 def _parse_cell(cell: str, lineno: int, colno: int) -> float:
-    text = cell.strip()
-    if not text:
+    value = _number(cell)
+    if value is not None:
+        return value
+    if not cell.strip():
         raise ParseError(f"line {lineno}, column {colno}: missing value")
-    if _in_grammar(text):
-        try:
-            return float(text)
-        except ValueError:
-            if "," in text:
-                raise ParseError(
-                    f"line {lineno}, column {colno}: {cell!r} uses a comma "
-                    "decimal separator; use a decimal point"
-                ) from None
+    _reject_comma_decimal(cell, lineno, colno)
     raise ParseError(f"line {lineno}, column {colno}: {cell!r} is not a number")
-
-
-def _is_numeric(cell: str) -> bool:
-    text = cell.strip()
-    if not _in_grammar(text):
-        return False
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _resolve_column(
@@ -169,14 +165,10 @@ def _resolve_column(
             ) from None
     lineno, cells = first_row
     for idx, cell in enumerate(cells):
-        if cell.strip() and _is_numeric(cell):
+        if _number(cell) is not None:
             return idx
     for idx, cell in enumerate(cells):
-        if "," in cell and _is_numeric(cell.replace(",", ".")):
-            raise ParseError(
-                f"line {lineno}, column {idx + 1}: {cell!r} uses a comma "
-                "decimal separator; use a decimal point"
-            )
+        _reject_comma_decimal(cell, lineno, idx + 1)
     raise ParseError(f"line {lineno}: no numeric column found")
 
 
@@ -197,12 +189,12 @@ def _loadtxt(text: str, spec: InputSpec, points: bool) -> np.ndarray | None:
 
     The pre-screen sends on what ``loadtxt`` reads differently from
     :func:`_rows`: a quote, a NUL, a line break other than ``\n`` or
-    ``\r\n``, a blank first line (``skiprows`` counts it, :func:`_rows`
-    drops it) and a line beyond the csv module's field limit. ``loadtxt``
-    warns on input without data, so it never sees a header alone: that is
-    an empty table, or left to the line parser if data may follow the
-    first three lines. Later blank lines need no check: ``loadtxt`` skips
-    empty lines and rejects a whitespace-only cell.
+    ``\r\n`` and a line beyond the csv module's field limit. The header and
+    the first data row come from :func:`_rows`, read only that far;
+    ``skiprows`` is the header's line number, so blank lines before the
+    header go with it. ``loadtxt`` skips other blank lines and rejects a
+    whitespace-only cell. It warns on input without data, so it never sees
+    a header alone: that is an empty table.
     """
     fmt = spec.format
     if fmt not in _FORMATS or '"' in text or "\x00" in text:
@@ -216,17 +208,21 @@ def _loadtxt(text: str, spec: InputSpec, points: bool) -> np.ndarray | None:
     # loadtxt reads any source line by line; a StringIO would first copy the
     # text at four bytes a character, a list of lines does not.
     lines = text.split("\n")
-    if not lines[0].strip():
-        return None
-    rows = _rows("\n".join(lines[:3]), fmt)
-    skip = int(spec.header)
-    if len(rows) <= skip:  # a header and no data row in the first three lines
-        return None if len(lines) > 3 else np.empty((0, 2) if points else 0)
+    rows = _rows(lines, fmt)
+    skip, names = 0, None
+    if spec.header:
+        header = next(rows, None)
+        if header is None:
+            return None
+        skip, cells = header
+        names = [cell.strip() for cell in cells]
+    first = next(rows, None)
+    if first is None:
+        return np.empty((0, 2) if points else 0)
     usecols, ndmin = (0, 1), 2
     if not points:
-        names = [cell.strip() for cell in rows[0][1]] if skip else None
         try:
-            usecols, ndmin = _resolve_column(spec, names, rows[skip]), 1
+            usecols, ndmin = _resolve_column(spec, names, first), 1
         except ParseError:
             return None
     try:
@@ -251,7 +247,7 @@ def _longest_line(text: str) -> int:
 
 
 def _line_values(text: str, spec: InputSpec) -> np.ndarray:
-    rows = _rows(text, spec.format)
+    rows = list(_rows(text.splitlines(), spec.format))
     names: list[str] | None = None
     if spec.header:
         if not rows:
@@ -284,7 +280,7 @@ def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
 
 
 def _line_points(text: str, spec: InputSpec) -> np.ndarray:
-    rows = _rows(text, spec.format)
+    rows = list(_rows(text.splitlines(), spec.format))
     if spec.header:
         rows = rows[1:]
     points = []

@@ -32,7 +32,9 @@ first scaled by the power of two that brings the largest ``|x|`` into
 overflows; the bounds hold barring underflow, which only touches values
 some 1e290 times smaller than the largest. The rank weights are exact
 integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
-inputs raise :class:`InvalidNError`.
+inputs raise :class:`InvalidNError`. For Lorenz points the same weights
+are summed by parts over the shares: ``D = sum((c_k - c_(k+1)) q_k)``
+with ``c_(n+1) = 0`` and ``T = q_n = 1``.
 
 This kernel is the only float path for the indices; the exact rational
 evaluations in :mod:`sagini.oracle` are its ground truth. Every value
@@ -342,19 +344,14 @@ def metrics_from_lorenz(
     some share increment decreases; that is a warning flag, not an error.
 
     The increments of ``q`` play the sorted values with total 1. Summed by
-    parts, ``sum(c_k (q_k - q_(k-1)))`` becomes ``c_n - sum((c_(k+1) - c_k) q_k)``
-    over ``k < n``: integer weight differences ``2``, ``6k`` and ``6(n-k)``
-    and the exact constants ``c_n``, evaluated by the same kernel as
-    :func:`report`.
+    parts, ``sum(c_k (q_k - q_(k-1)))`` becomes ``sum((c_k - c_(k+1)) q_k)``
+    over all ``k`` with ``c_(n+1) = 0``: the rank weights of :func:`report`,
+    differenced, evaluated by the same kernel.
     """
     curve = points if isinstance(points, LorenzCurve) else lorenz_from_points(points)
     n = curve.n
-    q = curve.q[:-1]
-    # At least 1, so scaling the constants ``last`` (up to 2n^2) by 2**-e
-    # cannot overflow when the shares are tiny.
-    top = max(1.0, -q.min(), q.max())
-    last = (n - 1, (n - 1) * (2 * n - 1), n * n - 1)
-    e, sums = _compensated_sums(q, top, partial(_share_weights, n), last)
+    q = curve.q
+    e, sums = _compensated_sums(q, max(-q.min(), q.max()), partial(_share_weights, n))
     return _make_report(n, None, sums, math.ldexp(1.0, -e), convex=curve.convex)
 
 
@@ -383,17 +380,13 @@ def _make_report(
     )
 
 
-def _check_exact_n(n: int) -> None:
+def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``c1, c2, c3`` of centred rank weights for ranks ``start+1 .. stop``."""
     if n > _MAX_EXACT_N:
         raise InvalidNError(
             f"n = {n} is above {_MAX_EXACT_N}, beyond which the rank weights "
             "are not exact in float64"
         )
-
-
-def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``c1, c2, c3`` of centred rank weights for ranks ``start+1 .. stop``."""
-    _check_exact_n(n)
     k = np.arange(start + 1, stop + 1, dtype=float)
     w = np.empty((3, k.size))
     np.multiply(k, 2.0, out=w[0])
@@ -407,31 +400,26 @@ def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _share_weights(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``-(c_(k+1) - c_k)`` for shares ``q_k``, ``k = start+1 .. stop``."""
-    _check_exact_n(n)
-    k = np.arange(start + 1, stop + 1, dtype=float)
-    w = np.empty((3, k.size))
-    w[0] = -2.0
-    np.multiply(k, -6.0, out=w[1])
-    np.multiply(k, 6.0, out=w[2])
-    w[2] -= 6 * n
-    return w
+    """Rows ``c_k - c_(k+1)`` of :func:`_rank_weights` for shares ``q_k``,
+    ``k = start+1 .. stop``, with ``c_(n+1) = 0``."""
+    c = _rank_weights(n, start, stop + 1)
+    if stop == n:
+        c[:, -1] = 0.0
+    return c[:, :-1] - c[:, 1:]
 
 
 def _compensated_sums(
     x: np.ndarray,
     top: float,
     weights: Callable[[int, int], np.ndarray] | None = None,
-    base: tuple[int, ...] = (0, 0, 0),
 ) -> tuple[int, tuple[float, ...]]:
-    """Chunked compensated dot products ``base_j + sum_k w_jk x_k``, scaled.
+    """Chunked compensated dot products ``sum_k w_jk x_k``, scaled.
 
     ``x`` is first multiplied by ``2**-e``, with ``e`` the binary exponent
     of ``top >= max|x|``, so ``|x| < 1`` and neither the split products nor
-    the partial sums can overflow; ``base`` is scaled likewise. Returns
-    ``e`` and the scaled sums. ``weights(start, stop)`` gives the weight
-    rows for ``x[start:stop]``; without it the single sum ``sum_k x_k`` is
-    taken.
+    the partial sums can overflow. Returns ``e`` and the scaled sums.
+    ``weights(start, stop)`` gives the weight rows for ``x[start:stop]``;
+    without it the single sum ``sum_k x_k`` is taken.
 
     Each chunk column keeps a running sum ``hi`` (TwoSum, error-free) and
     the rounding errors of every product and addition in ``lo``
@@ -475,6 +463,4 @@ def _compensated_sums(
         p[...] = s
         lo[:, :m] += err
     columns = np.concatenate((hi, lo), axis=1).tolist()
-    return e, tuple(
-        math.fsum([math.ldexp(b, -e), *row]) for b, row in zip(base, columns)
-    )
+    return e, tuple(map(math.fsum, columns))

@@ -272,6 +272,19 @@ class TestInputEdges:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["input"]["total"] == 12.0
 
+    @pytest.mark.parametrize("spec", ["3", "nosuch"])
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_column_with_from_lorenz_exit_2_before_reading(self, runner, tmp_path, command, spec):
+        # The path does not exist: the option is refused before any read.
+        missing = str(tmp_path / "missing.csv")
+        for path in (RIGHT, missing):
+            result = runner.invoke(main, [command, "-i", path, "--from-lorenz", "-c", spec])
+            assert result.exit_code == 2
+            assert result.stderr == (
+                f"error: ParseError: --column {spec!r} does not apply to --from-lorenz "
+                "input, which is read as (p, q) from the first two columns\n"
+            )
+
 
 class TestLorenzCommand:
     def test_stdin_twice_rejected_before_reading(self, runner):
@@ -391,6 +404,31 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize(
+        "dist, option, value, message",
+        [
+            ("lognormal", "--sigma", "-1", "lognormal sigma must be >= 0, got -1.0"),
+            ("lognormal", "--sigma", "nan", "sigma must be finite, got nan"),
+            ("uniform", "--high", "inf", "high must be finite, got inf"),
+            ("symmetric_triangular", "--low", "-inf", "low must be finite, got -inf"),
+            ("pareto", "--alpha", "inf", "alpha must be finite, got inf"),
+        ],
+        ids=["negative sigma", "nan sigma", "inf high", "-inf low", "inf alpha"],
+    )
+    def test_bad_parameter_exit_4_before_drawing(
+        self, runner, monkeypatch, dist, option, value, message
+    ):
+        def draw(*_):
+            raise AssertionError("drew values for an invalid config")
+
+        monkeypatch.setattr(cli, "sensitivity_sweep", draw)
+        result = runner.invoke(
+            main,
+            ["simulate", "--dist", dist, "--n", "10", "--reps", "1", "--seed", "1", option, value],
+        )
+        assert result.exit_code == 4
+        assert result.stderr == f"error: BadParamsError: {message}\n"
 
     def test_csv_rows_and_summary(self, runner):
         result = run(

@@ -1,16 +1,19 @@
-"""Property suite for the CLI exit-code contract on arbitrary input bytes.
+"""Property suite for the CLI exit-code contract on arbitrary input.
 
 Whatever bytes arrive on stdin, ``sagini compute`` ends with exit code 0,
 2 (parse error) or 3 (validation error) and an ``error:`` line, never with
 an uncaught exception. The strategies mix raw bytes, text over an alphabet
 of the characters the readers treat specially, and well-formed tables
-with odd cells, under every input format and column selection.
+with odd cells, under every input format and column selection. Likewise
+``sagini simulate`` with any float for each distribution parameter ends
+with exit code 0, 3 or 4 (invalid parameters).
 """
 
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sagini.cli import main
+from sagini.generators import FAMILIES
 
 _ALPHABET = '0123456789.-+eE,;\t \n\r"\x00\ufeff\x0b _aninfx\u0663'
 
@@ -62,5 +65,25 @@ def test_compute_exits_0_2_or_3_on_any_bytes(data, input_format, header, from_lo
         repr(result.exception)
     )
     assert result.exit_code in (0, 2, 3)
+    if result.exit_code:
+        assert result.stderr.startswith("error: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(2, 20),
+    reps=st.integers(1, 3),
+    params=st.dictionaries(st.sampled_from(["sigma", "alpha", "low", "high"]), st.floats()),
+)
+def test_simulate_exits_0_3_or_4_on_any_parameters(family, n, reps, params):
+    args = ["simulate", "--dist", family, "--n", str(n), "--reps", str(reps), "--seed", "1"]
+    for name, value in params.items():
+        args += [f"--{name}", repr(value)]
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception)
+    )
+    assert result.exit_code in (0, 3, 4)
     if result.exit_code:
         assert result.stderr.startswith("error: ")

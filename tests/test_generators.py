@@ -13,6 +13,7 @@ from sagini import (
     report,
     sensitivity_sweep,
 )
+from sagini.metrics import _MAX_EXACT_N
 
 
 def config(family, n=100, reps=1, seed=1, **params):
@@ -53,6 +54,32 @@ class TestConfigValidation:
             config("pareto", alpha=1.0)
         with pytest.raises(BadParamsError, match="alpha"):
             config("pareto", alpha=0.5)
+
+    def test_sample_size_above_kernel_limit(self):
+        # Rejected when the config is built, before ~n floats are allocated.
+        config("one_holder", n=_MAX_EXACT_N)
+        with pytest.raises(BadParamsError, match=rf"sample_size must be in \[2, {_MAX_EXACT_N}\]"):
+            config("one_holder", n=_MAX_EXACT_N + 1)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("lognormal", {"sigma": math.nan}),
+            ("lognormal", {"sigma": math.inf}),
+            ("pareto", {"alpha": math.inf}),
+            ("uniform", {"high": math.inf}),
+            ("uniform", {"low": -math.inf}),
+            ("symmetric_triangular", {"low": math.nan}),
+        ],
+    )
+    def test_non_finite_params(self, family, params):
+        with pytest.raises(BadParamsError, match="must be finite"):
+            config(family, **params)
+
+    def test_negative_sigma(self):
+        with pytest.raises(BadParamsError, match="sigma must be >= 0"):
+            config("lognormal", sigma=-0.5)
+        assert config("lognormal", sigma=0.0).params == {"sigma": 0.0}
 
     def test_bounds_ordering(self):
         with pytest.raises(BadParamsError, match="low"):

@@ -86,6 +86,13 @@ class TestReadValues:
         with pytest.raises(ParseError, match="decimal point"):
             read_values(InputSpec(path=path))
 
+    @pytest.mark.parametrize("cell", ["x,y", "1,5,0", "1,,5"])
+    def test_comma_hint_only_for_a_comma_decimal(self, tmp_path, cell):
+        path = write(tmp_path, f'1\n"{cell}"\n')
+        message = rf"^line 2, column 1: {cell!r} is not a number$"
+        with pytest.raises(ParseError, match=message):
+            read_values(InputSpec(path=path, column=1))
+
     def test_short_row_rejected(self, tmp_path):
         path = write(tmp_path, "1,2\n3\n")
         with pytest.raises(ParseError, match="line 2"):
@@ -431,7 +438,8 @@ class TestReaderDifferential:
          "specials", "tsv", "whitespace", "header named column", "header only",
          "first numeric column", "non-ascii label", "unicode padding",
          "balanced ragged two", "long row then short",
-         "short rows between full ones"],
+         "short rows between full ones", "leading blank line",
+         "blank line before header"],
     )
     def test_regular_values_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
@@ -461,8 +469,7 @@ class TestReaderDifferential:
     @pytest.mark.parametrize(
         "name",
         ["balanced ragged", "quoted", "cr only", "form feed break",
-         "line separator", "nul", "leading blank line", "blank line before header",
-         "whitespace ragged"],
+         "line separator", "nul", "whitespace ragged"],
     )
     def test_irregular_text_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
