@@ -120,16 +120,11 @@ def _load_curve(path, input_format, column, header, from_lorenz):
     """Parse and validate one input into (curve, data, digest).
 
     ``data`` (the :class:`Dataset`) is None for Lorenz-point input, whose
-    validated curve is all there is. Point input is always the first two
-    columns, so a ``--column`` with it is an error, raised before reading.
+    validated curve is all there is; :func:`read_lorenz_points` refuses a
+    ``--column`` with it before reading.
     """
     spec = InputSpec(path=path, format=input_format, column=column, header=header)
     if from_lorenz:
-        if column is not None:
-            raise ParseError(
-                f"--column {column!r} does not apply to --from-lorenz input, "
-                "which is read as (p, q) from the first two columns"
-            )
         points, digest = read_lorenz_points(spec)
         curve = lorenz_from_points(points)
         data = None

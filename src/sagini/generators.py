@@ -6,6 +6,15 @@ for distinct replications cannot overlap and every draw is a pure function
 of ``(seed, rep_index)``, bit-for-bit across runs and platforms. Inverse-CDF
 transforms are used for the pareto and triangular families so the mapping
 from the bit stream to values is pinned down too.
+
+A sweep uses one generator for all its replications: before each one the
+counter is reset to ``rep_index * 2**128`` and the buffer emptied, which
+draws the same bits as a fresh generator for that replication. Replications
+are evaluated in blocks of about one kernel chunk of values, with one
+batched validation and one kernel pass per block
+(:func:`sagini.metrics._replication_scores`). The rows and summary are the
+same, bit for bit, as ``report(generate(config, rep))`` one replication at
+a time; :func:`generate` is the one-replication case of the same draw.
 """
 
 from __future__ import annotations
@@ -16,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParamsError
-from .metrics import _MAX_EXACT_N, Dataset, build_dataset, report
+from .metrics import (
+    _CHUNK,
+    _MAX_EXACT_N,
+    Dataset,
+    _replication_scores,
+    _skew_call,
+    build_dataset,
+)
 
 FAMILIES = ("lognormal", "pareto", "uniform", "symmetric_triangular", "one_holder")
 
@@ -27,8 +43,6 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "symmetric_triangular": {"low": 0.0, "high": 2.0},
     "one_holder": {},
 }
-
-_SWEEP_METRICS = ("gini", "g_right", "g_left", "sag", "sag_minus_gini")
 
 
 @dataclass(frozen=True)
@@ -75,11 +89,57 @@ class ExperimentConfig:
                 raise BadParamsError(
                     f"need low <= high, got low={merged['low']} high={merged['high']}"
                 )
+            if not math.isfinite(merged["high"] - merged["low"]):
+                raise BadParamsError(
+                    f"high - low must be finite, got low={merged['low']} high={merged['high']}"
+                )
         object.__setattr__(self, "params", merged)
 
 
-def _rng(seed: int, rep_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=rep_index << 128))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _draw(config: ExperimentConfig, rng: np.random.Generator, reps: range) -> np.ndarray:
+    """The values of replications ``reps``, one row each.
+
+    ``rng`` is a generator on a ``Philox(key=config.seed)``. Before each
+    replication its counter is set to ``rep << 128`` and its buffer
+    emptied, which is the state of a fresh ``Philox(key=seed,
+    counter=rep << 128)``, so the row holds the bits that fresh generator
+    would draw.
+    """
+    n = config.sample_size
+    par = config.params
+    block = np.zeros((len(reps), n))
+    if config.family == "one_holder":
+        block[:, -1] = 1.0
+        return block
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    counter = state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+    state.update(buffer_pos=4, has_uint32=0)
+    for row, rep in zip(block, reps):
+        counter[2] = rep  # words are little-endian, so this is rep << 128
+        bit_generator.state = state
+        if config.family == "lognormal":
+            row[:] = rng.lognormal(mean=0.0, sigma=par["sigma"], size=n)
+        else:
+            rng.random(out=row)
+    if config.family == "lognormal":
+        return block
+    u = block
+    if config.family == "pareto":
+        # survival function (1/x)**alpha on [1, inf)
+        return (1.0 - u) ** (-1.0 / par["alpha"])
+    if config.family == "uniform":
+        return par["low"] + (par["high"] - par["low"]) * u
+    # symmetric_triangular, mode at the midpoint
+    low, high = par["low"], par["high"]
+    width = high - low
+    rising = low + width * np.sqrt(u / 2.0)
+    falling = high - width * np.sqrt((1.0 - u) / 2.0)
+    return np.where(u < 0.5, rising, falling)
 
 
 def generate(config: ExperimentConfig, rep_index: int) -> Dataset:
@@ -88,28 +148,8 @@ def generate(config: ExperimentConfig, rep_index: int) -> Dataset:
         raise BadParamsError(
             f"rep_index must be in [0, {config.replications}), got {rep_index}"
         )
-    n = config.sample_size
-    par = config.params
-    if config.family == "one_holder":
-        values = np.zeros(n)
-        values[-1] = 1.0
-        return build_dataset(values)
-    rng = _rng(config.seed, rep_index)
-    if config.family == "lognormal":
-        values = rng.lognormal(mean=0.0, sigma=par["sigma"], size=n)
-    elif config.family == "pareto":
-        # survival function (1/x)**alpha on [1, inf)
-        values = (1.0 - rng.random(n)) ** (-1.0 / par["alpha"])
-    elif config.family == "uniform":
-        values = par["low"] + (par["high"] - par["low"]) * rng.random(n)
-    else:  # symmetric_triangular, mode at the midpoint
-        low, high = par["low"], par["high"]
-        width = high - low
-        u = rng.random(n)
-        rising = low + width * np.sqrt(u / 2.0)
-        falling = high - width * np.sqrt((1.0 - u) / 2.0)
-        values = np.where(u < 0.5, rising, falling)
-    return build_dataset(values)
+    reps = range(rep_index, rep_index + 1)
+    return build_dataset(_draw(config, _rng(config.seed), reps)[0])
 
 
 @dataclass(frozen=True)
@@ -139,23 +179,32 @@ def sensitivity_sweep(config: ExperimentConfig) -> SweepResult:
     pure function of the config (seed included). The summary holds mean and
     quantiles for each index and for the asymmetry premium ``sag - gini``.
     """
-    rows = []
-    for rep in range(config.replications):
-        rep_report = report(generate(config, rep))
-        rows.append(
-            SweepRow(
-                rep_index=rep,
-                gini=rep_report.gini,
-                g_right=rep_report.g_right,
-                g_left=rep_report.g_left,
-                sag=rep_report.sag,
-                sag_minus_gini=rep_report.sag - rep_report.gini,
-                skew_direction=rep_report.skew_direction,
-            )
+    reps = config.replications
+    # Blocks of about one kernel chunk of values keep the working set small.
+    block = max(1, _CHUNK // config.sample_size)
+    rng = _rng(config.seed)
+    gini, g_right, g_left, sag = np.concatenate(
+        [
+            _replication_scores(_draw(config, rng, range(start, min(start + block, reps))))
+            for start in range(0, reps, block)
+        ],
+        axis=1,
+    )
+    columns = {
+        "gini": gini,
+        "g_right": g_right,
+        "g_left": g_left,
+        "sag": sag,
+        "sag_minus_gini": sag - gini,
+    }
+    rows = tuple(
+        SweepRow(rep, g, gr, gl, s, d, _skew_call(gr, gl))
+        for rep, (g, gr, gl, s, d) in enumerate(
+            zip(*(col.tolist() for col in columns.values()))
         )
+    )
     summary: dict[str, dict[str, float]] = {}
-    for name in _SWEEP_METRICS:
-        col = np.array([getattr(row, name) for row in rows])
+    for name, col in columns.items():
         summary[name] = {
             "mean": float(col.mean()),
             "min": float(col.min()),
@@ -164,4 +213,4 @@ def sensitivity_sweep(config: ExperimentConfig) -> SweepResult:
             "p75": float(np.quantile(col, 0.75)),
             "max": float(col.max()),
         }
-    return SweepResult(config=config, rows=tuple(rows), summary=summary)
+    return SweepResult(config=config, rows=rows, summary=summary)

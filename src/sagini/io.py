@@ -33,7 +33,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
@@ -269,7 +269,16 @@ def _line_values(text: str, spec: InputSpec) -> np.ndarray:
 
 
 def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
-    """Read two-column (p, q) points; returns (an (n, 2) float64 array, sha256 hex)."""
+    """Read two-column (p, q) points; returns (an (n, 2) float64 array, sha256 hex).
+
+    Points are always the first two columns, so a ``spec.column`` is a
+    :class:`ParseError`, raised before anything is read.
+    """
+    if spec.column is not None:
+        raise ParseError(
+            f"--column {spec.column!r} does not apply to --from-lorenz input, "
+            "which is read as (p, q) from the first two columns"
+        )
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
     text = _decode(raw)
@@ -432,7 +441,29 @@ def document_to_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: One sweep row as ``json.dumps(doc, indent=2)`` writes it inside ``rows``.
+_SWEEP_ROW = """\
+    {{
+      "rep_index": {},
+      "gini": {},
+      "g_right": {},
+      "g_left": {},
+      "sag": {},
+      "sag_minus_gini": {},
+      "skew_direction": {}
+    }}"""
+
+
 def sweep_to_json(result) -> str:
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"`` for the sweep document
+    ``{"config": ..., "rows": [...], "summary": ...}``, built faster.
+
+    ``config`` and ``summary`` go through :func:`json.dumps`. Each row is
+    written into :data:`_SWEEP_ROW` with ``float.__repr__``, what
+    :mod:`json` itself uses for a finite float, as :func:`document_to_json`
+    does for the Lorenz arrays. A row holding a nan or an infinity, which
+    json spells differently, sends the rows through :func:`json.dumps` too.
+    """
     doc = {
         "config": {
             "family": result.config.family,
@@ -441,20 +472,28 @@ def sweep_to_json(result) -> str:
             "seed": result.config.seed,
             "params": dict(sorted(result.config.params.items())),
         },
-        "rows": [
-            {
-                "rep_index": row.rep_index,
-                "gini": row.gini,
-                "g_right": row.g_right,
-                "g_left": row.g_left,
-                "sag": row.sag,
-                "sag_minus_gini": row.sag_minus_gini,
-                "skew_direction": row.skew_direction,
-            }
-            for row in result.rows
-        ],
+        "rows": [],
         "summary": result.summary,
     }
+    rows = ",\n".join(
+        [
+            _SWEEP_ROW.format(
+                row.rep_index,
+                *map(
+                    float.__repr__,
+                    (row.gini, row.g_right, row.g_left, row.sag, row.sag_minus_gini),
+                ),
+                json.encoder.encode_basestring_ascii(row.skew_direction),
+            )
+            for row in result.rows
+        ]
+    )
+    # Every float is followed by ",\n"; its repr ends in a digit unless it
+    # is "nan", "inf" or "-inf".
+    if rows and "n,\n" not in rows and "f,\n" not in rows:
+        text = json.dumps(doc, indent=2)
+        return text.replace('"rows": []', '"rows": [\n' + rows + "\n  ]", 1) + "\n"
+    doc["rows"] = [asdict(row) for row in result.rows]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -21,7 +21,10 @@ kernel: a compensated dot product (Dot2 of Ogita, Rump and Oishi, "Accurate
 Sum and Dot Product", SIAM J. Sci. Comput. 2005) that runs over the sorted
 values in fixed-size chunks and keeps one error-free TwoProduct/TwoSum
 accumulator per chunk column; :func:`math.fsum` adds up the columns at the
-end. With ``L`` the number of chunks plus one, ``u = 2**-53`` and
+end. The kernel takes a block of rows, one dataset each, and sums each row
+on its own, so a block gives every row the bits it would get alone; a
+report is the block of one, and a replication sweep evaluates many rows
+per block. With ``L`` the number of chunks plus one, ``u = 2**-53`` and
 ``gamma_L = L u / (1 - L u)``, each dot product ``D`` comes out within
 ``u |D| + gamma_L**2 * sum|c_k x_k|`` of its exact value, so the result is
 as accurate as if it were computed in twice the working precision and then
@@ -206,12 +209,9 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise NonFiniteValueError(
             f"non-finite value {float(values[bad[0]])!r} at index {int(bad[0])}"
         )
-    top = max(-values.min(), values.max())
-    e, (scaled_total,) = _compensated_sums(values, top)
-    try:
-        total = math.ldexp(scaled_total, e)
-    except OverflowError:
-        raise NonFiniteValueError("the sum of the values overflows float64") from None
+    (total,) = _totals(values[np.newaxis]).tolist()
+    if math.isinf(total):
+        raise NonFiniteValueError("the sum of the values overflows float64")
     if total <= 0.0:
         raise NonPositiveTotalError(
             f"sum of values must be positive, got {total!r}"
@@ -275,14 +275,25 @@ def report(data: Dataset) -> InequalityReport:
 
     Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module doc).
     """
-    x = data.sorted_values
-    n = data.n
-    if x[0] == x[-1]:
-        # Perfect equality. The compensated sums would leave rounding noise
-        # of order u**2 here; the exact answer is zero.
-        return _make_report(n, data.mean, (0.0, 0.0, 0.0), 1.0, convex=True)
-    e, sums = _compensated_sums(x, max(-x[0], x[-1]), partial(_rank_weights, n))
-    return _make_report(n, data.mean, sums, math.ldexp(data.total, -e), convex=True)
+    scores = _sorted_scores(data.sorted_values[np.newaxis], np.array([data.total]))
+    return _make_report(data.n, data.mean, scores, convex=True)
+
+
+def _replication_scores(x: np.ndarray) -> np.ndarray:
+    """:func:`report` of :func:`build_dataset` for every row of ``x``, as a
+    ``(4, b)`` array of gini, g_right, g_left and sag.
+
+    The finite check and the compensated totals run over the whole block.
+    If a row fails either, :func:`build_dataset` is run on the first such
+    row, so the error is the one a row-by-row loop would raise.
+    """
+    finite = np.isfinite(x).all(axis=1)
+    # Rows with a nan or inf are summed as zeros: fsum refuses inf + -inf.
+    total = _totals(np.where(finite[:, np.newaxis], x, 0.0))
+    valid = finite & (total > 0.0) & (total < math.inf)
+    if not valid.all():
+        build_dataset(x[np.argmin(valid)])  # raises that row's error
+    return _sorted_scores(np.sort(x, axis=1), total)
 
 
 def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> LorenzCurve:
@@ -351,33 +362,60 @@ def metrics_from_lorenz(
     curve = points if isinstance(points, LorenzCurve) else lorenz_from_points(points)
     n = curve.n
     q = curve.q
-    e, sums = _compensated_sums(q, max(-q.min(), q.max()), partial(_share_weights, n))
-    return _make_report(n, None, sums, math.ldexp(1.0, -e), convex=curve.convex)
+    e, sums = _compensated_sums(q[np.newaxis], partial(_share_weights, n))
+    return _make_report(n, None, _scores(n, sums, np.ldexp(1.0, -e)), convex=curve.convex)
 
 
 def _make_report(
-    n: int,
-    mean: float | None,
-    sums: tuple[float, float, float],
-    total: float,
-    convex: bool,
+    n: int, mean: float | None, scores: np.ndarray, convex: bool
 ) -> InequalityReport:
-    """Divide the three weighted sums by their normalisers (see module doc)."""
-    d1, d2, d3 = sums
-    g = d1 / (n * total)
-    right_left_scale = 3 * n * n * total
-    gr = 2.0 * d2 / right_left_scale
-    gl = 2.0 * d3 / right_left_scale
+    """The report of a batch of one: ``scores`` is a ``(4, 1)`` array from
+    :func:`_scores`."""
+    g, gr, gl, sag = scores[:, 0].tolist()
     return InequalityReport(
         n=n,
         mean=mean,
         gini=g,
         g_right=gr,
         g_left=gl,
-        sag=g + abs(gr - gl) / 2.0,
+        sag=sag,
         skew_direction=_skew_call(gr, gl),
         convex=convex,
     )
+
+
+def _totals(x: np.ndarray) -> np.ndarray:
+    """The compensated sum of each row of the finite ``(b, n)`` array ``x``;
+    +-inf where it overflows float64."""
+    e, sums = _compensated_sums(x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(sums[:, 0], e)
+
+
+def _sorted_scores(x: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """:func:`_scores` of each row of ``x``, sorted ascending, whose totals
+    are ``total``."""
+    n = x.shape[1]
+    e, sums = _compensated_sums(x, partial(_rank_weights, n))
+    total = np.ldexp(total, -e)
+    # Perfect equality. The compensated sums would leave rounding noise of
+    # order u**2 here; the exact answer is zero.
+    equal = x[:, 0] == x[:, -1]
+    sums[equal] = 0.0
+    total[equal] = 1.0
+    return _scores(n, sums, total)
+
+
+def _scores(n: int, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """gini, g_right, g_left and sag as the rows of a ``(4, b)`` array: the
+    three weighted sums of each of the ``b`` rows of ``sums`` divided by
+    their normalisers, with the row's scaled total (see module doc)."""
+    d1, d2, d3 = sums.T
+    g = d1 / (n * total)
+    right_left_scale = 3 * n * n * total
+    gr = 2.0 * d2 / right_left_scale
+    gl = 2.0 * d3 / right_left_scale
+    return np.stack((g, gr, gl, g + abs(gr - gl) / 2.0))
 
 
 def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
@@ -409,30 +447,33 @@ def _share_weights(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _compensated_sums(
-    x: np.ndarray,
-    top: float,
-    weights: Callable[[int, int], np.ndarray] | None = None,
-) -> tuple[int, tuple[float, ...]]:
-    """Chunked compensated dot products ``sum_k w_jk x_k``, scaled.
+    x: np.ndarray, weights: Callable[[int, int], np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunked compensated dot products ``sum_k w_jk x_bk`` for each row
+    ``b`` of the ``(b, n)`` array ``x``, scaled.
 
-    ``x`` is first multiplied by ``2**-e``, with ``e`` the binary exponent
-    of ``top >= max|x|``, so ``|x| < 1`` and neither the split products nor
-    the partial sums can overflow. Returns ``e`` and the scaled sums.
-    ``weights(start, stop)`` gives the weight rows for ``x[start:stop]``;
-    without it the single sum ``sum_k x_k`` is taken.
+    Each row is first multiplied by ``2**-e_b``, with ``e_b`` the binary
+    exponent of the row's largest ``|x|``, so ``|x| < 1`` and neither the
+    split products nor the partial sums can overflow. Returns ``e`` (shape
+    ``(b,)``) and the scaled sums (shape ``(b, j)``). ``weights(start,
+    stop)`` gives the ``j`` weight rows for columns ``start:stop``, shared
+    by every row; without it the single sum ``sum_k x_bk`` is taken.
 
-    Each chunk column keeps a running sum ``hi`` (TwoSum, error-free) and
-    the rounding errors of every product and addition in ``lo``
-    (TwoProduct by Dekker splitting, error-free); :func:`math.fsum` adds
-    up the columns at the end. Memory beyond ``x`` is a few chunks.
+    Each chunk column of each row keeps a running sum ``hi`` (TwoSum,
+    error-free) and the rounding errors of every product and addition in
+    ``lo`` (TwoProduct by Dekker splitting, error-free). At the end one
+    :func:`math.fsum` per row and weight adds up that row's columns, so a
+    row comes out as it would if it were summed alone. Memory beyond ``x``
+    is a few chunks per row.
     """
-    e = math.frexp(top)[1]
+    e = np.frexp(np.maximum(-x.min(axis=1), x.max(axis=1)))[1]
+    scale = -e[:, np.newaxis, np.newaxis]
     hi = lo = None
-    for start in range(0, x.size, _CHUNK):
-        stop = min(start + _CHUNK, x.size)
-        xs = np.ldexp(x[start:stop], -e)
+    for start in range(0, x.shape[1], _CHUNK):
+        stop = min(start + _CHUNK, x.shape[1])
+        xs = np.ldexp(x[:, np.newaxis, start:stop], scale)
         if weights is None:
-            h = xs[np.newaxis]
+            h = xs
             r = None
         else:
             w = weights(start, stop)
@@ -453,7 +494,7 @@ def _compensated_sums(
             lo = np.zeros_like(h) if r is None else r
             continue
         m = stop - start
-        p = hi[:, :m]
+        p = hi[..., :m]
         s = p + h
         z = s - p
         err = p - (s - z)
@@ -461,6 +502,6 @@ def _compensated_sums(
         if r is not None:
             err += r
         p[...] = s
-        lo[:, :m] += err
-    columns = np.concatenate((hi, lo), axis=1).tolist()
-    return e, tuple(map(math.fsum, columns))
+        lo[..., :m] += err
+    columns = np.concatenate((hi, lo), axis=-1).tolist()
+    return e, np.array([list(map(math.fsum, row)) for row in columns])

@@ -406,18 +406,23 @@ class TestSimulate:
         assert result.exit_code == 4
 
     @pytest.mark.parametrize(
-        "dist, option, value, message",
+        "dist, options, message",
         [
-            ("lognormal", "--sigma", "-1", "lognormal sigma must be >= 0, got -1.0"),
-            ("lognormal", "--sigma", "nan", "sigma must be finite, got nan"),
-            ("uniform", "--high", "inf", "high must be finite, got inf"),
-            ("symmetric_triangular", "--low", "-inf", "low must be finite, got -inf"),
-            ("pareto", "--alpha", "inf", "alpha must be finite, got inf"),
+            ("lognormal", ["--sigma", "-1"], "lognormal sigma must be >= 0, got -1.0"),
+            ("lognormal", ["--sigma", "nan"], "sigma must be finite, got nan"),
+            ("uniform", ["--high", "inf"], "high must be finite, got inf"),
+            ("symmetric_triangular", ["--low", "-inf"], "low must be finite, got -inf"),
+            ("pareto", ["--alpha", "inf"], "alpha must be finite, got inf"),
+            (
+                "uniform",
+                ["--low", "-1e308", "--high", "1e308"],
+                "high - low must be finite, got low=-1e+308 high=1e+308",
+            ),
         ],
-        ids=["negative sigma", "nan sigma", "inf high", "-inf low", "inf alpha"],
+        ids=["negative sigma", "nan sigma", "inf high", "-inf low", "inf alpha", "inf width"],
     )
     def test_bad_parameter_exit_4_before_drawing(
-        self, runner, monkeypatch, dist, option, value, message
+        self, runner, monkeypatch, dist, options, message
     ):
         def draw(*_):
             raise AssertionError("drew values for an invalid config")
@@ -425,7 +430,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "sensitivity_sweep", draw)
         result = runner.invoke(
             main,
-            ["simulate", "--dist", dist, "--n", "10", "--reps", "1", "--seed", "1", option, value],
+            ["simulate", "--dist", dist, "--n", "10", "--reps", "1", "--seed", "1", *options],
         )
         assert result.exit_code == 4
         assert result.stderr == f"error: BadParamsError: {message}\n"

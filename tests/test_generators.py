@@ -9,11 +9,13 @@ import pytest
 from sagini import (
     BadParamsError,
     ExperimentConfig,
+    SaginiError,
     generate,
     report,
     sensitivity_sweep,
 )
-from sagini.metrics import _MAX_EXACT_N
+from sagini.generators import SweepRow
+from sagini.metrics import _CHUNK, _MAX_EXACT_N
 
 
 def config(family, n=100, reps=1, seed=1, **params):
@@ -85,6 +87,13 @@ class TestConfigValidation:
         with pytest.raises(BadParamsError, match="low"):
             config("uniform", low=2.0, high=1.0)
 
+    @pytest.mark.parametrize("family", ["uniform", "symmetric_triangular"])
+    def test_width_must_be_finite(self, family):
+        # Both bounds are finite, but every draw would be inf or nan.
+        with pytest.raises(BadParamsError, match="high - low must be finite"):
+            config(family, low=-1e308, high=1e308)
+        config(family, low=-1e308, high=0.75e308)
+
     def test_unknown_param(self):
         with pytest.raises(BadParamsError, match="sigma"):
             config("one_holder", sigma=1.0)
@@ -120,6 +129,17 @@ class TestGenerate:
             generate(cfg, 2)
         with pytest.raises(BadParamsError, match="rep_index"):
             generate(cfg, -1)
+
+    @pytest.mark.parametrize("rep", [0, 1, 7])
+    def test_draws_follow_the_documented_stream(self, rep):
+        # A fresh Philox(key=seed, counter=rep << 128) per replication.
+        def fresh():
+            return np.random.Generator(np.random.Philox(key=42, counter=rep << 128))
+
+        lognormal = generate(config("lognormal", n=9, reps=8, seed=42, sigma=0.5), rep)
+        assert np.array_equal(lognormal.values, fresh().lognormal(0.0, 0.5, 9))
+        uniform = generate(config("uniform", n=9, reps=8, seed=42, low=-1.0, high=3.0), rep)
+        assert np.array_equal(uniform.values, -1.0 + 4.0 * fresh().random(9))
 
     def test_pareto_support(self):
         data = generate(config("pareto", n=2000, alpha=1.5), 0)
@@ -188,3 +208,71 @@ class TestSweep:
         assert set(result.summary) == {"gini", "g_right", "g_left", "sag", "sag_minus_gini"}
         for stats in result.summary.values():
             assert set(stats) == {"mean", "min", "p25", "median", "p75", "max"}
+
+
+def one_at_a_time(cfg):
+    """The sweep's rows as a loop over replications computes them."""
+    rows = []
+    for rep in range(cfg.replications):
+        r = report(generate(cfg, rep))
+        rows.append(
+            SweepRow(rep, r.gini, r.g_right, r.g_left, r.sag, r.sag - r.gini, r.skew_direction)
+        )
+    return rows
+
+
+class TestBatchedSweep:
+    """sensitivity_sweep evaluates blocks of max(1, _CHUNK // n) replications
+    at a time; each row and the summary must be what one replication at a
+    time gives, repr for repr."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            config("lognormal", n=10, reps=_CHUNK // 10 + 3, seed=12345, sigma=1.5),
+            config("pareto", n=1000, reps=19, seed=3, alpha=1.3),
+            config("uniform", n=3000, reps=5, seed=8, low=-0.5, high=4.0),
+            config("symmetric_triangular", n=100, reps=3 * (_CHUNK // 100) + 1, seed=2),
+            config("one_holder", n=5, reps=_CHUNK // 5 + 1),
+            config("uniform", n=10, reps=_CHUNK // 10 + 1, seed=4, low=2.5, high=2.5),
+            config("lognormal", n=_CHUNK + 3, reps=3, seed=7, sigma=2.0),
+            config("pareto", n=2 * _CHUNK + 1, reps=2, seed=7, alpha=1.1),
+        ],
+        ids=[
+            "lognormal",
+            "pareto",
+            "uniform",
+            "triangular",
+            "one_holder",
+            "equal",
+            "lognormal-multi-chunk",
+            "pareto-multi-chunk",
+        ],
+    )
+    def test_rows_match_one_replication_at_a_time(self, cfg):
+        result = sensitivity_sweep(cfg)
+        want = one_at_a_time(cfg)
+        assert list(map(repr, result.rows)) == list(map(repr, want))
+        for name, stats in result.summary.items():
+            col = np.array([getattr(row, name) for row in want])
+            expected = [col.mean(), col.min(), *np.quantile(col, [0.25, 0.5, 0.75]), col.max()]
+            assert list(map(repr, stats.values())) == [repr(float(v)) for v in expected]
+
+    @pytest.mark.parametrize(
+        "cfg, first_bad",
+        [
+            (config("uniform", n=10, reps=40, seed=14, low=-1.0, high=1.0), 7),
+            (config("uniform", n=2000, reps=40, seed=155, low=-1.0, high=1.0), 8),
+            (config("symmetric_triangular", n=10, reps=40, seed=9, low=-1e308, high=0.75e308), 1),
+            (config("lognormal", n=10, reps=40, seed=3, sigma=500.0), 6),
+        ],
+        ids=["non-positive", "non-positive-third-block", "overflow", "inf-draw"],
+    )
+    def test_first_invalid_replication_raises_its_error(self, cfg, first_bad):
+        for rep in range(first_bad):
+            report(generate(cfg, rep))
+        with pytest.raises(SaginiError) as want:
+            report(generate(cfg, first_bad))
+        with pytest.raises(type(want.value)) as got:
+            sensitivity_sweep(cfg)
+        assert str(got.value) == str(want.value)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sagini import (
+    ExperimentConfig,
     build_dataset,
     lorenz_curve,
     lorenz_from_points,
     metrics_from_lorenz,
     report,
+    sensitivity_sweep,
 )
 from sagini.errors import ParseError
+from sagini.generators import SweepResult, SweepRow
 from sagini.io import (
     InputSpec,
     _decode,
@@ -30,6 +34,8 @@ from sagini.io import (
     document_to_text,
     read_lorenz_points,
     read_values,
+    sweep_to_csv,
+    sweep_to_json,
 )
 from sagini.metrics import LorenzCurve
 
@@ -193,6 +199,17 @@ class TestReadLorenzPoints:
         path = write(tmp_path, "p,q\n0.5,0.2\n1.0,1.0\n")
         points, _ = read_lorenz_points(InputSpec(path=path, header=True))
         assert points.tolist() == [[0.5, 0.2], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("column", [1, 3, "nosuch"])
+    def test_column_refused_before_reading(self, tmp_path, column):
+        # Points are always the first two columns; the path does not exist.
+        spec = InputSpec(path=str(tmp_path / "missing.csv"), column=column)
+        with pytest.raises(ParseError) as err:
+            read_lorenz_points(spec)
+        assert str(err.value) == (
+            f"--column {column!r} does not apply to --from-lorenz input, "
+            "which is read as (p, q) from the first two columns"
+        )
 
 
 def document_for(values, with_provenance=True):
@@ -418,6 +435,10 @@ class TestReaderDifferential:
 
     @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
     def test_points(self, tmp_path, text, kwargs):
+        # Points are always the first two columns and read_lorenz_points
+        # refuses a column (test_column_refused_before_reading), so the
+        # corpus runs here without one.
+        kwargs = {key: value for key, value in kwargs.items() if key != "column"}
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
         spec = InputSpec(path=str(path), **kwargs)
@@ -545,8 +566,24 @@ def curve_document(q, **kwargs):
     )
 
 
+def sweep_document(result):
+    cfg = result.config
+    return {
+        "config": {
+            "family": cfg.family,
+            "sample_size": cfg.sample_size,
+            "replications": cfg.replications,
+            "seed": cfg.seed,
+            "params": dict(sorted(cfg.params.items())),
+        },
+        "rows": [asdict(row) for row in result.rows],
+        "summary": result.summary,
+    }
+
+
 class TestJsonGolden:
-    """document_to_json is exactly json.dumps(doc, indent=2) plus a newline."""
+    """document_to_json and sweep_to_json are exactly json.dumps(doc, indent=2)
+    plus a newline."""
 
     @pytest.mark.parametrize("with_provenance", [True, False])
     def test_values_document(self, with_provenance):
@@ -581,6 +618,47 @@ class TestJsonGolden:
         doc = curve_document([float("nan"), float("inf"), -float("inf"), 1.0])
         assert "NaN" in document_to_json(doc)
         json_golden(doc)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("lognormal", {"sigma": 2.0}),
+            ("pareto", {"alpha": 1.2}),
+            ("uniform", {"low": -0.25, "high": 3.0}),
+            ("symmetric_triangular", {}),
+            ("one_holder", {}),
+            ("uniform", {"low": 1e-300, "high": 1e-300}),
+        ],
+        ids=["lognormal", "pareto", "uniform", "triangular", "one_holder", "constant"],
+    )
+    def test_sweep_document(self, family, params):
+        cfg = ExperimentConfig(family, sample_size=7, replications=40, seed=5, params=params)
+        result = sensitivity_sweep(cfg)
+        doc = sweep_document(result)
+        assert sweep_to_json(result) == json.dumps(doc, indent=2) + "\n"
+        if family == "uniform" and params["low"] == params["high"]:
+            assert {v for stats in doc["summary"].values() for v in stats.values()} == {0.0}
+        # The CSV carries the same rows and summary, floats by repr.
+        lines = [
+            ",".join(
+                repr(v) if isinstance(v, float) else str(v) for v in row.values()
+            )
+            for row in doc["rows"]
+        ] + [
+            f"summary,{metric},{stat},{value!r}"
+            for metric, stats in doc["summary"].items()
+            for stat, value in stats.items()
+        ]
+        assert sweep_to_csv(result).splitlines()[1:] == lines
+
+    def test_sweep_non_finite_falls_back_to_json_spelling(self):
+        result = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {}))
+        nan, inf = float("nan"), float("inf")
+        odd = SweepRow(2, nan, inf, -inf, 0.5, -0.0, "symmetric")
+        result = SweepResult(result.config, (*result.rows, odd), result.summary)
+        text = sweep_to_json(result)
+        assert "NaN" in text and "-Infinity" in text
+        assert text == json.dumps(sweep_document(result), indent=2) + "\n"
 
     def test_other_shapes(self):
         json_golden({})

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from sagini import (
     rational_report_from_lorenz,
     report,
 )
-from sagini.metrics import _CHUNK, _MAX_EXACT_N, LorenzCurve, _rank_weights
+from sagini.metrics import (
+    _CHUNK,
+    _MAX_EXACT_N,
+    LorenzCurve,
+    _compensated_sums,
+    _rank_weights,
+)
 
 from fixtures import (
     LEFT_SKEWED_EXPECTED,
@@ -475,8 +482,8 @@ class TestKernelAgainstOracle:
 
     @pytest.mark.parametrize("n", [2, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 2])
     def test_points_across_chunk_boundaries(self, n):
-        # n points carry n - 1 interior shares, so these n put the chunk
-        # edges at the same places as the values test above.
+        # The points path sums all n shares, so n = _CHUNK fills one chunk
+        # and the larger n spill one or two shares into a further chunk.
         values = np.sort(np.random.default_rng(n).lognormal(0.0, 1.5, n))
         q = np.cumsum(values) / values.sum()
         q[-1] = 1.0
@@ -498,6 +505,22 @@ class TestKernelAgainstOracle:
         result = report(build_dataset([0.1] * (2 * _CHUNK + 1)))
         assert (result.gini, result.g_right, result.g_left, result.sag) == (0.0,) * 4
         assert result.skew_direction == "symmetric"
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_each_row_sums_as_it_would_alone(self, weighted):
+        # Rows of different scales and signs, two chunk edges, one block.
+        n = 2 * _CHUNK + 5
+        rng = np.random.default_rng(11)
+        x = rng.lognormal(0.0, 2.0, (4, n)) * np.array([[1e-300], [1.0], [-3e7], [1e300]])
+        x[1, ::7] = 0.0
+        weights = partial(_rank_weights, n) if weighted else None
+        e, sums = _compensated_sums(x, weights)
+        assert e.shape == (4,) and sums.shape == (4, 3 if weighted else 1)
+        for row, e_row, sums_row in zip(x, e.tolist(), sums.tolist()):
+            alone_e, alone = _compensated_sums(row[np.newaxis], weights)
+            assert (alone_e.tolist(), alone.tolist()) == ([e_row], [sums_row])
 
 
 class TestRankWeights:
