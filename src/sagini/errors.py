@@ -10,7 +10,8 @@ class EmptyOrSingletonError(SaginiError):
 
 
 class NonFiniteValueError(SaginiError):
-    """An observation is NaN or infinite."""
+    """An observation is NaN or infinite, or the values' total is beyond
+    the float64 range: it overflows, or cancels below it."""
 
 
 class NonPositiveTotalError(SaginiError):

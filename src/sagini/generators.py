@@ -93,6 +93,15 @@ class ExperimentConfig:
                 raise BadParamsError(
                     f"high - low must be finite, got low={merged['low']} high={merged['high']}"
                 )
+            # Same-sign bounds: every draw is at least the smaller magnitude.
+            smallest = min(abs(merged["low"]), abs(merged["high"]))
+            if (merged["low"] > 0.0 or merged["high"] < 0.0) and math.isinf(
+                smallest * self.sample_size
+            ):
+                raise BadParamsError(
+                    f"every sum of {self.sample_size} values in [low, high] overflows "
+                    f"float64, got low={merged['low']} high={merged['high']}"
+                )
         object.__setattr__(self, "params", merged)
 
 

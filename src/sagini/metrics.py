@@ -33,8 +33,10 @@ products, so it is within ``u |T| + gamma_L**2 * sum|x_k|``. Values are
 first scaled by the power of two that brings the largest ``|x|`` into
 [0.5, 1), which leaves every index unchanged, so no product or partial sum
 overflows; the bounds hold barring underflow, which only touches values
-some 1e290 times smaller than the largest. The rank weights are exact
-integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
+some 1e290 times smaller than the largest. Data whose scaled total is
+zero or subnormal, where that underflow can swamp the total, is rejected
+by :func:`build_dataset` and by a replication sweep rather than divided
+by. The rank weights are exact integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
 inputs raise :class:`InvalidNError`. For Lorenz points the same weights
 are summed by parts over the shares: ``D = sum((c_k - c_(k+1)) q_k)``
 with ``c_(n+1) = 0`` and ``T = q_n = 1``.
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, NoReturn, Sequence
 
 import numpy as np
 
@@ -88,6 +90,11 @@ _SPLIT = 134217729.0
 #: (``3 n^2 <= 2**53``).
 _MAX_EXACT_N = math.isqrt(2**53 // 3)
 
+
+#: The smallest normal float64. A total scaled as in :func:`_compensated_sums`
+#: that is smaller in magnitude has cancelled into the range where the
+#: scaled values underflow, and the kernel's bound no longer holds.
+_TINY = float(np.finfo(float).tiny)
 
 #: Element types :func:`build_dataset` refuses rather than converting.
 _NOT_NUMBERS = (str, bytes, type(None))
@@ -188,7 +195,9 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         interior point.
     NonFiniteValueError
         Any NaN or infinity (the first offending index is reported), or a
-        sum beyond the float64 range.
+        sum beyond the float64 range: above it, or positive but cancelled
+        to less than ``2**-1022`` times the largest ``|value|``, where the
+        scaled kernel loses the small values.
     NonPositiveTotalError
         Values summing to zero or less; shares would be undefined or
         sign-flipped.
@@ -209,14 +218,40 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise NonFiniteValueError(
             f"non-finite value {float(values[bad[0]])!r} at index {int(bad[0])}"
         )
-    (total,) = _totals(values[np.newaxis]).tolist()
+    totals, scaled = _totals(values[np.newaxis])
+    total = float(totals[0])
     if math.isinf(total):
         raise NonFiniteValueError("the sum of the values overflows float64")
+    if abs(scaled[0]) < _TINY:
+        _raise_cancelled_total(values)
     if total <= 0.0:
         raise NonPositiveTotalError(
             f"sum of values must be positive, got {total!r}"
         )
     return Dataset(values=_readonly(values), total=total)
+
+
+def _raise_cancelled_total(values: np.ndarray) -> NoReturn:
+    """Raise for finite values whose scaled total is zero or subnormal.
+
+    The kernel cannot tell such a total from zero, so a correctly rounded
+    :func:`math.fsum` decides: a total of zero or less is
+    :class:`NonPositiveTotalError` as usual, a positive one is beyond the
+    dynamic range the kernel holds. When fsum's partial sums overflow,
+    the values cancel from beyond float64's range, which counts as the
+    latter.
+    """
+    try:
+        total = math.fsum(values.tolist())
+    except OverflowError:
+        total = math.inf
+    if total <= 0.0:
+        raise NonPositiveTotalError(f"sum of values must be positive, got {total!r}")
+    raise NonFiniteValueError(
+        "the values span more than float64's dynamic range: their total "
+        "cancels to less than 2**-1022 times their largest magnitude, "
+        f"{float(np.abs(values).max())!r}"
+    )
 
 
 def _reject_non_numbers(raw: Iterable[float]) -> None:
@@ -289,8 +324,8 @@ def _replication_scores(x: np.ndarray) -> np.ndarray:
     """
     finite = np.isfinite(x).all(axis=1)
     # Rows with a nan or inf are summed as zeros: fsum refuses inf + -inf.
-    total = _totals(np.where(finite[:, np.newaxis], x, 0.0))
-    valid = finite & (total > 0.0) & (total < math.inf)
+    total, scaled = _totals(np.where(finite[:, np.newaxis], x, 0.0))
+    valid = finite & (np.abs(scaled) >= _TINY) & (total > 0.0) & (total < math.inf)
     if not valid.all():
         build_dataset(x[np.argmin(valid)])  # raises that row's error
     return _sorted_scores(np.sort(x, axis=1), total)
@@ -384,12 +419,13 @@ def _make_report(
     )
 
 
-def _totals(x: np.ndarray) -> np.ndarray:
-    """The compensated sum of each row of the finite ``(b, n)`` array ``x``;
-    +-inf where it overflows float64."""
+def _totals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compensated sum of each row of the finite ``(b, n)`` array ``x``
+    (+-inf where it overflows float64), and the same sums still scaled by
+    each row's power of two (see :func:`_compensated_sums`)."""
     e, sums = _compensated_sums(x)
     with np.errstate(over="ignore"):
-        return np.ldexp(sums[:, 0], e)
+        return np.ldexp(sums[:, 0], e), sums[:, 0]
 
 
 def _sorted_scores(x: np.ndarray, total: np.ndarray) -> np.ndarray:

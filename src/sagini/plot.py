@@ -3,14 +3,29 @@
 The SVG is assembled by hand on a fixed 600x600 user-unit canvas with all
 coordinates at 4 decimals and no external fonts, so identical curves and
 tool version produce identical bytes. Each curve is a piecewise-linear
-polyline through (0, 0) and every (p_i, q_i); the region between it and
-the 45-degree line is shaded (the polygon's closing edge is the diagonal).
+polyline from (0, 0) through the points (p_i, q_i); the region between it
+and the 45-degree line is shaded (the polygon shares the polyline's
+vertices and its closing edge is the diagonal).
+
+A curve of at most ``FULL_VERTICES`` vertices, the origin included (twice
+the plot's width in user units), is drawn through every one of them. A
+longer curve keeps only the vertices it needs: the kept ones are original
+vertices, both ends among them, and every dropped vertex lies within
+``TOLERANCE`` (a quarter of a user unit), measured vertically, of the
+kept polyline. The grid p is increasing, so this bounds the vertical
+distance between the full and the drawn polyline everywhere, for convex
+and non-convex curves alike. The vertices are chosen by splitting
+segments level by level, all segments of a level at once: every segment
+with a vertex more than the tolerance off it is split at its midpoint.
+The midpoint halves the segment, so there are at most about ``log2(n)``
+levels of O(n) numpy work each, even for a curve with nothing to drop.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Sequence
+
+import numpy as np
 
 from .metrics import LorenzCurve
 
@@ -25,25 +40,63 @@ Y_LABEL = "cumulative share of resources"
 
 PALETTE = ("#555555", "#c0392b", "#2e5fa3", "#2e8b57", "#8e44ad", "#b8860b")
 
+#: Curves of up to this many vertices, the origin included, are drawn
+#: through all of them: twice the plot's width in user units.
+FULL_VERTICES = 2 * round(PLOT_RIGHT - PLOT_LEFT)
+
+#: How far, in user units measured vertically, a dropped vertex may lie
+#: from the drawn polyline.
+TOLERANCE = 0.25
+
 ASCII_WIDTH = 61
 ASCII_HEIGHT = 31
 _ASCII_MARKS = "*o+x#@"
 
 
-def map_x(x: float) -> float:
+def map_x(x: float | np.ndarray) -> float | np.ndarray:
     return PLOT_LEFT + x * (PLOT_RIGHT - PLOT_LEFT)
 
 
-def map_y(y: float) -> float:
+def map_y(y: float | np.ndarray) -> float | np.ndarray:
     return PLOT_BOTTOM - y * (PLOT_BOTTOM - PLOT_TOP)
 
 
-def _pts(xs: Sequence[float], ys: Sequence[float]) -> str:
-    return " ".join(f"{map_x(x):.4f},{map_y(y):.4f}" for x, y in zip(xs, ys))
+def _with_origin(curve: LorenzCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices ``(0, 0), (p_1, q_1), ..., (p_n, q_n)`` as two arrays."""
+    return np.concatenate(([0.0], curve.p)), np.concatenate(([0.0], curve.q))
 
 
-def _curve_xy(curve: LorenzCurve) -> tuple[list[float], list[float]]:
-    return [0.0, *curve.p.tolist()], [0.0, *curve.q.tolist()]
+def _kept(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the vertices of the polyline ``(x, y)`` to keep.
+
+    ``x`` is increasing. Each level measures every vertex against the
+    polyline through the vertices kept so far and splits, at its
+    midpoint, every segment with a vertex more than ``TOLERANCE`` off it.
+    A kept vertex is 0 off, so a segment splits only while it has an
+    interior, and one within the tolerance never gains a vertex again.
+    """
+    keep = np.zeros(x.size, dtype=bool)
+    keep[[0, -1]] = True
+    while True:
+        ends = np.flatnonzero(keep)
+        dev = np.interp(x, x[ends], y[ends])
+        dev -= y
+        np.abs(dev, out=dev)
+        split = np.maximum.reduceat(dev, ends[:-1]) > TOLERANCE
+        if not split.any():
+            return ends
+        keep[(ends[:-1][split] + ends[1:][split]) // 2] = True
+
+
+def _points(curve: LorenzCurve) -> str:
+    """The curve's polyline in user units: every vertex up to
+    ``FULL_VERTICES`` of them, else the ones :func:`_kept` keeps."""
+    x, y = _with_origin(curve)
+    x, y = map_x(x), map_y(y)
+    if x.size > FULL_VERTICES:
+        keep = _kept(x, y)
+        x, y = x[keep], y[keep]
+    return " ".join(map("{:.4f},{:.4f}".format, x.tolist(), y.tolist()))
 
 
 def render_svg(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
@@ -57,7 +110,7 @@ def render_svg(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
         f'width="{PLOT_RIGHT - PLOT_LEFT:.4f}" height="{PLOT_BOTTOM - PLOT_TOP:.4f}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    points = [_pts(*_curve_xy(curve)) for curve in curves]
+    points = [_points(curve) for curve in curves]
     for k, pts in enumerate(points):
         color = PALETTE[k % len(PALETTE)]
         out.append(
@@ -109,20 +162,20 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _interp(xs: list[float], ys: list[float], x: float) -> float:
-    """Piecewise-linear y at x through ascending ``xs`` (from :func:`_curve_xy`).
+def _interp(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Piecewise-linear y at each ``x`` through ascending ``xs``, such as
+    :func:`_with_origin` gives.
 
-    The segment is the first one whose right end is at or past ``x``.
+    Each ``x`` takes the first segment whose right end is at or past it;
+    a segment of zero width gives its left ``y``. Left of ``xs[0]`` the
+    value is ``ys[0]``, right of ``xs[-1]`` it is ``ys[-1]``.
     """
-    if x <= xs[0]:
-        return ys[0]
-    right = bisect_left(xs, x, 1)
-    if right == len(xs):
-        return ys[-1]
+    right = np.clip(np.searchsorted(xs, x, side="left"), 1, xs.size - 1)
     left = right - 1
     span = xs[right] - xs[left]
-    t = 0.0 if span == 0 else (x - xs[left]) / span
-    return ys[left] + t * (ys[right] - ys[left])
+    t = np.divide(x - xs[left], span, out=np.zeros_like(x), where=span != 0)
+    y = ys[left] + t * (ys[right] - ys[left])
+    return np.where(x <= xs[0], ys[0], np.where(x > xs[-1], ys[-1], y))
 
 
 def render_ascii(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
@@ -130,16 +183,13 @@ def render_ascii(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
     if len(curves) != len(labels):
         raise ValueError("need one label per curve")
     grid = [[" "] * ASCII_WIDTH for _ in range(ASCII_HEIGHT)]
-    for col in range(ASCII_WIDTH):
-        x = col / (ASCII_WIDTH - 1)
+    columns = np.arange(ASCII_WIDTH) / (ASCII_WIDTH - 1)
+    for col, x in enumerate(columns.tolist()):
         row = round((1.0 - x) * (ASCII_HEIGHT - 1))
         grid[row][col] = "."
     for k, curve in enumerate(curves):
         mark = _ASCII_MARKS[k % len(_ASCII_MARKS)]
-        xs, ys = _curve_xy(curve)
-        for col in range(ASCII_WIDTH):
-            x = col / (ASCII_WIDTH - 1)
-            q = _interp(xs, ys, x)
+        for col, q in enumerate(_interp(*_with_origin(curve), columns).tolist()):
             row = round((1.0 - q) * (ASCII_HEIGHT - 1))
             if 0 <= row < ASCII_HEIGHT:
                 grid[row][col] = mark

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,17 @@ class TestCompute:
         result = runner.invoke(main, ["compute"], input="-5\n1\n")
         assert result.exit_code == 3
         assert "NonPositiveTotal" in result.stderr
+
+    @pytest.mark.parametrize(
+        "text", ["1e300\n-1e300\n1e-10\n", "1e308\n-1e308\n5e-324\n"], ids=["subnormal", "zero"]
+    )
+    def test_total_beyond_dynamic_range_exit_3(self, runner, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["compute"], input=text)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: NonFiniteValueError: the values span more ")
 
     def test_parse_error_exit_2_with_line(self, runner):
         result = runner.invoke(main, ["compute"], input="1\nobviously-not-a-number\n")
@@ -418,8 +430,22 @@ class TestSimulate:
                 ["--low", "-1e308", "--high", "1e308"],
                 "high - low must be finite, got low=-1e+308 high=1e+308",
             ),
+            (
+                "uniform",
+                ["--low", "1e308", "--high", "1e308"],
+                "every sum of 10 values in [low, high] overflows float64, "
+                "got low=1e+308 high=1e+308",
+            ),
         ],
-        ids=["negative sigma", "nan sigma", "inf high", "-inf low", "inf alpha", "inf width"],
+        ids=[
+            "negative sigma",
+            "nan sigma",
+            "inf high",
+            "-inf low",
+            "inf alpha",
+            "inf width",
+            "inf same-sign sum",
+        ],
     )
     def test_bad_parameter_exit_4_before_drawing(
         self, runner, monkeypatch, dist, options, message

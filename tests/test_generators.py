@@ -94,6 +94,17 @@ class TestConfigValidation:
             config(family, low=-1e308, high=1e308)
         config(family, low=-1e308, high=0.75e308)
 
+    @pytest.mark.parametrize("family", ["uniform", "symmetric_triangular"])
+    def test_same_sign_sum_must_fit(self, family):
+        # Every draw is at least the smaller bound's magnitude, so every sum
+        # of n draws overflows.
+        with pytest.raises(BadParamsError, match="every sum of 2 values"):
+            config(family, n=2, low=1e308, high=1e308)
+        with pytest.raises(BadParamsError, match="every sum of 3 values"):
+            config(family, n=3, low=-1e308, high=-0.6e308)
+        config(family, n=2, low=0.8e308, high=1e308)
+        config(family, n=3, low=-1e308, high=0.5e308)
+
     def test_unknown_param(self):
         with pytest.raises(BadParamsError, match="sigma"):
             config("one_holder", sigma=1.0)

@@ -1,6 +1,7 @@
 """Unit tests for the core metric pipeline."""
 
 import dataclasses
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -28,6 +29,7 @@ from sagini.metrics import (
     LorenzCurve,
     _compensated_sums,
     _rank_weights,
+    _replication_scores,
 )
 
 from fixtures import (
@@ -99,6 +101,27 @@ class TestBuildDataset:
     def test_zero_total_rejected(self):
         with pytest.raises(NonPositiveTotalError):
             build_dataset([-1.0, 1.0])
+
+    # The kernel scales by the largest |x|: the small value's share of the
+    # total underflows (to a subnormal, or to zero). In the last case fsum's
+    # own partial sums overflow.
+    @pytest.mark.parametrize(
+        "values",
+        [[1e300, -1e300, 1e-10], [1e308, -1e308, 5e-324], [1e308, 1e308, -1e308, -1e308, 1e-300]],
+        ids=["subnormal", "zero", "fsum overflows"],
+    )
+    def test_total_beyond_dynamic_range_rejected(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="dynamic range"):
+                build_dataset(values)
+            block = np.array([np.arange(1.0, len(values) + 1), values])
+            with pytest.raises(NonFiniteValueError, match="dynamic range"):
+                _replication_scores(block)
+
+    def test_cancelled_total_that_is_zero_stays_non_positive(self):
+        with pytest.raises(NonPositiveTotalError, match="got 0.0"):
+            build_dataset([1e308, -1e308, 1.0, -1.0])
 
     def test_nan_rejected_with_index(self):
         with pytest.raises(NonFiniteValueError, match="index 2"):
