@@ -106,14 +106,15 @@ def _exit_on_error(invalid: int):
 
 
 def _write_output(path: str, text: str) -> None:
-    if path == "-":
-        click.echo(text, nl=False)
-        return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if path == "-":
+            click.echo(text, nl=False)
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot write {path!r}: {exc}")
+        target = "stdout" if path == "-" else repr(path)
+        _fail(EXIT_PARSE, f"cannot write {target}: {exc}")
 
 
 def _load_curve(path, input_format, column, header, from_lorenz):

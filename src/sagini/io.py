@@ -22,9 +22,13 @@ any text holding a quote, a NUL or a line break other than ``\n`` and
 any error :func:`numpy.loadtxt` raises. The line parser gives the same
 values and is the only source of parse errors and their line numbers.
 
-JSON output uses shortest round-trip float formatting (15+ significant
-digits) and is byte-identical to ``json.dumps(doc, indent=2)``; text
-output is fixed to 6 decimals and says so.
+The report document (schema ``"2"``) holds ``schema_version``, ``input``,
+``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
+``p_i = i/n`` is implied by ``input.n`` and not written; CSV output
+writes it as ``i / n``. JSON output uses shortest round-trip float
+formatting (15+ significant digits) and is byte-identical to
+``json.dumps(doc, indent=2)``; text output is fixed to 6 decimals and
+says so.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from .errors import ParseError
 from .metrics import Dataset, InequalityReport, LorenzCurve
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _FORMATS = ("csv", "tsv", "whitespace")
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
@@ -315,9 +319,11 @@ def build_document(
 ) -> dict:
     """Assemble the report document (JSON-ready plain dict).
 
-    ``data``, the dataset behind a raw-value report, supplies the input's
-    mean, min, max and total; it is None for Lorenz-point input, where
-    only n is known and the rest are null.
+    ``lorenz`` holds only the shares ``q``, n of them with ``q_n = 1``;
+    ``p_i = i/n`` follows from ``input.n``. ``data``, the dataset behind a
+    raw-value report, supplies the input's mean, min, max and total; it is
+    None for Lorenz-point input, where only n is known and the rest are
+    null.
     """
     stats = dict.fromkeys(("mean", "min", "max", "total"))
     if data is not None:
@@ -341,10 +347,7 @@ def build_document(
             "skew_direction": result.skew_direction,
             "convex": result.convex,
         },
-        "lorenz": {
-            "p": curve.p.tolist(),
-            "q": curve.q.tolist(),
-        },
+        "lorenz": {"q": curve.q.tolist()},
     }
     if with_provenance:
         doc["provenance"] = {
@@ -358,11 +361,12 @@ def build_document(
 def document_to_json(doc: dict) -> str:
     """Exactly ``json.dumps(doc, indent=2) + "\\n"``, built faster.
 
-    With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
-    which spends nearly all its time on the two Lorenz arrays. Those are
-    written here by joining ``float.__repr__`` -- what :mod:`json` itself
-    uses for a finite float -- with the separator it would put between
-    them; everything else still goes through :func:`json.dumps`.
+    Before Python 3.13, :mod:`json` falls back to its pure-Python encoder
+    when ``indent`` is set, and spends nearly all its time on the Lorenz
+    array ``q``. A list of floats such as ``q`` is written here by joining
+    ``float.__repr__`` -- what :mod:`json` itself uses for a finite float
+    -- with the separator it would put between them; everything else
+    still goes through :func:`json.dumps`.
     """
     return _json_at(doc, 0) + "\n"
 
@@ -402,8 +406,10 @@ def document_to_csv(doc: dict) -> str:
     for key, value in flat.items():
         lines.append(f"{key},{_csv_value(value)}")
     lines.append("i,p,q")
-    for i, (p, q) in enumerate(zip(doc["lorenz"]["p"], doc["lorenz"]["q"]), start=1):
-        lines.append(f"{i},{p!r},{q!r}")
+    # i / n is the correctly rounded quotient, as LorenzCurve.p is.
+    n = doc["input"]["n"]
+    for i, q in enumerate(doc["lorenz"]["q"], start=1):
+        lines.append(f"{i},{i / n!r},{q!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -461,7 +467,7 @@ def sweep_to_json(result) -> str:
     ``config`` and ``summary`` go through :func:`json.dumps`. Each row is
     written into :data:`_SWEEP_ROW` with ``float.__repr__``, what
     :mod:`json` itself uses for a finite float, as :func:`document_to_json`
-    does for the Lorenz arrays. A row holding a nan or an infinity, which
+    does for the Lorenz array. A row holding a nan or an infinity, which
     json spells differently, sends the rows through :func:`json.dumps` too.
     """
     doc = {

@@ -1,17 +1,24 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sagini import build_dataset, cli, report
+from sagini import build_dataset, cli, lorenz_curve, lorenz_from_points, report
 from sagini.cli import main
 from sagini.errors import ParseError, SaginiError
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
+POINTS_7 = [(i / 7, q) for i, q in enumerate([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0], 1)]
 SYMMETRIC = str(DATA / "symmetric.csv")
 RIGHT = str(DATA / "right_lorenz.csv")
 LEFT = str(DATA / "left_lorenz.csv")
@@ -190,6 +197,52 @@ class TestCompute:
         result = run(runner, "compute", "-i", SYMMETRIC, "-f", "csv", "--no-provenance")
         assert result.stdout.startswith("key,value\n")
 
+    @pytest.mark.parametrize(
+        "text, options, curve",
+        [
+            (
+                "5\n0\n1.5\n7\n2\n11\n3\n",
+                [],
+                lorenz_curve(build_dataset([5, 0, 1.5, 7, 2, 11, 3])),
+            ),
+            (
+                "0,0\n" + "".join(f"{p!r},{q!r}\n" for p, q in POINTS_7),
+                ["--from-lorenz"],
+                lorenz_from_points(POINTS_7),
+            ),
+        ],
+        ids=["values", "points from the origin"],
+    )
+    def test_csv_rows_are_i_over_n(self, runner, text, options, curve):
+        result = run(runner, "compute", *options, "-f", "csv", input=text)
+        assert result.exit_code == 0
+        n = curve.n
+        rows = [f"{i},{i / n!r},{q!r}" for i, q in enumerate(curve.q.tolist(), 1)]
+        assert result.stdout.endswith("\ni,p,q\n" + "\n".join(rows) + "\n")
+        assert [float(row.split(",")[1]) for row in rows] == curve.p.tolist()
+
+    @pytest.mark.parametrize(
+        "path, options",
+        [(str(DATA / "labeled.csv"), ["--header", "-c", "income"]),
+         (LEFT, ["--from-lorenz"])],
+        ids=["values", "points"],
+    )
+    def test_json_q_rebuilds_the_indices_from_lorenz(self, runner, tmp_path, path, options):
+        doc = json.loads(run(runner, "compute", "-i", path, *options, "-f", "json").stdout)
+        n = doc["input"]["n"]
+        assert len(doc["lorenz"]["q"]) == n and "p" not in doc["lorenz"]
+        points = tmp_path / "points.csv"
+        points.write_text(
+            "".join(f"{i / n!r},{q!r}\n" for i, q in enumerate(doc["lorenz"]["q"], 1))
+        )
+        result = run(runner, "compute", "-i", str(points), "--from-lorenz")
+        again = json.loads(result.stdout)
+        for key in ("gini", "g_right", "g_left", "sag"):
+            assert again["indices"][key] == pytest.approx(
+                doc["indices"][key], rel=1e-12, abs=1e-12
+            )
+        assert again["lorenz"]["q"] == doc["lorenz"]["q"]
+
     def test_provenance_present_by_default(self, runner):
         result = run(runner, "compute", "-i", SYMMETRIC)
         doc = json.loads(result.stdout)
@@ -206,6 +259,44 @@ class TestCompute:
             main, ["compute", "-i", SYMMETRIC, "-o", "no/such/dir/out.json"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "-i", SYMMETRIC],
+            ["lorenz", "-i", SYMMETRIC, "--style", "ascii"],
+            ["simulate", "--dist", "uniform", "--n", "3", "--reps", "2", "--seed", "1"],
+        ],
+        ids=["compute", "lorenz", "simulate"],
+    )
+    def test_failed_stdout_write_exit_2(self, monkeypatch, capsys, args):
+        class Full(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Full(), encoding="utf-8"))
+        with pytest.raises(SystemExit) as stopped:
+            main(args, standalone_mode=False)
+        assert stopped.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write stdout: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_device_on_stdout_exit_2_without_traceback(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "sagini.cli", "compute", "-i", SYMMETRIC],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        assert done.returncode == 2
+        assert done.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 class TestInputEdges:

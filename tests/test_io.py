@@ -227,11 +227,13 @@ def document_for(values, with_provenance=True):
 class TestDocument:
     def test_fields(self):
         doc = document_for([2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 14.0, 16.0, 17.0, 18.0])
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["input"]["n"] == 10
         assert doc["input"]["total"] == 100.0
         assert doc["indices"]["skew_direction"] == "symmetric"
-        assert len(doc["lorenz"]["p"]) == 10
+        assert list(doc["lorenz"]) == ["q"]
+        assert len(doc["lorenz"]["q"]) == 10
+        assert doc["lorenz"]["q"][-1] == 1.0
         assert doc["provenance"]["input_digest"].startswith("sha256:")
 
     @pytest.mark.parametrize(
@@ -263,7 +265,8 @@ class TestDocument:
     def test_json_round_trip_recovers_indices(self):
         doc = document_for([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
         parsed = json.loads(document_to_json(doc))
-        points = list(zip(parsed["lorenz"]["p"], parsed["lorenz"]["q"]))
+        n = parsed["input"]["n"]
+        points = [(i / n, q) for i, q in enumerate(parsed["lorenz"]["q"], start=1)]
         recomputed = metrics_from_lorenz(points)
         for key in ("gini", "g_right", "g_left", "sag"):
             assert getattr(recomputed, key) == pytest.approx(
