@@ -113,8 +113,29 @@ def _write_output(path: str, text: str) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
+        if path == "-":
+            _discard_stdout()
         target = "stdout" if path == "-" else repr(path)
         _fail(EXIT_PARSE, f"cannot write {target}: {exc}")
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device.
+
+    A failed flush leaves its bytes in stdout's buffer, and the interpreter
+    flushes them again at exit: that second failure prints ``Exception
+    ignored`` and turns the exit code into 120. Sent to the null device,
+    the final flush succeeds. A stdout without a descriptor is left as is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _load_curve(path, input_format, column, header, from_lorenz):

@@ -1,7 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import errno
-import io
 import json
 import os
 import subprocess
@@ -260,43 +258,46 @@ class TestCompute:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["compute", "-i", SYMMETRIC],
-            ["lorenz", "-i", SYMMETRIC, "--style", "ascii"],
-            ["simulate", "--dist", "uniform", "--n", "3", "--reps", "2", "--seed", "1"],
-        ],
-        ids=["compute", "lorenz", "simulate"],
-    )
-    def test_failed_stdout_write_exit_2(self, monkeypatch, capsys, args):
-        class Full(io.RawIOBase):
-            def writable(self):
-                return True
-
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Full(), encoding="utf-8"))
-        with pytest.raises(SystemExit) as stopped:
-            main(args, standalone_mode=False)
+    def test_failed_stdout_write_exit_2(self, monkeypatch, capsys):
+        # A pipe whose reader is gone: a real buffered stdout whose failed
+        # flush keeps the unwritten bytes for the interpreter's last flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with pytest.raises(SystemExit) as stopped:
+                main(["compute", "-i", SYMMETRIC], standalone_mode=False)
+            stdout.flush()  # as the interpreter does at exit
         assert stopped.value.code == 2
         assert capsys.readouterr().err == (
-            "error: cannot write stdout: [Errno 28] No space left on device\n"
+            "error: cannot write stdout: [Errno 32] Broken pipe\n"
         )
 
-    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    def test_full_device_on_stdout_exit_2_without_traceback(self):
-        with open("/dev/full", "w") as full:
+    @pytest.mark.parametrize("target", ["full device", "closed pipe"])
+    def test_failed_stdout_exit_2_without_traceback(self, target):
+        if target == "full device":
+            if not Path("/dev/full").exists():
+                pytest.skip("needs /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+            reason = "[Errno 28] No space left on device"
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            reason = "[Errno 32] Broken pipe"
+        # Buffered stdout, so the small report waits for the final flush.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
             done = subprocess.run(
                 [sys.executable, "-m", "sagini.cli", "compute", "-i", SYMMETRIC],
-                stdout=full,
+                stdout=stdout,
                 stderr=subprocess.PIPE,
                 text=True,
-                env={**os.environ, "PYTHONPATH": str(SRC)},
+                env={**env, "PYTHONPATH": str(SRC)},
             )
+        finally:
+            os.close(stdout)
         assert done.returncode == 2
-        assert done.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+        assert done.stderr == f"error: cannot write stdout: {reason}\n"
 
 
 class TestInputEdges:
