@@ -21,25 +21,43 @@ kernel: a compensated dot product (Dot2 of Ogita, Rump and Oishi, "Accurate
 Sum and Dot Product", SIAM J. Sci. Comput. 2005) that runs over the sorted
 values in fixed-size chunks and keeps one error-free TwoProduct/TwoSum
 accumulator per chunk column; :func:`math.fsum` adds up the columns at the
-end. The kernel takes a block of rows, one dataset each, and sums each row
-on its own, so a block gives every row the bits it would get alone; a
-report is the block of one, and a replication sweep evaluates many rows
-per block. With ``L`` the number of chunks plus one, ``u = 2**-53`` and
-``gamma_L = L u / (1 - L u)``, each dot product ``D`` comes out within
-``u |D| + gamma_L**2 * sum|c_k x_k|`` of its exact value, so the result is
-as accurate as if it were computed in twice the working precision and then
-rounded. The total ``T`` is the same chunked compensated sum without the
-products, so it is within ``u |T| + gamma_L**2 * sum|x_k|``. Values are
-first scaled by the power of two that brings the largest ``|x|`` into
-[0.5, 1), which leaves every index unchanged, so no product or partial sum
-overflows; the bounds hold barring underflow, which only touches values
-some 1e290 times smaller than the largest. Data whose scaled total is
-zero or subnormal, where that underflow can swamp the total, is rejected
-by :func:`build_dataset` and by a replication sweep rather than divided
-by. The rank weights are exact integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
-inputs raise :class:`InvalidNError`. For Lorenz points the same weights
-are summed by parts over the shares: ``D = sum((c_k - c_(k+1)) q_k)``
-with ``c_(n+1) = 0`` and ``T = q_n = 1``.
+end. It takes two dot products, ``D1`` and ``D2`` with ``c1`` and ``c2``.
+The third follows from the identity ``g_right + g_left = 2 gini``, which in
+rank weights reads ``c3 = 3n c1 - c2``: ``D3 = 3n D1 - D2`` is one fsum over
+the exact TwoProduct pieces of ``3n`` times ``D1``'s column partials and
+over minus ``D2``'s, taken before either is rounded. Data of at most one
+chunk sums ``c3`` in that chunk instead, which keeps its fsum short; there
+every piece is an exact product, so both forms give the same correctly
+rounded ``D3``. The kernel takes a block of rows, one dataset each, and
+sums each row on its own, so a block gives every row the bits it would get
+alone; a report is the block of one, and a replication sweep evaluates
+many rows per block.
+
+With ``L`` the number of chunks plus one, ``u = 2**-53`` and ``gamma_L =
+L u / (1 - L u)``, ``D1`` and ``D2`` come out within ``u |D| + gamma_L**2
+* sum|c_k x_k|`` of their exact values, as if computed in twice the
+working precision and then rounded. ``D3`` inherits the error of both
+partials: it is within ``u |D3| + gamma_L**2 * (3n sum|c1_k x_k| +
+sum|c2_k x_k|)``, a term never smaller than ``gamma_L**2 * sum|c3_k
+x_k|``. Within one chunk every sum is correctly rounded. The total ``T``
+is the same chunked compensated sum without the products, so it is within
+``u |T| + gamma_L**2 * sum|x_k|``.
+
+Values are first scaled by the power of two ``2**-e`` that brings the
+largest ``|x|`` into [0.5, 1), which leaves every index unchanged, so no
+product or partial sum overflows. The scaling is a multiplication, exact
+upwards and correctly rounded downwards, in two factors where ``2**-e``
+exceeds the largest float (the largest ``|x|`` below ``2**-1024``). The
+bounds hold barring underflow, which only touches values some 1e290 times
+smaller than the largest. Data whose scaled total is zero or subnormal,
+where that underflow can swamp the total, is rejected by
+:func:`build_dataset` and by a replication sweep rather than divided by.
+The rank weights, and the partial sums they are built from, are exact
+integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
+inputs raise :class:`InvalidNError` before the data is read. For Lorenz
+points the same weights are summed by parts over the shares: ``D =
+sum((c_k - c_(k+1)) q_k)`` with ``c_(n+1) = 0`` and ``T = q_n = 1``; the
+differenced weights still satisfy ``c3 = 3n c1 - c2``.
 
 This kernel is the only float path for the indices; the exact rational
 evaluations in :mod:`sagini.oracle` are its ground truth. Every value
@@ -50,6 +68,7 @@ and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Literal, NoReturn, Sequence
@@ -80,21 +99,33 @@ _CONVEXITY_SLACK = 1e-12
 #: cache and peak memory does not grow with n.
 _CHUNK = 8192
 
+#: The chunk-relative integer rows ``2j``, ``3j(j-1)`` and ``6j`` for
+#: ``j = 0 .. _CHUNK``, from which :func:`_rank_weights` builds any chunk's
+#: weights with a few exact additions.
+_J = np.arange(_CHUNK + 1, dtype=float)
+_TWO_J = 2.0 * _J
+_THREE_J_J1 = 3.0 * _J * (_J - 1.0)
+_SIX_J = 6.0 * _J
+
 #: Dekker's splitting constant ``2**27 + 1``: ``a * _SPLIT`` cuts a float
 #: into two halves of at most 26 significant bits each, whose products are
 #: exact.
 _SPLIT = 134217729.0
 
-#: Largest n for which every rank weight, and the products ``3k(k-1)`` and
-#: ``3n c1`` it is built from, is an exact integer in float64
-#: (``3 n^2 <= 2**53``).
+#: Largest n for which every rank weight, and every partial sum it is built
+#: from (``3k(k-1)`` at most, and ``3n c1`` for a one-chunk ``c3``), is an
+#: exact integer in float64 (``3 n^2 <= 2**53``). It also keeps ``3n``, the
+#: factor of the derived third sum, below ``2**28``.
 _MAX_EXACT_N = math.isqrt(2**53 // 3)
 
 
 #: The smallest normal float64. A total scaled as in :func:`_compensated_sums`
 #: that is smaller in magnitude has cancelled into the range where the
 #: scaled values underflow, and the kernel's bound no longer holds.
-_TINY = float(np.finfo(float).tiny)
+_TINY = sys.float_info.min
+
+#: The numerators' factors in :func:`_scores`: ``D1``, ``2 D2``, ``2 D3``.
+_ONE_TWO_TWO = np.array([[1.0], [2.0], [2.0]])
 
 #: Element types :func:`build_dataset` refuses rather than converting.
 _NOT_NUMBERS = (str, bytes, type(None))
@@ -446,30 +477,26 @@ def _scores(n: int, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
     """gini, g_right, g_left and sag as the rows of a ``(4, b)`` array: the
     three weighted sums of each of the ``b`` rows of ``sums`` divided by
     their normalisers, with the row's scaled total (see module doc)."""
-    d1, d2, d3 = sums.T
-    g = d1 / (n * total)
-    right_left_scale = 3 * n * n * total
-    gr = 2.0 * d2 / right_left_scale
-    gl = 2.0 * d3 / right_left_scale
-    return np.stack((g, gr, gl, g + abs(gr - gl) / 2.0))
+    scores = sums.T * _ONE_TWO_TWO / np.multiply.outer([n, 3 * n * n, 3 * n * n], total)
+    g, gr, gl = scores
+    return np.concatenate((scores, (g + abs(gr - gl) / 2.0)[np.newaxis]))
 
 
 def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``c1, c2, c3`` of centred rank weights for ranks ``start+1 .. stop``."""
-    if n > _MAX_EXACT_N:
-        raise InvalidNError(
-            f"n = {n} is above {_MAX_EXACT_N}, beyond which the rank weights "
-            "are not exact in float64"
-        )
-    k = np.arange(start + 1, stop + 1, dtype=float)
-    w = np.empty((3, k.size))
-    np.multiply(k, 2.0, out=w[0])
-    w[0] -= n + 1
-    np.multiply(k - 1.0, k, out=w[1])
-    w[1] *= 3.0
-    w[1] -= n * n - 1
-    np.multiply(w[0], 3 * n, out=w[2])
-    w[2] -= w[1]
+    """Rows ``c1, c2`` of centred rank weights for ranks ``start+1 .. stop``.
+
+    With ``a = start + 1`` and rank ``k = a + j``, ``c1 = 2j + (2a - n - 1)``
+    and ``c2 = 3j(j-1) + 6j a + (3a(a-1) - (n^2 - 1))``: the chunk-relative
+    rows plus per-chunk constants, every term and partial sum an exact
+    integer in float64.
+    """
+    a = start + 1
+    m = stop - start
+    w = np.empty((2, m))
+    np.add(_TWO_J[:m], float(2 * a - n - 1), out=w[0])
+    np.multiply(_SIX_J[:m], float(a), out=w[1])
+    w[1] += _THREE_J_J1[:m]
+    w[1] += float(3 * a * (a - 1) - (n * n - 1))
     return w
 
 
@@ -482,6 +509,23 @@ def _share_weights(n: int, start: int, stop: int) -> np.ndarray:
     return c[:, :-1] - c[:, 1:]
 
 
+def _two_product(a: np.ndarray, b: float, ab: np.ndarray) -> np.ndarray:
+    """The rounding error ``a b - ab`` of the products ``ab = a * b``,
+    exact barring underflow (Dekker's TwoProduct)."""
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    t = b * _SPLIT
+    bh = t - (t - b)
+    bl = b - bh
+    r = bh * ah
+    r -= ab
+    r += bl * ah
+    r += bh * al
+    r += bl * al
+    return r
+
+
 def _compensated_sums(
     x: np.ndarray, weights: Callable[[int, int], np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -491,40 +535,67 @@ def _compensated_sums(
     Each row is first multiplied by ``2**-e_b``, with ``e_b`` the binary
     exponent of the row's largest ``|x|``, so ``|x| < 1`` and neither the
     split products nor the partial sums can overflow. Returns ``e`` (shape
-    ``(b,)``) and the scaled sums (shape ``(b, j)``). ``weights(start,
-    stop)`` gives the ``j`` weight rows for columns ``start:stop``, shared
-    by every row; without it the single sum ``sum_k x_bk`` is taken.
+    ``(b,)``) and the scaled sums. ``weights(start, stop)`` gives the rows
+    ``c1, c2`` for columns ``start:stop`` (see :func:`_rank_weights`),
+    shared by every row; the sums are then the three of ``c1``, ``c2`` and
+    ``c3 = 3n c1 - c2`` (shape ``(b, 3)``). Without ``weights`` the single
+    sum ``sum_k x_bk`` is taken (shape ``(b, 1)``).
 
     Each chunk column of each row keeps a running sum ``hi`` (TwoSum,
     error-free) and the rounding errors of every product and addition in
     ``lo`` (TwoProduct by Dekker splitting, error-free). At the end one
     :func:`math.fsum` per row and weight adds up that row's columns, so a
-    row comes out as it would if it were summed alone. Memory beyond ``x``
-    is a few chunks per row.
+    row comes out as it would if it were summed alone. The third sum is
+    the fsum of the exact pieces of ``3n`` times the columns of the first
+    and of minus the columns of the second; a row of at most one chunk
+    sums ``c3`` on that chunk instead, which is exact there as well and
+    keeps its fsum short. Memory beyond ``x`` is a few chunks per row.
     """
+    n = x.shape[1]
+    if weights is not None and n > _MAX_EXACT_N:
+        raise InvalidNError(
+            f"n = {n} is above {_MAX_EXACT_N}, beyond which the rank weights "
+            "are not exact in float64"
+        )
     e = np.frexp(np.maximum(-x.min(axis=1), x.max(axis=1)))[1]
-    scale = -e[:, np.newaxis, np.newaxis]
+    # Multiplying by 2**-e is exact scaling up and one correctly rounded
+    # multiply scaling down, as np.ldexp(x, -e) is. Where the largest |x|
+    # is subnormal, 2**-e can exceed the largest float: such rows are
+    # multiplied by 2**1023 and then by the rest.
+    scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, np.newaxis, np.newaxis]
+    rest = None
+    if e.min() < -1023:
+        rest = np.ldexp(1.0, np.maximum(-e - 1023, 0))[:, np.newaxis, np.newaxis]
+    derive = weights is not None and n > _CHUNK
     hi = lo = None
-    for start in range(0, x.shape[1], _CHUNK):
-        stop = min(start + _CHUNK, x.shape[1])
-        xs = np.ldexp(x[:, np.newaxis, start:stop], scale)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        xs = x[:, np.newaxis, start:stop] * scale
+        if rest is not None:
+            xs *= rest
         if weights is None:
             h = xs
             r = None
         else:
             w = weights(start, stop)
+            if not derive:
+                w = np.concatenate((w, w[:1] * float(3 * n) - w[1:]))
             h = w * xs
             t = xs * _SPLIT
             xh = t - (t - xs)
             xl = xs - xh
-            t = w * _SPLIT
-            wh = t - (t - w)
-            wl = w - wh
-            r = wh * xh
+            # |c1| < n < 2**26, so c1 splits into (c1, 0) and is used
+            # unsplit; the other rows are split into wh + wl in place.
+            c = w[1:]
+            t = c * _SPLIT
+            t -= t - c
+            wl = c - t
+            c[...] = t
+            r = w * xh
             r -= h
-            r += wl * xh
-            r += wh * xl
-            r += wl * xl
+            r[:, 1:] += wl * xh
+            r += w * xl
+            r[:, 1:] += wl * xl
         if hi is None:
             hi = h
             lo = np.zeros_like(h) if r is None else r
@@ -533,11 +604,22 @@ def _compensated_sums(
         p = hi[..., :m]
         s = p + h
         z = s - p
-        err = p - (s - z)
-        err += h - z
+        # err = p - (s - z) + (h - z), in place: h is this chunk's own.
+        err = s - z
+        np.subtract(p, err, out=err)
+        h -= z
+        err += h
         if r is not None:
             err += r
         p[...] = s
         lo[..., :m] += err
-    columns = np.concatenate((hi, lo), axis=-1).tolist()
-    return e, np.array([list(map(math.fsum, row)) for row in columns])
+    columns = np.concatenate((hi, lo), axis=-1)
+    rows = columns.tolist()
+    if derive:
+        p1 = columns[:, 0]
+        three_n = float(3 * n)
+        p3 = p1 * three_n
+        d3 = np.concatenate((p3, _two_product(p1, three_n, p3), -columns[:, 1]), axis=-1)
+        for row, pieces in zip(rows, d3.tolist()):
+            row.append(pieces)
+    return e, np.array([list(map(math.fsum, row)) for row in rows])

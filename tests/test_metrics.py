@@ -1,6 +1,7 @@
 """Unit tests for the core metric pipeline."""
 
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -533,8 +534,17 @@ class TestKernelAgainstOracle:
 class TestBlockKernel:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_each_row_sums_as_it_would_alone(self, weighted):
-        # Rows of different scales and signs, two chunk edges, one block.
-        n = 2 * _CHUNK + 5
+        # Rows of different scales and signs, two chunk edges, one block:
+        # the third sum is derived from the first two's column partials.
+        self.check_rows_alone(weighted, 2 * _CHUNK + 5)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_each_row_sums_as_it_would_alone_in_one_chunk(self, weighted):
+        # One chunk: c3 is summed inside it.
+        self.check_rows_alone(weighted, _CHUNK)
+
+    @staticmethod
+    def check_rows_alone(weighted, n):
         rng = np.random.default_rng(11)
         x = rng.lognormal(0.0, 2.0, (4, n)) * np.array([[1e-300], [1.0], [-3e7], [1e300]])
         x[1, ::7] = 0.0
@@ -545,18 +555,66 @@ class TestBlockKernel:
             alone_e, alone = _compensated_sums(row[np.newaxis], weights)
             assert (alone_e.tolist(), alone.tolist()) == ([e_row], [sums_row])
 
+    def test_scaling_matches_ldexp_at_every_magnitude(self):
+        # Rows whose largest |x| is subnormal (2**-e is then no float), near
+        # the top of the range (small values scale into the subnormals and
+        # round there) and ordinary: each scales as np.ldexp(x, -e) would.
+        rng = np.random.default_rng(5)
+        n = 1000
+        x = np.stack(
+            [
+                rng.integers(1, 2**20, n) * 5e-324,
+                np.concatenate((rng.random(n - 3) * 3.0, [1.7e308, -1e308, 2**-60])),
+                rng.lognormal(0.0, 1.0, n) - 0.5,
+            ]
+        )
+        e, sums = _compensated_sums(x)
+        assert e.tolist() == np.frexp(np.abs(x).max(axis=1))[1].tolist()
+        scaled = np.ldexp(x, -e[:, np.newaxis])
+        assert (np.abs(scaled[1]) < 2.0**-1022).sum() > n // 2
+        # One chunk: the sum is the fsum of the scaled values themselves.
+        assert sums[:, 0].tolist() == [math.fsum(row) for row in scaled.tolist()]
+
+    @pytest.mark.parametrize("n", [2, 10, _CHUNK])
+    def test_one_chunk_sums_are_correctly_rounded(self, n):
+        # Within one chunk every TwoProduct piece is exact, so each of the
+        # three sums, c3's included, is the exact dot product rounded once.
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.lognormal(0.0, 2.0, n) * rng.choice([-1.0, 1.0], n))
+        e, sums = _compensated_sums(x[np.newaxis], partial(_rank_weights, n))
+        scaled = [Fraction(v) for v in np.ldexp(x, -e[0]).tolist()]
+        c1 = [2 * k - n - 1 for k in range(1, n + 1)]
+        c2 = [3 * k * (k - 1) - (n * n - 1) for k in range(1, n + 1)]
+        c3 = [3 * n * a - b for a, b in zip(c1, c2)]
+        exact = [float(sum(w * v for w, v in zip(c, scaled))) for c in (c1, c2, c3)]
+        assert sums[0].tolist() == exact
+
 
 class TestRankWeights:
     def test_exact_integers_up_to_the_limit(self):
         n = _MAX_EXACT_N
         assert 3 * n * n <= 2**53 < 3 * (n + 1) ** 2
-        for start, stop in ((0, 3), (n // 2 - 1, n // 2 + 2), (n - 3, n)):
+        # Windows at either end, in the middle, and one chunk plus one
+        # long (the share weights' window) ending at rank n.
+        windows = ((0, 3), (n // 2 - 1, n // 2 + 2), (n - 3, n), (n - _CHUNK - 1, n))
+        for start, stop in windows:
             weights = _rank_weights(n, start, stop)
-            for k, column in zip(range(start + 1, stop + 1), weights.T.tolist()):
-                c1 = 2 * k - n - 1
-                c2 = 3 * k * (k - 1) - (n * n - 1)
-                assert column == [c1, c2, 3 * n * c1 - c2]
+            assert weights.shape == (2, stop - start)
+            ranks = range(start + 1, stop + 1)
+            assert weights.tolist() == [
+                [2 * k - n - 1 for k in ranks],
+                [3 * k * (k - 1) - (n * n - 1) for k in ranks],
+            ]
+            # c1 splits into (c1, 0), so the kernel multiplies it unsplit.
+            assert np.abs(weights[0]).max() < 2**26
 
     def test_beyond_the_limit_raises(self):
+        # Checked at the kernel's entry; a broadcast view holds the n
+        # values in one float.
+        n = _MAX_EXACT_N + 1
+        x = np.broadcast_to(1.0, (1, n))
         with pytest.raises(InvalidNError):
-            _rank_weights(_MAX_EXACT_N + 1, 0, 3)
+            _compensated_sums(x, partial(_rank_weights, n))
+        curve = LorenzCurve(q=np.broadcast_to(1.0, (n,)), convex=True)
+        with pytest.raises(InvalidNError):
+            metrics_from_lorenz(curve)

@@ -15,9 +15,12 @@ the total. Each index is ``a D / T`` (``a = 1/n`` for gini, ``2/(3 n^2)``
 for the tails), evaluated with one rounded multiplication and one
 rounded division, and ``sag = gini + |g_right - g_left| / 2`` with two
 more roundings; the per-index bounds below propagate exactly those
-errors. Where the total bound reaches ``|T|`` itself (a condition number
-above about 1e31) it promises no digits, so only the error agreement is
-checked there.
+errors. The kernel derives ``D3`` from the first two sums, and the
+docstring's bound for it, ``gamma**2 (3n sum|c1_k x_k| + sum|c2_k x_k|)``,
+is looser; the suite keeps the tighter ``sum|c3_k x_k|`` term, the bound
+of a third dot product taken directly. Where the total bound reaches
+``|T|`` itself (a condition number above about 1e31) it promises no
+digits, so only the error agreement is checked there.
 """
 
 import math
@@ -158,6 +161,32 @@ def test_report_agrees_with_oracle_across_chunks(pattern, n):
     check_against_oracle(values)
 
 
+def _c3_sign_change(n):
+    """The first rank ``k`` at which ``c3 = 3n c1 - c2`` is positive (about 0.42 n)."""
+    return next(
+        k for k in range(1, n + 1) if 3 * n * (2 * k - n - 1) > 3 * k * (k - 1) - (n * n - 1)
+    )
+
+
+def _step_at_sign_change(n):
+    """Near-equal values that step up by one ulp at c3's sign change.
+
+    Every weight row sums to zero, so each sum is the step times a partial
+    sum of the weights, some 1e16 times smaller than ``sum|c_k x_k|``.
+    """
+    k = _c3_sign_change(n)
+    return [1.0] * (k - 1) + [math.nextafter(1.0, 2.0)] * (n - k + 1)
+
+
+def _cross_at_sign_change(n, residual):
+    """Values that change sign at c3's sign change and cancel in the total
+    to ``residual`` times ``sum|x|``: the condition number of the total is
+    ``1 / residual``. The residual itself sits at the crossing."""
+    below = _c3_sign_change(n) - 1
+    above = n - 1 - below
+    return [-float(above)] * below + [float(below)] * above + [residual * 2 * below * above]
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -169,9 +198,13 @@ def test_report_agrees_with_oracle_across_chunks(pattern, n):
         [-1.0, -2.0, 2.0],
         _ulp_run(1.0, 2) * (_CHUNK // 2),
         _ulp_run(-1e-200, 3) * _CHUNK + [1e-180],
+        _step_at_sign_change(2 * _CHUNK + 3),
+        _cross_at_sign_change(2 * _CHUNK + 3, 1e-16),
+        _cross_at_sign_change(3 * _CHUNK + 1, 1e-30),
     ],
     ids=["cancel-1e280", "tiny", "ulp-apart", "cancel-ties", "zero-total",
-         "negative-total", "ulp-apart-over-chunks", "cancel-over-chunks"],
+         "negative-total", "ulp-apart-over-chunks", "cancel-over-chunks",
+         "c3-sign-change-step", "c3-sign-change-cond-1e16", "c3-sign-change-cond-1e30"],
 )
 def test_known_adversarial_cases(values):
     check_against_oracle(values)
