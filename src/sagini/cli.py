@@ -207,7 +207,6 @@ def compute(
         curve,
         data=data,
         digest=digest,
-        tool_version=__version__,
         with_provenance=not no_provenance,
     )
     renderer = {

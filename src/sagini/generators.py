@@ -20,6 +20,7 @@ a time; :func:`generate` is the one-replication case of the same draw.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,12 @@ class ExperimentConfig:
             raise BadParamsError(
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}"
             )
+        for name in ("sample_size", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadParamsError(f"{name} must be an integer, got {value!r}")
+            # A numpy integer becomes an int: the sweep document is json.
+            object.__setattr__(self, name, int(value))
         if not 2 <= self.sample_size <= _MAX_EXACT_N:
             raise BadParamsError(
                 f"sample_size must be in [2, {_MAX_EXACT_N}], got {self.sample_size}"
@@ -76,6 +83,8 @@ class ExperimentConfig:
             )
         merged = {**defaults, **dict(self.params)}
         for name, value in merged.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise BadParamsError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise BadParamsError(f"{name} must be finite, got {value}")
         if self.family == "lognormal" and not merged["sigma"] >= 0.0:

@@ -12,15 +12,19 @@ naming their line.
 
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
-There is one fast reader, numpy's C reader :func:`numpy.loadtxt`, which
-converts only the needed columns. Its float parser reads the same grammar
-and gives the same values: it strips Unicode whitespace padding, so
-padded cells stay on the fast path, and rejects underscores and
-non-ASCII digits. A cheap pre-screen sends to the line-by-line parser
-any text holding a quote, a NUL or a line break other than ``\n`` and
-``\r\n``, or a line longer than the csv module's field limit; so does
-any error :func:`numpy.loadtxt` raises. The line parser gives the same
-values and is the only source of parse errors and their line numbers.
+They share one read path, and both of its parsers one layout step,
+:func:`_layout`: the header's line number and the columns to read. Input
+without data rows, with or without a header, is an empty table, which
+validation rejects. The fast parser is numpy's C reader
+:func:`numpy.loadtxt`, which converts only the needed columns. Its float
+parser reads the same grammar and gives the same values: it strips
+Unicode whitespace padding, so padded cells stay on the fast path, and
+rejects underscores and non-ASCII digits. A cheap pre-screen sends to
+the line-by-line parser any text holding a quote, a NUL or a line break
+other than ``\n`` and ``\r\n``, or a line longer than the csv module's
+field limit; so does any error :func:`numpy.loadtxt` raises. The line
+parser gives the same values and is the only source of parse errors and
+their line numbers.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
@@ -43,6 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import __version__
 from .errors import ParseError
 from .metrics import Dataset, InequalityReport, LorenzCurve
 
@@ -178,98 +183,7 @@ def _resolve_column(
 
 def read_values(spec: InputSpec) -> tuple[np.ndarray, str]:
     """Read one numeric column; returns (float64 values, sha256 hex of raw bytes)."""
-    raw = _read_raw(spec.path)
-    digest = hashlib.sha256(raw).hexdigest()
-    text = _decode(raw)
-    values = _loadtxt(text, spec, points=False)
-    if values is None:
-        values = _line_values(text, spec)
-    return values, digest
-
-
-def _loadtxt(text: str, spec: InputSpec, points: bool) -> np.ndarray | None:
-    """The selected column, or the (p, q) columns if ``points``, read by
-    :func:`numpy.loadtxt`; None leaves the text to the line parser.
-
-    The pre-screen sends on what ``loadtxt`` reads differently from
-    :func:`_rows`: a quote, a NUL, a line break other than ``\n`` or
-    ``\r\n`` and a line beyond the csv module's field limit. The header and
-    the first data row come from :func:`_rows`, read only that far;
-    ``skiprows`` is the header's line number, so blank lines before the
-    header go with it. ``loadtxt`` skips other blank lines and rejects a
-    whitespace-only cell. It warns on input without data, so it never sees
-    a header alone: that is an empty table.
-    """
-    fmt = spec.format
-    if fmt not in _FORMATS or '"' in text or "\x00" in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if any(brk in text for brk in _OTHER_BREAKS):
-        return None
-    if fmt != "whitespace" and _longest_line(text) > csv.field_size_limit():
-        return None
-    # loadtxt reads any source line by line; a StringIO would first copy the
-    # text at four bytes a character, a list of lines does not.
-    lines = text.split("\n")
-    rows = _rows(lines, fmt)
-    skip, names = 0, None
-    if spec.header:
-        header = next(rows, None)
-        if header is None:
-            return None
-        skip, cells = header
-        names = [cell.strip() for cell in cells]
-    first = next(rows, None)
-    if first is None:
-        return np.empty((0, 2) if points else 0)
-    usecols, ndmin = (0, 1), 2
-    if not points:
-        try:
-            usecols, ndmin = _resolve_column(spec, names, first), 1
-        except ParseError:
-            return None
-    try:
-        return np.loadtxt(
-            lines,
-            delimiter=_DELIMITERS.get(fmt),
-            usecols=usecols,
-            skiprows=skip,
-            comments=None,
-            dtype=float,
-            ndmin=ndmin,
-        )
-    except ValueError:
-        return None
-
-
-def _longest_line(text: str) -> int:
-    """The longest line's length in UTF-8 bytes, never less than in characters."""
-    data = np.frombuffer(text.encode(), np.uint8)
-    breaks = np.flatnonzero(data == ord("\n"))
-    return int(np.diff(breaks, prepend=-1, append=data.size).max()) - 1
-
-
-def _line_values(text: str, spec: InputSpec) -> np.ndarray:
-    rows = list(_rows(text.splitlines(), spec.format))
-    names: list[str] | None = None
-    if spec.header:
-        if not rows:
-            raise ParseError("header requested but the input is empty")
-        names = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
-    if not rows:
-        return np.empty(0)
-    col = _resolve_column(spec, names, rows[0])
-    values = []
-    for lineno, cells in rows:
-        if col >= len(cells):
-            raise ParseError(
-                f"line {lineno}: only {len(cells)} column(s), "
-                f"need column {col + 1}"
-            )
-        values.append(_parse_cell(cells[col], lineno, col + 1))
-    return np.array(values, dtype=float)
+    return _read_table(spec, points=False)
 
 
 def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
@@ -283,29 +197,113 @@ def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
             f"--column {spec.column!r} does not apply to --from-lorenz input, "
             "which is read as (p, q) from the first two columns"
         )
+    return _read_table(spec, points=True)
+
+
+def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str]:
+    """The one read path of :func:`read_values` and :func:`read_lorenz_points`."""
     raw = _read_raw(spec.path)
     digest = hashlib.sha256(raw).hexdigest()
     text = _decode(raw)
-    points = _loadtxt(text, spec, points=True)
-    if points is None:
-        points = _line_points(text, spec)
-    return points, digest
+    table = _loadtxt(text, spec, points)
+    if table is None:
+        table = _line_table(text, spec, points)
+    return table, digest
 
 
-def _line_points(text: str, spec: InputSpec) -> np.ndarray:
-    rows = list(_rows(text.splitlines(), spec.format))
+def _layout(
+    rows: Iterator[tuple[int, list[str]]], spec: InputSpec, points: bool
+) -> tuple[int, tuple[int, ...]] | None:
+    """The header's line number (0 without a header) and the 0-based columns
+    to read: ``(0, 1)`` for points, else the one :func:`_resolve_column`
+    selects. None for a table without data rows.
+
+    ``rows`` is read only as far as the first data row.
+    """
+    skip, names = 0, None
     if spec.header:
-        rows = rows[1:]
-    points = []
-    for lineno, cells in rows:
-        if len(cells) < 2:
-            raise ParseError(
-                f"line {lineno}: need two columns (p, q), got {len(cells)}"
-            )
-        p = _parse_cell(cells[0], lineno, 1)
-        q = _parse_cell(cells[1], lineno, 2)
-        points.append((p, q))
-    return np.array(points, dtype=float).reshape(-1, 2)
+        header = next(rows, None)
+        if header is None:
+            return None
+        skip, cells = header
+        names = [cell.strip() for cell in cells]
+    first = next(rows, None)
+    if first is None:
+        return None
+    return skip, (0, 1) if points else (_resolve_column(spec, names, first),)
+
+
+def _loadtxt(text: str, spec: InputSpec, points: bool) -> np.ndarray | None:
+    """The selected column, or the (p, q) columns if ``points``, read by
+    :func:`numpy.loadtxt`; None leaves the text to the line parser.
+
+    The pre-screen sends on what ``loadtxt`` reads differently from
+    :func:`_rows`: a quote, a NUL, a line break other than ``\n`` or
+    ``\r\n`` and a line beyond the csv module's field limit. The layout
+    comes from :func:`_rows`, read only as far as the first data row;
+    ``skiprows`` is the header's line number, so blank lines before the
+    header go with it. ``loadtxt`` skips other blank lines and rejects a
+    whitespace-only cell. It warns on input without data rows, so it never
+    sees one: that is an empty table.
+    """
+    fmt = spec.format
+    if fmt not in _FORMATS or '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(brk in text for brk in _OTHER_BREAKS):
+        return None
+    if fmt != "whitespace" and _longest_line(text) > csv.field_size_limit():
+        return None
+    # loadtxt reads any source line by line; a StringIO would first copy the
+    # text at four bytes a character, a list of lines does not.
+    lines = text.split("\n")
+    try:
+        layout = _layout(_rows(lines, fmt), spec, points)
+    except ParseError:
+        return None
+    if layout is None:
+        return np.empty((0, 2) if points else 0)
+    skip, usecols = layout
+    try:
+        return np.loadtxt(
+            lines,
+            delimiter=_DELIMITERS.get(fmt),
+            usecols=usecols,
+            skiprows=skip,
+            comments=None,
+            dtype=float,
+            ndmin=len(usecols),
+        )
+    except ValueError:
+        return None
+
+
+def _longest_line(text: str) -> int:
+    """The longest line's length in UTF-8 bytes, never less than in characters."""
+    data = np.frombuffer(text.encode(), np.uint8)
+    breaks = np.flatnonzero(data == ord("\n"))
+    return int(np.diff(breaks, prepend=-1, append=data.size).max()) - 1
+
+
+def _line_table(text: str, spec: InputSpec, points: bool) -> np.ndarray:
+    """What :func:`_loadtxt` reads, parsed line by line; errors name their line."""
+    rows = list(_rows(text.splitlines(), spec.format))
+    layout = _layout(iter(rows), spec, points)
+    values = []
+    if layout is not None:
+        _, usecols = layout
+        width = max(usecols) + 1
+        for lineno, cells in rows[1:] if spec.header else rows:
+            if len(cells) < width:
+                raise ParseError(
+                    f"line {lineno}: need two columns (p, q), got {len(cells)}"
+                    if points
+                    else f"line {lineno}: only {len(cells)} column(s), need column {width}"
+                )
+            values.extend(_parse_cell(cells[col], lineno, col + 1) for col in usecols)
+    table = np.array(values, dtype=float)
+    return table.reshape(-1, 2) if points else table
 
 
 def build_document(
@@ -314,7 +312,6 @@ def build_document(
     *,
     data: Dataset | None,
     digest: str | None,
-    tool_version: str,
     with_provenance: bool = True,
 ) -> dict:
     """Assemble the report document (JSON-ready plain dict).
@@ -351,7 +348,7 @@ def build_document(
     }
     if with_provenance:
         doc["provenance"] = {
-            "tool_version": tool_version,
+            "tool_version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "input_digest": f"sha256:{digest}" if digest else None,
         }

@@ -357,6 +357,16 @@ class TestInputEdges:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "id,income\n"])
+    @pytest.mark.parametrize("from_lorenz", [[], ["--from-lorenz"]])
+    @pytest.mark.parametrize("command", ["compute", "lorenz"])
+    def test_no_data_rows_with_header_exit_3(self, runner, command, from_lorenz, text):
+        # Input without data rows is an empty table, header or not.
+        result = runner.invoke(main, [command, "-i", "-", "--header", *from_lorenz], input=text)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: EmptyOrSingletonError: ")
+        assert len(result.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("spec", ["\u00b2", "\u0661", "\uff11"])
     @pytest.mark.parametrize("command", ["compute", "lorenz"])
     def test_non_ascii_digit_column_is_a_name(self, runner, command, spec):

@@ -51,6 +51,30 @@ class TestConfigValidation:
         with pytest.raises(BadParamsError, match="seed"):
             config("uniform", seed=2**64)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("field", ["n", "reps", "seed"])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # seed=1.5 would run seed 1's stream and write 1.5 into the document.
+        name = {"n": "sample_size", "reps": "replications", "seed": "seed"}[field]
+        with pytest.raises(BadParamsError, match=rf"^{name} must be an integer, got "):
+            config("uniform", **{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = config("uniform", n=np.int64(10), reps=np.uint8(2), seed=np.uint64(2**64 - 1))
+        assert (cfg.sample_size, cfg.replications, cfg.seed) == (10, 2, 2**64 - 1)
+        assert all(
+            type(value) is int for value in (cfg.sample_size, cfg.replications, cfg.seed)
+        )
+        assert sensitivity_sweep(cfg).rows == sensitivity_sweep(
+            config("uniform", n=10, reps=2, seed=2**64 - 1)
+        ).rows
+
+    @pytest.mark.parametrize("value", ["1", None, True, 1j, [1.0]])
+    def test_params_must_be_real_numbers(self, value):
+        with pytest.raises(BadParamsError, match=r"^sigma must be a real number, got "):
+            config("lognormal", sigma=value)
+        assert config("lognormal", sigma=2).params == {"sigma": 2}
+
     def test_pareto_needs_finite_mean(self):
         with pytest.raises(BadParamsError, match="alpha"):
             config("pareto", alpha=1.0)

@@ -25,8 +25,7 @@ from sagini.generators import SweepResult, SweepRow
 from sagini.io import (
     InputSpec,
     _decode,
-    _line_points,
-    _line_values,
+    _line_table,
     _loadtxt,
     build_document,
     document_to_csv,
@@ -103,6 +102,17 @@ class TestReadValues:
         path = write(tmp_path, "1,2\n3\n")
         with pytest.raises(ParseError, match="line 2"):
             read_values(InputSpec(path=path, column=2))
+
+    @pytest.mark.parametrize(
+        "text, header",
+        [("", False), ("", True), ("\n \n", False), ("\n \n", True), ("id,income\n", True)],
+    )
+    def test_no_data_rows_is_an_empty_table(self, tmp_path, text, header):
+        spec = InputSpec(path=write(tmp_path, text), header=header)
+        values, _ = read_values(spec)
+        assert values.dtype == float and values.shape == (0,)
+        points, _ = read_lorenz_points(spec)
+        assert points.dtype == float and points.shape == (0, 2)
 
     def test_named_column_needs_header(self, tmp_path):
         path = write(tmp_path, "1\n2\n")
@@ -219,7 +229,6 @@ def document_for(values, with_provenance=True):
         lorenz_curve(data),
         data=data,
         digest="ab" * 32,
-        tool_version="0.0-test",
         with_provenance=with_provenance,
     )
 
@@ -251,9 +260,7 @@ class TestDocument:
 
     def test_stats_come_from_the_dataset(self):
         data = build_dataset([3.0, -1.0, 4.0, 1.5])
-        doc = build_document(
-            report(data), lorenz_curve(data), data=data, digest=None, tool_version="t"
-        )
+        doc = build_document(report(data), lorenz_curve(data), data=data, digest=None)
         assert doc["input"] == {"n": 4, "mean": data.mean, "min": -1.0, "max": 4.0,
                                 "total": data.total}
         assert list(doc["input"]) == ["n", "mean", "min", "max", "total"]
@@ -299,7 +306,6 @@ class TestDocument:
             lorenz_curve(build_dataset([1.0, 3.0])),
             data=None,
             digest=None,
-            tool_version="0.0-test",
         )
         text = document_to_text(doc)
         assert "mean:             n/a" in text
@@ -433,7 +439,7 @@ class TestReaderDifferential:
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
         spec = InputSpec(path=str(path), **kwargs)
-        expected = outcome(_line_values, text, spec)
+        expected = outcome(_line_table, text, spec, False)
         assert outcome(lambda: read_values(spec)[0]) == expected
 
     @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
@@ -445,7 +451,7 @@ class TestReaderDifferential:
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
         spec = InputSpec(path=str(path), **kwargs)
-        expected = outcome(_line_points, text, spec)
+        expected = outcome(_line_table, text, spec, True)
         assert outcome(lambda: read_lorenz_points(spec)[0]) == expected
 
     def test_stdin(self, monkeypatch):
@@ -549,7 +555,7 @@ def test_loadtxt_agrees_with_the_line_parser(table, points):
     text, spec = table
     fast = _loadtxt(text, spec, points)
     if fast is not None:
-        expected = outcome(_line_points if points else _line_values, text, spec)
+        expected = outcome(_line_table, text, spec, points)
         assert outcome(lambda: fast) == expected
 
 
@@ -564,7 +570,6 @@ def curve_document(q, **kwargs):
         curve,
         data=None,
         digest=None,
-        tool_version="0.0-test",
         **kwargs,
     )
 
@@ -603,7 +608,6 @@ class TestJsonGolden:
             curve,
             data=None,
             digest="cd" * 32,
-            tool_version="0.0-test",
         )
         assert doc["input"]["mean"] is None
         json_golden(doc)

@@ -31,6 +31,7 @@ from sagini.metrics import (
     _compensated_sums,
     _rank_weights,
     _replication_scores,
+    _two_product,
 )
 
 from fixtures import (
@@ -588,6 +589,18 @@ class TestBlockKernel:
         c3 = [3 * n * a - b for a, b in zip(c1, c2)]
         exact = [float(sum(w * v for w, v in zip(c, scaled))) for c in (c1, c2, c3)]
         assert sums[0].tolist() == exact
+
+    @pytest.mark.parametrize("b", [3.0 * _MAX_EXACT_N, math.pi], ids=["3n at the limit", "53 bits"])
+    def test_two_product_error_is_exact(self, b):
+        # a b == ab + err exactly, element by element. Below n of about
+        # 2.2e7 the low half of 3n's split is zero, so one product of the
+        # error term can only be checked at larger n.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(1000) * 2.0 ** rng.integers(-40, 40, 1000)
+        ab = a * b
+        err = _two_product(a, b, ab)
+        for a_k, ab_k, err_k in zip(a.tolist(), ab.tolist(), err.tolist()):
+            assert Fraction(a_k) * Fraction(b) == Fraction(ab_k) + Fraction(err_k)
 
 
 class TestRankWeights:
