@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
+from typing import Iterable
 
 import click
 
@@ -19,13 +20,13 @@ from .generators import FAMILIES, ExperimentConfig, sensitivity_sweep
 from .io import (
     InputSpec,
     build_document,
-    document_to_csv,
-    document_to_json,
+    csv_pieces,
     document_to_text,
+    json_pieces,
     read_lorenz_points,
     read_values,
+    sweep_json_pieces,
     sweep_to_csv,
-    sweep_to_json,
 )
 from .metrics import (
     build_dataset,
@@ -105,13 +106,16 @@ def _exit_on_error(invalid: int):
         _fail(invalid, exc)
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, pieces: Iterable[str]) -> None:
+    """Write the output one piece at a time, so that only one piece of it is
+    ever held in memory."""
     try:
         if path == "-":
-            click.echo(text, nl=False)
+            for piece in pieces:
+                click.echo(piece, nl=False)
         else:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
     except OSError as exc:
         if path == "-":
             _discard_stdout()
@@ -209,12 +213,13 @@ def compute(
         digest=digest,
         with_provenance=not no_provenance,
     )
-    renderer = {
-        "json": document_to_json,
-        "csv": document_to_csv,
-        "text": document_to_text,
-    }[out_format]
-    _write_output(output, renderer(doc))
+    if out_format == "json":
+        pieces = json_pieces(doc)
+    elif out_format == "csv":
+        pieces = csv_pieces(doc)
+    else:
+        pieces = [document_to_text(doc)]
+    _write_output(output, pieces)
 
 
 @main.command()
@@ -249,7 +254,7 @@ def lorenz(input_paths, input_format, column, header, from_lorenz, style, output
             curves.append(curve)
             labels.append(_label_for(path))
     text = render_svg(curves, labels) if style == "svg" else render_ascii(curves, labels)
-    _write_output(output, text)
+    _write_output(output, [text])
 
 
 def _label_for(path: str) -> str:
@@ -296,8 +301,8 @@ def simulate(
         )
     with _exit_on_error(EXIT_VALIDATION):
         result = sensitivity_sweep(config)
-    text = sweep_to_json(result) if out_format == "json" else sweep_to_csv(result)
-    _write_output(output, text)
+    pieces = sweep_json_pieces(result) if out_format == "json" else [sweep_to_csv(result)]
+    _write_output(output, pieces)
 
 
 if __name__ == "__main__":

@@ -85,6 +85,13 @@ class ExperimentConfig:
         for name, value in merged.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise BadParamsError(f"{name} must be a real number, got {value!r}")
+            # A float, as the CLI's options give: the sweep document is json.
+            try:
+                merged[name] = value = float(value)
+            except OverflowError:
+                raise BadParamsError(
+                    f"{name} must be finite, got a number beyond the float range"
+                ) from None
             if not math.isfinite(value):
                 raise BadParamsError(f"{name} must be finite, got {value}")
         if self.family == "lognormal" and not merged["sigma"] >= 0.0:

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from sagini import build_dataset, cli, lorenz_curve, lorenz_from_points, report
 from sagini.cli import main
 from sagini.errors import ParseError, SaginiError
+from sagini.io import json_pieces
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -298,6 +299,25 @@ class TestCompute:
             os.close(stdout)
         assert done.returncode == 2
         assert done.stderr == f"error: cannot write stdout: {reason}\n"
+
+    def test_stdout_closed_after_the_first_piece_exit_2(self, tmp_path):
+        # A report of many pieces, several times a pipe's buffer: the reader
+        # takes the first piece and leaves, so a later piece fails to write.
+        path = tmp_path / "many.csv"
+        path.write_text("".join(f"{i % 97 + 1}.25\n" for i in range(50_000)))
+        first = next(json_pieces({"schema_version": "2"}))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with subprocess.Popen(
+            [sys.executable, "-m", "sagini.cli", "compute", "-i", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": str(SRC)},
+        ) as child:
+            assert child.stdout.read(len(first)) == first.encode()
+            child.stdout.close()
+            stderr = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 2
+        assert stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 class TestInputEdges:

@@ -15,6 +15,7 @@ from sagini import (
     sensitivity_sweep,
 )
 from sagini.generators import SweepRow
+from sagini.io import sweep_to_json
 from sagini.metrics import _CHUNK, _MAX_EXACT_N
 
 
@@ -75,6 +76,17 @@ class TestConfigValidation:
             config("lognormal", sigma=value)
         assert config("lognormal", sigma=2).params == {"sigma": 2}
 
+    @pytest.mark.parametrize(
+        "value, same",
+        [(np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (1, 1.0), (np.int64(1), 1.0)],
+        ids=["float32", "Fraction", "int", "int64"],
+    )
+    def test_params_become_floats(self, value, same):
+        cfg = config("lognormal", n=10, reps=3, sigma=value)
+        assert type(cfg.params["sigma"]) is float
+        expected = sweep_to_json(sensitivity_sweep(config("lognormal", n=10, reps=3, sigma=same)))
+        assert sweep_to_json(sensitivity_sweep(cfg)) == expected
+
     def test_pareto_needs_finite_mean(self):
         with pytest.raises(BadParamsError, match="alpha"):
             config("pareto", alpha=1.0)
@@ -96,6 +108,8 @@ class TestConfigValidation:
             ("uniform", {"high": math.inf}),
             ("uniform", {"low": -math.inf}),
             ("symmetric_triangular", {"low": math.nan}),
+            ("uniform", {"high": 10**400}),
+            ("lognormal", {"sigma": Fraction(10**400)}),
         ],
     )
     def test_non_finite_params(self, family, params):

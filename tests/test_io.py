@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,17 +22,21 @@ from sagini import (
     report,
     sensitivity_sweep,
 )
+from sagini import io as sagini_io
 from sagini.errors import ParseError
 from sagini.generators import SweepResult, SweepRow
 from sagini.io import (
     InputSpec,
     _decode,
+    _has_line_over,
     _line_table,
     _loadtxt,
     build_document,
+    csv_pieces,
     document_to_csv,
     document_to_json,
     document_to_text,
+    json_pieces,
     read_lorenz_points,
     read_values,
     sweep_to_csv,
@@ -517,6 +523,55 @@ class TestReaderDifferential:
         assert _loadtxt(text, InputSpec(), points=True) is None
 
 
+class TestReaderDifferentialSmallBlocks(TestReaderDifferential):
+    """The same cases, read three bytes at a time: every table crosses blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", 3)
+
+
+class TestReadBlockEdges:
+    """Tables whose block edges fall on the places the reader must get right."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", 4)
+
+    def read_both_ways(self, tmp_path, raw, **kwargs):
+        """The reader's outcome, which must be the line parser's."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        spec = InputSpec(path=str(path), **kwargs)
+        assert _loadtxt(raw, spec, points=False) is not None
+        result = outcome(lambda: read_values(spec)[0])
+        assert result == outcome(_line_table, _decode(raw), spec, False)
+        return result
+
+    def test_header_straddling_a_block_edge(self, tmp_path):
+        raw = b"\n\n\nid,region,income\n1,north,10\n2,south,20.5\n"
+        result = self.read_both_ways(tmp_path, raw, header=True, column="income")
+        assert result == ("ok", "<f8", (2,), "[10.0, 20.5]")
+
+    def test_crlf_split_across_a_block_edge(self, tmp_path):
+        # The first block would end between "\r" and "\n" of "1,2\r\n".
+        raw = b"1,2\r\n3,4\r\n55,66\r\n"
+        result = self.read_both_ways(tmp_path, raw, column=2)
+        assert result == ("ok", "<f8", (3,), "[2.0, 4.0, 66.0]")
+
+    def test_block_of_only_blank_lines(self, tmp_path):
+        raw = b"1\n" + b"\n" * 12 + b"2\n"
+        result = self.read_both_ways(tmp_path, raw)
+        assert result == ("ok", "<f8", (2,), "[1.0, 2.0]")
+
+    def test_bad_cell_in_a_later_block(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"".join(b"%d\n" % i for i in range(40)) + b"4x\n5\n")
+        with pytest.raises(ParseError) as err:
+            read_values(InputSpec(path=str(path)))
+        assert str(err.value) == "line 41, column 1: '4x' is not a number"
+
+
 # Cells for the reader differential: numbers in every spelling ``float``
 # takes, with and without Unicode padding, and cells the grammar rejects.
 _CELL_ALPHABET = "0123456789.-+eE_ \t\x1f\xa0\u3000\u0663\uff11naifINF"
@@ -557,6 +612,30 @@ def test_loadtxt_agrees_with_the_line_parser(table, points):
     if fast is not None:
         expected = outcome(_line_table, text, spec, points)
         assert outcome(lambda: fast) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=reader_tables(), points=st.booleans())
+@pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
+def test_byte_reader_agrees_with_the_line_parser(block, table, points):
+    """The same on the raw bytes, read whole and three bytes at a time."""
+    text, spec = table
+    with mock.patch.object(sagini_io, "_READ_BLOCK", block):
+        fast = _loadtxt(text.encode(), spec, points)
+    if fast is not None:
+        expected = outcome(_line_table, text, spec, points)
+        assert outcome(lambda: fast) == expected
+
+
+@given(
+    lines=st.lists(st.integers(0, 12), max_size=8),
+    final_break=st.booleans(),
+    limit=st.integers(1, 10),
+)
+def test_has_line_over_measures_the_longest_line(lines, final_break, limit):
+    data = b"\n".join(b"x" * length for length in lines) + (b"\n" if final_break else b"")
+    longest = max(map(len, data.split(b"\n")))
+    assert _has_line_over(data, limit) == (longest > limit)
 
 
 def json_golden(doc):
@@ -667,9 +746,80 @@ class TestJsonGolden:
         assert "NaN" in text and "-Infinity" in text
         assert text == json.dumps(sweep_document(result), indent=2) + "\n"
 
+    def test_specials_after_the_first_floats(self):
+        nan, inf = float("nan"), float("inf")
+        json_golden(curve_document([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0]))
+        json_golden({"a": [0.5, 1.5, 2.5, 3.5, "x", None, True, (1, 2.5), [0.5], {"b": 2.0}]})
+
+    def test_csv_rows_are_the_lorenz_shares(self):
+        doc = curve_document([0.1, 0.2, 0.3, 0.4, 0.5, float("nan"), -0.0, 1.0])
+        lines = document_to_csv(doc).splitlines()
+        n = doc["input"]["n"]
+        assert lines[lines.index("i,p,q") + 1 :] == [
+            f"{i},{i / n!r},{q!r}" for i, q in enumerate(doc["lorenz"]["q"], start=1)
+        ]
+
     def test_other_shapes(self):
         json_golden({})
         json_golden({"a": [], "b": {}, "c": [1, 2.5, True, None, "x\ny"]})
         json_golden({"a": {"b": [1.5, 2]}, "c": [[0.5]], "d": ("t", 1)})
         json_golden({"numpy": {"v": [np.float64(0.1), 1e-07]}, 1: "int key"})
         json_golden({"text": "\u00e9\u2028\n", "lorenz": {"p": [0.5, 1.0]}})
+
+
+class TestJsonGoldenSmallBlocks(TestJsonGolden):
+    """The same documents written two list items or sweep rows to a piece."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sagini_io, "_WRITE_BLOCK", 2)
+
+    def test_pieces_hold_a_block_each(self):
+        doc = curve_document([0.1, 0.2, 0.3, 0.4, 1.0], with_provenance=False)
+        assert [piece.count(",") for piece in json_pieces(doc) if "0.1" in piece] == [1]
+        assert len(list(csv_pieces(doc))) == 1 + 3
+
+
+def income_table(tmp_path, rows):
+    """An ``id,region,income`` CSV of cents-rounded lognormal incomes."""
+    rng = np.random.default_rng(7)
+    cents = np.round(rng.lognormal(10.0, 1.0, rows) * 100).astype(np.int64)
+    regions = ("north", "south", "east", "west", "central")
+    path = tmp_path / "incomes.csv"
+    path.write_text(
+        "id,region,income\n"
+        + "".join(f"{i},{regions[i % 5]},{c // 100}.{c % 100:02d}\n" for i, c in enumerate(cents))
+    )
+    return path
+
+
+def traced_peak(work):
+    """tracemalloc's peak while ``work()`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Beyond the table it returns and the document it writes, I/O holds a
+    block's worth of memory, not one object per row."""
+
+    def test_read_peaks_below_three_times_the_input(self, tmp_path):
+        path = income_table(tmp_path, 200_000)
+        spec = InputSpec(path=str(path), header=True, column="income")
+        peak = traced_peak(lambda: read_values(spec))
+        assert peak <= 3 * path.stat().st_size
+
+    def test_writer_peak_beyond_the_document_is_bounded(self, tmp_path):
+        from sagini.cli import _write_output
+
+        data = build_dataset(np.random.default_rng(8).lognormal(10.0, 1.0, 200_000))
+        doc = build_document(report(data), lorenz_curve(data), data=data, digest=None)
+        out = tmp_path / "report.json"
+        peak = traced_peak(lambda: _write_output(str(out), json_pieces(doc)))
+        assert peak <= 4 * 2**20
+        assert out.read_text() == document_to_json(doc)
