@@ -18,6 +18,7 @@ from . import __version__
 from .errors import ParseError, SaginiError
 from .generators import FAMILIES, ExperimentConfig, sensitivity_sweep
 from .io import (
+    _FORMATS,
     InputSpec,
     build_document,
     csv_pieces,
@@ -44,7 +45,7 @@ EXIT_CONFIG = 4
 _INPUT_OPTIONS = [
     click.option(
         "--input-format",
-        type=click.Choice(["csv", "tsv", "whitespace"]),
+        type=click.Choice(_FORMATS),
         default="csv",
         show_default=True,
         help="How input lines are split into columns.",

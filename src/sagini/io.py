@@ -19,23 +19,26 @@ validation rejects. The fast parser is numpy's C reader
 :func:`numpy.loadtxt`, which converts only the needed columns. Its float
 parser reads the same grammar and gives the same values: it strips
 Unicode whitespace padding, so padded cells stay on the fast path, and
-rejects underscores and non-ASCII digits. A cheap pre-screen sends to
-the line-by-line parser any input holding a quote, a NUL or a line break
-other than ``\n`` and ``\r\n``, or a line longer than the csv module's
-field limit; so does any error :func:`numpy.loadtxt` raises. ASCII input
-is screened as raw bytes, without decoding it whole; other input is
-decoded first. The line parser gives the same values and is the only
-source of parse errors and their line numbers.
+rejects underscores and non-ASCII digits. A cheap pre-screen of the raw
+bytes sends to the line-by-line parser any input holding a quote, a NUL
+or a line break other than ``\n`` and ``\r\n``, or a line longer than
+the csv module's field limit; so do invalid UTF-8 and any error
+:func:`numpy.loadtxt` raises. Every input, whatever its encoding, line
+ends or byte-order mark, takes that one screen without being decoded
+whole. The line parser gives the same values and is the only source of
+parse errors and their line numbers.
 
-Memory is bounded by blocks, not by the number of rows. ``loadtxt`` reads
-the lines as they are decoded, :data:`_READ_BLOCK` bytes of whole lines
-at a time, so a read holds the input's bytes, one block of lines and the
-table. The writers yield the report in pieces of :data:`_WRITE_BLOCK`
-shares or rows, which the CLI writes in turn; ``document_to_json``,
-``document_to_csv`` and ``sweep_to_json`` are the joins of the same
-pieces. On 1e6
-rows, ``compute`` to JSON peaks at about 98 MB RSS, 64 MB above the
-interpreter with its imports, and takes about 2 s on a 2-core host.
+On the fast path memory is bounded by blocks, not by the number of rows.
+``loadtxt`` reads the lines as they are decoded, :data:`_READ_BLOCK`
+bytes of whole lines at a time, so a read holds the input's bytes, one
+block of lines and the table. The line parser is not bounded: it holds
+the decoded text, its lines and every row's cells, over 20 times the
+input on a large table. The writers yield the report in pieces of
+:data:`_WRITE_BLOCK` shares or rows, which the CLI writes in turn;
+``document_to_json``, ``document_to_csv`` and ``sweep_to_json`` are the
+joins of the same pieces. On 1e6 rows, ``compute`` to JSON peaks at
+about 98 MB RSS, 64 MB above the interpreter with its imports, and takes
+about 2 s on a 2-core host.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
@@ -68,11 +71,13 @@ SCHEMA_VERSION = "2"
 _FORMATS = ("csv", "tsv", "whitespace")
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
-#: Characters :meth:`str.splitlines` breaks lines at, besides ``\n`` and
-#: ``\r\n``: the ASCII ones as bytes, and those beyond ASCII. Input holding
-#: any of them takes the line-by-line parser.
-_OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-_WIDE_BREAKS = ("\x85", "\u2028", "\u2029")
+#: Characters :meth:`str.splitlines` breaks lines at, besides ``\n``,
+#: ``\r\n`` and a lone ``\r``, in UTF-8: the ASCII ones and those beyond
+#: ASCII. Input holding any of them takes the line-by-line parser.
+_OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_WIDE_BREAKS = tuple(brk.encode() for brk in ("\x85", "\u2028", "\u2029"))
+
+_BOM = "\ufeff".encode()
 
 #: Bytes of input decoded at a time by the fast reader, rounded up to whole
 #: lines.
@@ -253,52 +258,44 @@ def _layout(
     return skip, (0, 1) if points else (_resolve_column(spec, names, first),)
 
 
-def _loadtxt(data: bytes | str, spec: InputSpec, points: bool) -> np.ndarray | None:
+def _loadtxt(data: bytes, spec: InputSpec, points: bool) -> np.ndarray | None:
     """The selected column, or the (p, q) columns if ``points``, read by
-    :func:`numpy.loadtxt`; None leaves the input to the line parser.
+    :func:`numpy.loadtxt` from the raw input ``data``; None leaves the
+    input to the line parser.
 
-    ``data`` is the raw input or its decoded text. ASCII bytes are screened
-    as they are; anything else is decoded (invalid UTF-8 goes to the line
-    parser, which names the line), screened for the line breaks beyond
-    ASCII and encoded again without its byte-order mark. The pre-screen
-    sends on what ``loadtxt`` reads differently from :func:`_rows`: a
-    quote, a NUL, a line break other than ``\n`` or ``\r\n`` and a line
-    beyond the csv module's field limit. ``loadtxt`` then reads one stream
-    of lines, decoded a block of :data:`_READ_BLOCK` bytes at a time, so
-    beyond the table itself it holds one block's lines. The layout comes
-    from :func:`_rows` on the same lines, read only as far as the first data
-    row; ``skiprows`` is the header's line number, so blank lines before the
-    header go with it. ``loadtxt`` skips other blank lines and rejects a
-    whitespace-only cell. It warns on input without data rows, so it never
-    sees one: that is an empty table.
+    The screen runs on the bytes, which UTF-8 makes exact: no byte of a
+    multi-byte character is ASCII. It sends on what ``loadtxt`` reads
+    differently from :func:`_rows`: a quote, a NUL, a line break other than
+    ``\n`` or ``\r\n`` and a line beyond the csv module's field limit. The
+    breaks beyond ASCII are searched for only in non-ASCII input. What the
+    screen leaves, :func:`_lines` finds as it decodes: invalid UTF-8 and a
+    lone ``\r``. Like every other ``ValueError`` on the way, including an
+    unknown format from :func:`_rows`, they leave the input to the line
+    parser, which names the line.
+
+    ``loadtxt`` reads one stream of lines, decoded a block of
+    :data:`_READ_BLOCK` bytes at a time, so beyond the table itself it
+    holds one block's lines. The layout comes from :func:`_rows` on the
+    same lines, read only as far as the first data row; ``skiprows`` is the
+    header's line number, so blank lines before the header go with it.
+    ``loadtxt`` skips other blank lines and rejects a whitespace-only cell.
+    It warns on input without data rows, so it never sees one: that is an
+    empty table.
     """
     fmt = spec.format
-    if fmt not in _FORMATS:
+    if b'"' in data or b"\x00" in data or any(brk in data for brk in _OTHER_BREAKS):
         return None
-    if isinstance(data, str) or not data.isascii():
-        try:
-            text = data if isinstance(data, str) else _decode(data)
-        except ParseError:
-            return None
-        if any(brk in text for brk in _WIDE_BREAKS):
-            return None
-        data = text.encode()
-    if b'"' in data or b"\x00" in data:
-        return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    if any(brk in data for brk in _OTHER_BREAKS):
+    # A break's lead byte alone is found some 20 times faster than the
+    # whole sequence, and most non-ASCII input holds none.
+    if not data.isascii() and any(brk[:1] in data and brk in data for brk in _WIDE_BREAKS):
         return None
     if fmt != "whitespace" and _has_line_over(data, csv.field_size_limit()):
         return None
     try:
         layout = _layout(_rows(_lines(data), fmt), spec, points)
-    except ParseError:
-        return None
-    if layout is None:
-        return np.empty((0, 2) if points else 0)
-    skip, usecols = layout
-    try:
+        if layout is None:
+            return np.empty((0, 2) if points else 0)
+        skip, usecols = layout
         return np.loadtxt(
             _lines(data),
             delimiter=_DELIMITERS.get(fmt),
@@ -313,17 +310,27 @@ def _loadtxt(data: bytes | str, spec: InputSpec, points: bool) -> np.ndarray | N
 
 
 def _lines(data: bytes) -> Iterator[str]:
-    """The lines of UTF-8 ``data`` without their ``\n``, as
-    ``text.split("\n")`` gives them but for a last empty line, decoded
-    lazily in blocks of whole lines, each :data:`_READ_BLOCK` bytes or more.
+    """The lines of ``data`` after any byte-order mark, without their
+    ``\n`` or ``\r\n``, as ``text.split("\n")`` gives them but for a last
+    empty line. They are decoded lazily in blocks of whole lines, each
+    :data:`_READ_BLOCK` bytes or more.
+
+    Invalid UTF-8 raises :class:`UnicodeDecodeError` and a lone ``\r``
+    :class:`ValueError` when their block is decoded.
     """
-    return chain.from_iterable(
-        block.decode().removesuffix("\n").split("\n") for block in _blocks(data)
-    )
+    return chain.from_iterable(map(_block_lines, _blocks(data)))
+
+
+def _block_lines(block: bytes) -> list[str]:
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+        if b"\r" in block:
+            raise ValueError("a line break other than \\n or \\r\\n")
+    return block.decode().removesuffix("\n").split("\n")
 
 
 def _blocks(data: bytes) -> Iterator[bytes]:
-    start = 0
+    start = len(_BOM) if data.startswith(_BOM) else 0
     while start < len(data):
         end = data.find(b"\n", start + _READ_BLOCK - 1) + 1
         end = end or len(data)

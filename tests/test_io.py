@@ -479,7 +479,7 @@ class TestReaderDifferential:
     )
     def test_regular_values_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text, InputSpec(**kwargs), points=False) is not None
+        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=False) is not None
 
     @pytest.mark.parametrize(
         "name",
@@ -488,19 +488,19 @@ class TestReaderDifferential:
     )
     def test_outside_grammar_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text, InputSpec(**kwargs), points=False) is None
+        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=False) is None
 
     @pytest.mark.parametrize("name", ["points underscore"])
     def test_points_outside_grammar_are_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text, InputSpec(**kwargs), points=True) is None
+        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=True) is None
 
     @pytest.mark.parametrize(
         "name", ["points", "points header", "points three columns", "points unicode padding"]
     )
     def test_regular_points_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text, InputSpec(**kwargs), points=True) is not None
+        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=True) is not None
 
     @pytest.mark.parametrize(
         "name",
@@ -509,7 +509,7 @@ class TestReaderDifferential:
     )
     def test_irregular_text_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(_decode(text.encode()), InputSpec(**kwargs), points=False) is None
+        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=False) is None
 
     def test_balanced_ragged_rows_still_fail(self, tmp_path):
         path = write(tmp_path, "1,2,3\n4,5\n6,7,8,9\n")
@@ -518,9 +518,9 @@ class TestReaderDifferential:
             read_values(InputSpec(path=path, column=3))
 
     def test_oversized_field_is_left_to_the_line_parser(self):
-        text = "1," + "9" * (csv.field_size_limit() + 1) + "\n2,3\n"
-        assert _loadtxt(text, InputSpec(), points=False) is None
-        assert _loadtxt(text, InputSpec(), points=True) is None
+        raw = b"1," + b"9" * (csv.field_size_limit() + 1) + b"\n2,3\n"
+        assert _loadtxt(raw, InputSpec(), points=False) is None
+        assert _loadtxt(raw, InputSpec(), points=True) is None
 
 
 class TestReaderDifferentialSmallBlocks(TestReaderDifferential):
@@ -538,12 +538,13 @@ class TestReadBlockEdges:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(sagini_io, "_READ_BLOCK", 4)
 
-    def read_both_ways(self, tmp_path, raw, **kwargs):
-        """The reader's outcome, which must be the line parser's."""
+    def read_both_ways(self, tmp_path, raw, fast=True, **kwargs):
+        """The reader's outcome, which must be the line parser's; ``fast``
+        is whether numpy's reader gives it."""
         path = tmp_path / "in.csv"
         path.write_bytes(raw)
         spec = InputSpec(path=str(path), **kwargs)
-        assert _loadtxt(raw, spec, points=False) is not None
+        assert (_loadtxt(raw, spec, points=False) is not None) == fast
         result = outcome(lambda: read_values(spec)[0])
         assert result == outcome(_line_table, _decode(raw), spec, False)
         return result
@@ -552,6 +553,12 @@ class TestReadBlockEdges:
         raw = b"\n\n\nid,region,income\n1,north,10\n2,south,20.5\n"
         result = self.read_both_ways(tmp_path, raw, header=True, column="income")
         assert result == ("ok", "<f8", (2,), "[10.0, 20.5]")
+
+    def test_bom_before_a_header_straddling_a_block_edge(self, tmp_path):
+        # The first block starts after the mark, so "id" names the column.
+        raw = b"\xef\xbb\xbfid,region,income\n1,north,10\n2,south,20.5\n"
+        result = self.read_both_ways(tmp_path, raw, header=True, column="id")
+        assert result == ("ok", "<f8", (2,), "[1.0, 2.0]")
 
     def test_crlf_split_across_a_block_edge(self, tmp_path):
         # The first block would end between "\r" and "\n" of "1,2\r\n".
@@ -563,6 +570,28 @@ class TestReadBlockEdges:
         raw = b"1\n" + b"\n" * 12 + b"2\n"
         result = self.read_both_ways(tmp_path, raw)
         assert result == ("ok", "<f8", (2,), "[1.0, 2.0]")
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (b"1,2\n3,4\n5,6\r7,8\n", ("ok", "<f8", (4,), "[2.0, 4.0, 6.0, 8.0]")),
+            (b"1,2\n3,4\n5,6\r7,x\n", ("error", "line 4, column 2: 'x' is not a number")),
+        ],
+    )
+    def test_lone_cr_in_a_later_block(self, tmp_path, raw, expected):
+        # The layout is read from the first block; the "\r" is found as
+        # loadtxt reads the third.
+        assert self.read_both_ways(tmp_path, raw, fast=False, column=2) == expected
+
+    def test_invalid_utf8_in_a_later_block(self, tmp_path):
+        raw = b"".join(b"%d\n" % i for i in range(40)) + b"4\xff\n5\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        spec = InputSpec(path=str(path))
+        assert _loadtxt(raw, spec, points=False) is None
+        with pytest.raises(ParseError) as err:
+            read_values(spec)
+        assert str(err.value) == "line 41: byte 0xff is not valid UTF-8"
 
     def test_bad_cell_in_a_later_block(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -588,8 +617,10 @@ _reader_cells = st.one_of(
 
 
 @st.composite
-def reader_tables(draw):
-    """(text, InputSpec): a table as the readers see it after decoding."""
+def reader_inputs(draw):
+    """(raw bytes, InputSpec): a table as it arrives, with or without a
+    byte-order mark, its lines ended by ``\n`` or ``\r\n``; perhaps one
+    other line break, and perhaps one byte that is not valid UTF-8."""
     fmt, sep = draw(st.sampled_from(
         [("csv", ","), ("tsv", "\t"), ("whitespace", " "), ("whitespace", "\t"), ("whitespace", "  ")]
     ))
@@ -598,30 +629,35 @@ def reader_tables(draw):
     if header and draw(st.booleans()):
         rows.insert(0, draw(st.lists(st.sampled_from(["a", "b", "income"]), min_size=1, max_size=3)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+    ends = [newline] * len(rows)
+    if rows and draw(st.integers(0, 3)) == 2:
+        ends[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(["\r", "\x85", "\u2028"]))
+    if rows and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(sep.join(row) + end for row, end in zip(rows, ends))
+    raw = draw(st.sampled_from([b"", "\ufeff".encode()])) + text.encode()
+    if draw(st.integers(0, 9)) == 5:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[at:]
     column = draw(st.sampled_from([None, 1, 2, 3, "2", "income"]))
-    return text, InputSpec(format=fmt, column=column, header=header)
+    return raw, InputSpec(format=fmt, column=column, header=header)
 
 
 @settings(max_examples=400, deadline=None)
-@given(table=reader_tables(), points=st.booleans())
-def test_loadtxt_agrees_with_the_line_parser(table, points):
-    """Whatever numpy's reader returns, the line parser returns bit for bit."""
-    text, spec = table
-    fast = _loadtxt(text, spec, points)
-    if fast is not None:
-        expected = outcome(_line_table, text, spec, points)
-        assert outcome(lambda: fast) == expected
-
-
-@settings(max_examples=400, deadline=None)
-@given(table=reader_tables(), points=st.booleans())
+@given(table=reader_inputs(), points=st.booleans())
 @pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
-def test_byte_reader_agrees_with_the_line_parser(block, table, points):
-    """The same on the raw bytes, read whole and three bytes at a time."""
-    text, spec = table
+def test_loadtxt_agrees_with_the_line_parser(block, table, points):
+    """Whatever numpy's reader returns, the line parser returns bit for bit,
+    on the raw bytes read whole and three bytes at a time. Input that is
+    not UTF-8 is left to the line parser, which names the line."""
+    raw, spec = table
     with mock.patch.object(sagini_io, "_READ_BLOCK", block):
-        fast = _loadtxt(text.encode(), spec, points)
+        fast = _loadtxt(raw, spec, points)
+    try:
+        text = _decode(raw)
+    except ParseError:
+        assert fast is None
+        return
     if fast is not None:
         expected = outcome(_line_table, text, spec, points)
         assert outcome(lambda: fast) == expected
@@ -780,15 +816,18 @@ class TestJsonGoldenSmallBlocks(TestJsonGolden):
         assert len(list(csv_pieces(doc))) == 1 + 3
 
 
-def income_table(tmp_path, rows):
-    """An ``id,region,income`` CSV of cents-rounded lognormal incomes."""
+def income_table(tmp_path, rows, encode=str.encode):
+    """An ``id,region,income`` CSV of cents-rounded lognormal incomes, its
+    text written as ``encode`` turns it into bytes."""
     rng = np.random.default_rng(7)
     cents = np.round(rng.lognormal(10.0, 1.0, rows) * 100).astype(np.int64)
     regions = ("north", "south", "east", "west", "central")
     path = tmp_path / "incomes.csv"
-    path.write_text(
-        "id,region,income\n"
-        + "".join(f"{i},{regions[i % 5]},{c // 100}.{c % 100:02d}\n" for i, c in enumerate(cents))
+    path.write_bytes(
+        encode(
+            "id,region,income\n"
+            + "".join(f"{i},{regions[i % 5]},{c // 100}.{c % 100:02d}\n" for i, c in enumerate(cents))
+        )
     )
     return path
 
@@ -808,11 +847,21 @@ class TestMemory:
     """Beyond the table it returns and the document it writes, I/O holds a
     block's worth of memory, not one object per row."""
 
-    def test_read_peaks_below_three_times_the_input(self, tmp_path):
-        path = income_table(tmp_path, 200_000)
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            str.encode,
+            lambda text: "\ufeff".encode() + text.encode(),
+            lambda text: text.replace("region", "r\xe9gion", 1).encode(),
+            lambda text: text.replace("\n", "\r\n").encode(),
+        ],
+        ids=["ascii-lf", "bom", "non-ascii-header", "crlf"],
+    )
+    def test_read_peaks_below_twice_the_input(self, tmp_path, encode):
+        path = income_table(tmp_path, 200_000, encode)
         spec = InputSpec(path=str(path), header=True, column="income")
         peak = traced_peak(lambda: read_values(spec))
-        assert peak <= 3 * path.stat().st_size
+        assert peak <= 2 * path.stat().st_size
 
     def test_writer_peak_beyond_the_document_is_bounded(self, tmp_path):
         from sagini.cli import _write_output
