@@ -617,6 +617,22 @@ _reader_cells = st.one_of(
 
 
 @st.composite
+def reader_tables(draw):
+    """(text, InputSpec): a well-formed table as the readers see it after decoding."""
+    fmt, sep = draw(st.sampled_from(
+        [("csv", ","), ("tsv", "\t"), ("whitespace", " "), ("whitespace", "\t"), ("whitespace", "  ")]
+    ))
+    rows = draw(st.lists(st.lists(_reader_cells, min_size=1, max_size=4), max_size=6))
+    header = draw(st.booleans())
+    if header and draw(st.booleans()):
+        rows.insert(0, draw(st.lists(st.sampled_from(["a", "b", "income"]), min_size=1, max_size=3)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+    column = draw(st.sampled_from([None, 1, 2, 3, "2", "income"]))
+    return text, InputSpec(format=fmt, column=column, header=header)
+
+
+@st.composite
 def reader_inputs(draw):
     """(raw bytes, InputSpec): a table as it arrives, with or without a
     byte-order mark, its lines ended by ``\n`` or ``\r\n``; perhaps one
@@ -644,12 +660,25 @@ def reader_inputs(draw):
 
 
 @settings(max_examples=400, deadline=None)
+@given(table=reader_tables(), points=st.booleans())
+def test_loadtxt_agrees_with_the_line_parser(table, points):
+    """Whatever numpy's reader returns on a well-formed UTF-8 table, the
+    line parser returns bit for bit."""
+    text, spec = table
+    fast = _loadtxt(text.encode(), spec, points)
+    if fast is not None:
+        expected = outcome(_line_table, text, spec, points)
+        assert outcome(lambda: fast) == expected
+
+
+@settings(max_examples=400, deadline=None)
 @given(table=reader_inputs(), points=st.booleans())
 @pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
-def test_loadtxt_agrees_with_the_line_parser(block, table, points):
-    """Whatever numpy's reader returns, the line parser returns bit for bit,
-    on the raw bytes read whole and three bytes at a time. Input that is
-    not UTF-8 is left to the line parser, which names the line."""
+def test_byte_reader_agrees_with_the_line_parser(block, table, points):
+    """The same on the raw bytes as they arrive, with a byte-order mark,
+    odd line breaks or bytes that are not UTF-8, read whole and three bytes
+    at a time. Input that is not UTF-8 is left to the line parser, which
+    names the line."""
     raw, spec = table
     with mock.patch.object(sagini_io, "_READ_BLOCK", block):
         fast = _loadtxt(raw, spec, points)
