@@ -19,7 +19,8 @@ class NonPositiveTotalError(SaginiError):
 
 
 class InvalidNError(SaginiError):
-    """More values than the kernel's exact float64 rank weights allow."""
+    """More values than the kernel's exact float64 coefficient rows and
+    normalisers allow."""
 
 
 class UnequalSpacingError(SaginiError):

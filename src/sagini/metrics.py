@@ -17,47 +17,68 @@ Summed by parts, each index is an L-statistic: with ``x`` sorted ascending,
 * ``g_left  = 2 sum(c3_k x_k) / (3 n^2 T)``, ``c3 = 3n c1 - c2``.
 
 :func:`report` and :func:`metrics_from_lorenz` evaluate these with one
-kernel: a compensated dot product (Dot2 of Ogita, Rump and Oishi, "Accurate
-Sum and Dot Product", SIAM J. Sci. Comput. 2005) that runs over the sorted
-values in fixed-size chunks and keeps one error-free TwoProduct/TwoSum
-accumulator per chunk column; :func:`math.fsum` adds up the columns at the
-end. It takes two dot products, ``D1`` and ``D2`` with ``c1`` and ``c2``.
-The third follows from the identity ``g_right + g_left = 2 gini``, which in
-rank weights reads ``c3 = 3n c1 - c2``: ``D3 = 3n D1 - D2`` is one fsum over
-the exact TwoProduct pieces of ``3n`` times ``D1``'s column partials and
-over minus ``D2``'s, taken before either is rounded. Data of at most one
-chunk sums ``c3`` in that chunk instead, which keeps its fsum short; there
-every piece is an exact product, so both forms give the same correctly
-rounded ``D3``. The kernel takes a block of rows, one dataset each, and
-sums each row on its own, so a block gives every row the bits it would get
-alone; a report is the block of one, and a replication sweep evaluates
-many rows per block.
+kernel over the values in chunks of ``W = _CHUNK``. Write the rank as ``k =
+cW + j + 1``, with chunk ``c``, column ``j`` and ``kappa = j + 1``. Every
+weight is then a polynomial of degree at most two in ``c + 1``, so each
+weighted sum is a column-wise combination of three iterated sums that need
+no weights::
 
-With ``L`` the number of chunks plus one, ``u = 2**-53`` and ``gamma_L =
-L u / (1 - L u)``, ``D1`` and ``D2`` come out within ``u |D| + gamma_L**2
-* sum|c_k x_k|`` of their exact values, as if computed in twice the
-working precision and then rounded. ``D3`` inherits the error of both
-partials: it is within ``u |D3| + gamma_L**2 * (3n sum|c1_k x_k| +
-sum|c2_k x_k|)``, a term never smaller than ``gamma_L**2 * sum|c3_k
-x_k|``. Within one chunk every sum is correctly rounded. The total ``T``
-is the same chunked compensated sum without the products, so it is within
-``u |T| + gamma_L**2 * sum|x_k|``.
+    A_j = sum_c x,   B_j = sum_c (c+1) x,   E_j = sum_c (c+1)(c+2)/2 x,
+
+    D1 = sum_j (2 kappa - n - 1 - 2W) A_j + 2W B_j,
+    D2 = sum_j (3 (kappa - W)(kappa - W - 1) - (n^2 - 1)) A_j
+             + (3W (2 kappa - 1) - 9 W^2) B_j + 6 W^2 E_j,
+
+and ``D3``'s rows are ``3n`` times ``D1``'s minus ``D2``'s, from the identity
+``g_right + g_left = 2 gini`` (``c3 = 3n c1 - c2``). The kernel forms the
+iterated sums from the last chunk to the first: ``A += x_c``, then ``B +=
+A``, then ``E += B``, each an error-free TwoSum whose rounding error goes
+to a low column; ``B``'s low column also takes ``A``'s, and ``E``'s takes
+``B``'s. These W-column coefficient rows are exact integers, within about
+``2 n^2 + 6 n W``; the first-to-last order would put ``3 (n + W)^2`` on the
+``A`` row. At the end each column's products with the rows are combined
+as in Dot2 (Ogita, Rump and Oishi, "Accurate Sum and Dot Product", SIAM J.
+Sci. Comput. 2005): an exact TwoProduct for each high column, a TwoSum
+across the rows, and the errors and the low columns' products summed in a
+low column. One :func:`math.fsum` per sum then adds up the columns. The
+kernel takes a block of rows, one dataset each, and sums each row on its
+own, so a block gives every row the bits it would get alone; a report is
+the block of one, and a replication sweep evaluates many rows per block.
+Data of one chunk has ``A = B = E = x``: the rows are summed into ``c1``,
+``c2`` and ``c3`` first, every TwoProduct with ``x`` is exact, and each sum
+is correctly rounded.
+
+With ``C`` chunks, ``L = C + 1``, ``u = 2**-53`` and ``gamma = 4Lu / (1 -
+4Lu)``, each sum ``D`` whose rows on ``A``, ``B`` and ``E`` are ``alpha``,
+``beta`` and ``epsilon`` is within ``u |D| + gamma**2 * sum_j (|alpha_j|
+B~_j + |beta_j| E~_j + 2 |epsilon_j| F~_j)`` of its exact value, where
+``B~``, ``E~`` and ``F~`` are the column sums of ``|x|`` weighted by
+``(c+1)``, ``(c+1)(c+2)/2`` and ``(c+1)(c+2)(c+3)/6``. Each low column adds
+up rounding errors of its own high column and the low column one level
+down, so each level of iteration weights the bound by one more factor of
+about ``c``. The total ``T`` is ``A`` alone, a Sum2 in each column, and is
+within ``u |T| + gamma_L**2 * sum|x_k|`` with ``gamma_L = Lu / (1 - Lu)``.
 
 Values are first scaled by the power of two ``2**-e`` that brings the
 largest ``|x|`` into [0.5, 1), which leaves every index unchanged, so no
-product or partial sum overflows. The scaling is a multiplication, exact
-upwards and correctly rounded downwards, in two factors where ``2**-e``
-exceeds the largest float (the largest ``|x|`` below ``2**-1024``). The
-bounds hold barring underflow, which only touches values some 1e290 times
-smaller than the largest. Data whose scaled total is zero or subnormal,
-where that underflow can swamp the total, is rejected by
-:func:`build_dataset` and by a replication sweep rather than divided by.
-The rank weights, and the partial sums they are built from, are exact
-integers in float64 only up to ``n = _MAX_EXACT_N`` (about 5.5e7); larger
-inputs raise :class:`InvalidNError` before the data is read. For Lorenz
-points the same weights are summed by parts over the shares: ``D =
-sum((c_k - c_(k+1)) q_k)`` with ``c_(n+1) = 0`` and ``T = q_n = 1``; the
-differenced weights still satisfy ``c3 = 3n c1 - c2``.
+product or partial sum overflows; sorted data takes ``e`` from its ends.
+The scaling is a multiplication, exact upwards and correctly rounded
+downwards, in two factors where ``2**-e`` exceeds the largest float (the
+largest ``|x|`` below ``2**-1024``). The bounds hold barring underflow,
+which only touches values some 1e290 times smaller than the largest. Data
+whose scaled total is zero or subnormal, where that underflow can swamp
+the total, is rejected by :func:`build_dataset` and by a replication sweep
+rather than divided by. No weight is formed per value, so only the
+coefficient rows and the normalisers ``n`` and ``3 n^2`` need to be exact
+in float64: both are up to ``n = _MAX_EXACT_N`` (about 5.5e7), and larger
+inputs raise :class:`InvalidNError` before the data is read.
+
+For Lorenz points the weights are summed by parts over the shares: ``D =
+sum((c_k - c_(k+1)) q_k)`` with ``c_(n+1) = 0`` and ``T = q_n = 1``. The
+differences are ``-2`` and ``-6k`` below ``k = n``, so ``D1 = -2 sum_j A_j
++ (n + 1) q_n`` and ``D2 = sum_j (-6 (kappa - W) A_j - 6W B_j) + (2n +
+1)(n + 1) q_n``, ``D3``'s rows are again ``3n`` times ``D1``'s minus
+``D2``'s, and the ``q_n`` pieces are exact products.
 
 This kernel is the only float path for the indices; the exact rational
 evaluations in :mod:`sagini.oracle` are its ground truth. Every value
@@ -70,7 +91,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Literal, NoReturn, Sequence
 
 import numpy as np
@@ -99,28 +120,20 @@ _CONVEXITY_SLACK = 1e-12
 #: cache and peak memory does not grow with n.
 _CHUNK = 8192
 
-#: The chunk-relative integer rows ``2j``, ``3j(j-1)`` and ``6j`` for
-#: ``j = 0 .. _CHUNK``, from which :func:`_rank_weights` builds any chunk's
-#: weights with a few exact additions.
-_J = np.arange(_CHUNK + 1, dtype=float)
-_TWO_J = 2.0 * _J
-_THREE_J_J1 = 3.0 * _J * (_J - 1.0)
-_SIX_J = 6.0 * _J
-
 #: Dekker's splitting constant ``2**27 + 1``: ``a * _SPLIT`` cuts a float
 #: into two halves of at most 26 significant bits each, whose products are
 #: exact.
 _SPLIT = 134217729.0
 
-#: Largest n for which every rank weight, and every partial sum it is built
-#: from (``3k(k-1)`` at most, and ``3n c1`` for a one-chunk ``c3``), is an
-#: exact integer in float64 (``3 n^2 <= 2**53``). It also keeps ``3n``, the
-#: factor of the derived third sum, below ``2**28``.
+#: Largest n for which the tail normaliser ``3 n^2`` is an exact integer in
+#: float64 (``3 n^2 <= 2**53``). The coefficient rows of :func:`_rank_rows`
+#: and :func:`_share_rows`, within about ``2 n^2 + 6 n _CHUNK``, are exact
+#: integers there too.
 _MAX_EXACT_N = math.isqrt(2**53 // 3)
 
 
-#: The smallest normal float64. A total scaled as in :func:`_compensated_sums`
-#: that is smaller in magnitude has cancelled into the range where the
+#: The smallest normal float64. A total scaled as in :func:`_rank_sums` that
+#: is smaller in magnitude has cancelled into the range where the
 #: scaled values underflow, and the kernel's bound no longer holds.
 _TINY = sys.float_info.min
 
@@ -423,12 +436,14 @@ def metrics_from_lorenz(
     The increments of ``q`` play the sorted values with total 1. Summed by
     parts, ``sum(c_k (q_k - q_(k-1)))`` becomes ``sum((c_k - c_(k+1)) q_k)``
     over all ``k`` with ``c_(n+1) = 0``: the rank weights of :func:`report`,
-    differenced, evaluated by the same kernel.
+    differenced, evaluated by the same kernel on its own coefficient rows
+    (see module doc).
     """
     curve = points if isinstance(points, LorenzCurve) else lorenz_from_points(points)
     n = curve.n
-    q = curve.q
-    e, sums = _compensated_sums(q[np.newaxis], partial(_share_weights, n))
+    q = curve.q[np.newaxis]
+    e = _exponents(q.min(axis=1), q.max(axis=1))
+    sums = _rank_sums(q, e, _share_rows)
     return _make_report(n, None, _scores(n, sums, np.ldexp(1.0, -e)), convex=curve.convex)
 
 
@@ -450,20 +465,29 @@ def _make_report(
     )
 
 
+def _exponents(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The binary exponent ``e`` of each row's largest ``|x|``, from the
+    row's smallest and largest values: ``2**-e`` scales the row into
+    ``(-1, 1)``."""
+    return np.frexp(np.maximum(-low, high))[1]
+
+
 def _totals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The compensated sum of each row of the finite ``(b, n)`` array ``x``
     (+-inf where it overflows float64), and the same sums still scaled by
-    each row's power of two (see :func:`_compensated_sums`)."""
-    e, sums = _compensated_sums(x)
+    each row's power of two (see :func:`_rank_sums`)."""
+    e = _exponents(x.min(axis=1), x.max(axis=1))
+    sums = _rank_sums(x, e)[:, 0]
     with np.errstate(over="ignore"):
-        return np.ldexp(sums[:, 0], e), sums[:, 0]
+        return np.ldexp(sums, e), sums
 
 
 def _sorted_scores(x: np.ndarray, total: np.ndarray) -> np.ndarray:
     """:func:`_scores` of each row of ``x``, sorted ascending, whose totals
-    are ``total``."""
+    are ``total``. A sorted row's largest ``|x|`` is at one of its ends."""
     n = x.shape[1]
-    e, sums = _compensated_sums(x, partial(_rank_weights, n))
+    e = _exponents(x[:, 0], x[:, -1])
+    sums = _rank_sums(x, e, _rank_rows)
     total = np.ldexp(total, -e)
     # Perfect equality. The compensated sums would leave rounding noise of
     # order u**2 here; the exact answer is zero.
@@ -482,34 +506,39 @@ def _scores(n: int, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.concatenate((scores, (g + abs(gr - gl) / 2.0)[np.newaxis]))
 
 
-def _rank_weights(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``c1, c2`` of centred rank weights for ranks ``start+1 .. stop``.
-
-    With ``a = start + 1`` and rank ``k = a + j``, ``c1 = 2j + (2a - n - 1)``
-    and ``c2 = 3j(j-1) + 6j a + (3a(a-1) - (n^2 - 1))``: the chunk-relative
-    rows plus per-chunk constants, every term and partial sum an exact
-    integer in float64.
-    """
-    a = start + 1
-    m = stop - start
-    w = np.empty((2, m))
-    np.add(_TWO_J[:m], float(2 * a - n - 1), out=w[0])
-    np.multiply(_SIX_J[:m], float(a), out=w[1])
-    w[1] += _THREE_J_J1[:m]
-    w[1] += float(3 * a * (a - 1) - (n * n - 1))
-    return w
-
-
-def _share_weights(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``c_k - c_(k+1)`` of :func:`_rank_weights` for shares ``q_k``,
-    ``k = start+1 .. stop``, with ``c_(n+1) = 0``."""
-    c = _rank_weights(n, start, stop + 1)
-    if stop == n:
-        c[:, -1] = 0.0
-    return c[:, :-1] - c[:, 1:]
+def _rank_rows(n: int) -> tuple[np.ndarray, None]:
+    """The W-column coefficient rows of ``c1``, ``c2`` and ``c3`` on the
+    iterated sums ``A``, ``B`` and ``E``, shape ``(3, 3, min(n, W))``, and
+    no weight of their own for the last value (see module doc). Built in
+    int64: ``3n`` times ``D1``'s rows passes ``2**53`` near the limit
+    before ``D2``'s are subtracted."""
+    k = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
+    d = k - _CHUNK
+    rows = np.zeros((3, 3, k.size), dtype=np.int64)
+    rows[0, 0] = 2 * k - (n + 1 + 2 * _CHUNK)
+    rows[0, 1] = 2 * _CHUNK
+    rows[1, 0] = 3 * d * (d - 1) - (n * n - 1)
+    rows[1, 1] = 6 * _CHUNK * k - 3 * _CHUNK * (1 + 3 * _CHUNK)
+    rows[1, 2] = 6 * _CHUNK * _CHUNK
+    rows[2] = 3 * n * rows[0] - rows[1]
+    return rows.astype(float), None
 
 
-def _two_product(a: np.ndarray, b: float, ab: np.ndarray) -> np.ndarray:
+def _share_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The W-column coefficient rows of the differenced weights ``c_k -
+    c_(k+1)`` on ``A`` and ``B``, shape ``(3, 2, min(n, W))``, and the
+    weights of the last share ``q_n`` beyond them (see module doc)."""
+    k = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
+    rows = np.zeros((3, 2, k.size), dtype=np.int64)
+    rows[0, 0] = -2
+    rows[1, 0] = 6 * (_CHUNK - k)
+    rows[1, 1] = -6 * _CHUNK
+    rows[2] = 3 * n * rows[0] - rows[1]
+    last = np.array([n + 1, (2 * n + 1) * (n + 1), n * n - 1], dtype=float)
+    return rows.astype(float), last
+
+
+def _two_product(a: np.ndarray, b: float | np.ndarray, ab: np.ndarray) -> np.ndarray:
     """The rounding error ``a b - ab`` of the products ``ab = a * b``,
     exact barring underflow (Dekker's TwoProduct)."""
     t = a * _SPLIT
@@ -526,100 +555,117 @@ def _two_product(a: np.ndarray, b: float, ab: np.ndarray) -> np.ndarray:
     return r
 
 
-def _compensated_sums(
-    x: np.ndarray, weights: Callable[[int, int], np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chunked compensated dot products ``sum_k w_jk x_bk`` for each row
-    ``b`` of the ``(b, n)`` array ``x``, scaled.
+def _rank_sums(
+    x: np.ndarray,
+    e: np.ndarray,
+    rows: Callable[[int], tuple[np.ndarray, np.ndarray | None]] | None = None,
+) -> np.ndarray:
+    """Compensated rank-weighted sums of each row ``b`` of the ``(b, n)``
+    array ``x`` multiplied by ``2**-e_b`` (see module doc).
 
-    Each row is first multiplied by ``2**-e_b``, with ``e_b`` the binary
-    exponent of the row's largest ``|x|``, so ``|x| < 1`` and neither the
-    split products nor the partial sums can overflow. Returns ``e`` (shape
-    ``(b,)``) and the scaled sums. ``weights(start, stop)`` gives the rows
-    ``c1, c2`` for columns ``start:stop`` (see :func:`_rank_weights`),
-    shared by every row; the sums are then the three of ``c1``, ``c2`` and
-    ``c3 = 3n c1 - c2`` (shape ``(b, 3)``). Without ``weights`` the single
-    sum ``sum_k x_bk`` is taken (shape ``(b, 1)``).
+    ``e`` (shape ``(b,)``) holds the binary exponent of each row's largest
+    ``|x|``, so the scaled values lie in ``(-1, 1)`` and no partial sum can
+    overflow. ``rows(n)`` gives the coefficient rows of ``k`` weightings on
+    the iterated sums ``A``, ``B``, ... (shape ``(k, depth, min(n, W))``)
+    and the weights of the last value beyond them (shape ``(k,)``, or
+    None); the result has shape ``(b, k)``. Without ``rows`` it is the
+    plain sum ``A``, shape ``(b, 1)``.
 
-    Each chunk column of each row keeps a running sum ``hi`` (TwoSum,
-    error-free) and the rounding errors of every product and addition in
-    ``lo`` (TwoProduct by Dekker splitting, error-free). At the end one
-    :func:`math.fsum` per row and weight adds up that row's columns, so a
-    row comes out as it would if it were summed alone. The third sum is
-    the fsum of the exact pieces of ``3n`` times the columns of the first
-    and of minus the columns of the second; a row of at most one chunk
-    sums ``c3`` on that chunk instead, which is exact there as well and
-    keeps its fsum short. Memory beyond ``x`` is a few chunks per row.
+    Each column of each row keeps its iterated sums as error-free TwoSum
+    pairs of high and low columns, formed from the last chunk to the
+    first. At the end the columns' products with the coefficient rows are
+    combined column by column (exact TwoProducts, and TwoSum across the
+    rows), and one :func:`math.fsum` per row and weighting adds up the
+    high and low columns, so a row comes out as it would if it were summed
+    alone. Data of one chunk sums the rows first and takes exact
+    TwoProducts with the values. Memory beyond ``x`` is a few chunks per
+    row.
     """
-    n = x.shape[1]
-    if weights is not None and n > _MAX_EXACT_N:
+    b, n = x.shape
+    if rows is not None and n > _MAX_EXACT_N:
         raise InvalidNError(
-            f"n = {n} is above {_MAX_EXACT_N}, beyond which the rank weights "
-            "are not exact in float64"
+            f"n = {n} is above {_MAX_EXACT_N}, beyond which the kernel's "
+            "coefficient rows and normalisers are not exact in float64"
         )
-    e = np.frexp(np.maximum(-x.min(axis=1), x.max(axis=1)))[1]
+    coef, last = rows(n) if rows is not None else (None, None)
     # Multiplying by 2**-e is exact scaling up and one correctly rounded
     # multiply scaling down, as np.ldexp(x, -e) is. Where the largest |x|
     # is subnormal, 2**-e can exceed the largest float: such rows are
     # multiplied by 2**1023 and then by the rest.
-    scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, np.newaxis, np.newaxis]
+    scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, np.newaxis]
     rest = None
     if e.min() < -1023:
-        rest = np.ldexp(1.0, np.maximum(-e - 1023, 0))[:, np.newaxis, np.newaxis]
-    derive = weights is not None and n > _CHUNK
-    hi = lo = None
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        xs = x[:, np.newaxis, start:stop] * scale
+        rest = np.ldexp(1.0, np.maximum(-e - 1023, 0))[:, np.newaxis]
+
+    def scaled(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        v = np.multiply(x[:, start:stop], scale, out=out)
         if rest is not None:
-            xs *= rest
-        if weights is None:
-            h = xs
-            r = None
+            v *= rest
+        return v
+
+    if n <= _CHUNK:
+        # One chunk: A = B = E = x, so the rows sum to the weights.
+        v = scaled(0, n)[:, np.newaxis]
+        if coef is None:
+            pieces = v
         else:
-            w = weights(start, stop)
-            if not derive:
-                w = np.concatenate((w, w[:1] * float(3 * n) - w[1:]))
-            h = w * xs
-            t = xs * _SPLIT
-            xh = t - (t - xs)
-            xl = xs - xh
-            # |c1| < n < 2**26, so c1 splits into (c1, 0) and is used
-            # unsplit; the other rows are split into wh + wl in place.
-            c = w[1:]
-            t = c * _SPLIT
-            t -= t - c
-            wl = c - t
-            c[...] = t
-            r = w * xh
-            r -= h
-            r[:, 1:] += wl * xh
-            r += w * xl
-            r[:, 1:] += wl * xl
-        if hi is None:
-            hi = h
-            lo = np.zeros_like(h) if r is None else r
-            continue
-        m = stop - start
-        p = hi[..., :m]
-        s = p + h
-        z = s - p
-        # err = p - (s - z) + (h - z), in place: h is this chunk's own.
-        err = s - z
-        np.subtract(p, err, out=err)
-        h -= z
-        err += h
-        if r is not None:
-            err += r
-        p[...] = s
-        lo[..., :m] += err
-    columns = np.concatenate((hi, lo), axis=-1)
-    rows = columns.tolist()
-    if derive:
-        p1 = columns[:, 0]
-        three_n = float(3 * n)
-        p3 = p1 * three_n
-        d3 = np.concatenate((p3, _two_product(p1, three_n, p3), -columns[:, 1]), axis=-1)
-        for row, pieces in zip(rows, d3.tolist()):
-            row.append(pieces)
-    return e, np.array([list(map(math.fsum, row)) for row in rows])
+            c = coef.sum(axis=1)
+            if last is not None:
+                c[:, -1] += last
+            h = c * v
+            pieces = np.concatenate((h, _two_product(v, c, h)), axis=-1)
+        return np.array([list(map(math.fsum, row)) for row in pieces.tolist()])
+
+    # The first chunk taken is the last, and may be short: A = B = E = x.
+    depth = 1 if coef is None else coef.shape[1]
+    top = (n - 1) // _CHUNK * _CHUNK
+    first = np.zeros((b, _CHUNK))
+    first[:, : n - top] = scaled(top, n)
+    hi = [first] + [first.copy() for _ in range(depth - 1)]
+    lo = [np.zeros((b, _CHUNK)) for _ in range(depth)]
+    v0, t, z, d = (np.empty((b, _CHUNK)) for _ in range(4))
+    for start in range(top - _CHUNK, -1, -_CHUNK):
+        v = scaled(start, start + _CHUNK, out=v0)
+        for s in range(depth):
+            # A += x, then B += A, then E += B: TwoSum t + d = hi[s] + v,
+            # with d = (p - (t - z)) + (v - z), into the spare buffer t.
+            p = hi[s]
+            np.add(p, v, out=t)
+            np.subtract(t, p, out=z)
+            np.subtract(t, z, out=d)
+            np.subtract(p, d, out=d)
+            np.subtract(v, z, out=z)
+            d += z
+            lo[s] += d
+            if s:
+                lo[s] += lo[s - 1]
+            hi[s], t = t, p
+            v = hi[s]
+    if coef is None:
+        return np.array([[math.fsum(row.tolist())] for row in np.concatenate((hi[0], lo[0]), axis=-1)])
+    sums = np.empty((b, coef.shape[0]))
+    for i, weighting in enumerate(coef):
+        # Dot2 down each column: h + r is sum_s weighting[s] (hi[s] + lo[s]),
+        # with r's own rounding. One weighting at a time keeps the
+        # temporaries to a few chunks per row.
+        h = r = None
+        for c, a, a_lo in zip(weighting, hi, lo):
+            p = c * a
+            err = _two_product(a, c, p)
+            err += c * a_lo
+            if h is None:
+                h, r = p, err
+                continue
+            t = h + p
+            z = t - h
+            r += h - (t - z)
+            r += p - z
+            r += err
+            h = t
+        pieces = [h, r]
+        if last is not None:
+            a = scaled(n - 1, n)
+            p = a * last[i]
+            pieces += [p, _two_product(a, last[i], p)]
+        sums[:, i] = [math.fsum(row.tolist()) for row in np.concatenate(pieces, axis=-1)]
+    return sums

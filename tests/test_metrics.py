@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import operator
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sagini import (
     BadEndpointError,
@@ -28,9 +29,11 @@ from sagini.metrics import (
     _CHUNK,
     _MAX_EXACT_N,
     LorenzCurve,
-    _compensated_sums,
-    _rank_weights,
+    _exponents,
+    _rank_rows,
+    _rank_sums,
     _replication_scores,
+    _share_rows,
     _two_product,
 )
 
@@ -536,12 +539,12 @@ class TestBlockKernel:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_each_row_sums_as_it_would_alone(self, weighted):
         # Rows of different scales and signs, two chunk edges, one block:
-        # the third sum is derived from the first two's column partials.
+        # the iterated sums and their combination run column by column.
         self.check_rows_alone(weighted, 2 * _CHUNK + 5)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_each_row_sums_as_it_would_alone_in_one_chunk(self, weighted):
-        # One chunk: c3 is summed inside it.
+        # One chunk: the coefficient rows are summed into the weights.
         self.check_rows_alone(weighted, _CHUNK)
 
     @staticmethod
@@ -549,12 +552,13 @@ class TestBlockKernel:
         rng = np.random.default_rng(11)
         x = rng.lognormal(0.0, 2.0, (4, n)) * np.array([[1e-300], [1.0], [-3e7], [1e300]])
         x[1, ::7] = 0.0
-        weights = partial(_rank_weights, n) if weighted else None
-        e, sums = _compensated_sums(x, weights)
-        assert e.shape == (4,) and sums.shape == (4, 3 if weighted else 1)
-        for row, e_row, sums_row in zip(x, e.tolist(), sums.tolist()):
-            alone_e, alone = _compensated_sums(row[np.newaxis], weights)
-            assert (alone_e.tolist(), alone.tolist()) == ([e_row], [sums_row])
+        e = _exponents(x.min(axis=1), x.max(axis=1))
+        for rows in (_rank_rows, _share_rows) if weighted else (None,):
+            sums = _rank_sums(x, e, rows)
+            assert sums.shape == (4, 3 if weighted else 1)
+            for row, e_row, sums_row in zip(x, e, sums.tolist()):
+                alone = _rank_sums(row[np.newaxis], e_row[np.newaxis], rows)
+                assert alone.tolist() == [sums_row]
 
     def test_scaling_matches_ldexp_at_every_magnitude(self):
         # Rows whose largest |x| is subnormal (2**-e is then no float), near
@@ -569,8 +573,9 @@ class TestBlockKernel:
                 rng.lognormal(0.0, 1.0, n) - 0.5,
             ]
         )
-        e, sums = _compensated_sums(x)
+        e = _exponents(x.min(axis=1), x.max(axis=1))
         assert e.tolist() == np.frexp(np.abs(x).max(axis=1))[1].tolist()
+        sums = _rank_sums(x, e)
         scaled = np.ldexp(x, -e[:, np.newaxis])
         assert (np.abs(scaled[1]) < 2.0**-1022).sum() > n // 2
         # One chunk: the sum is the fsum of the scaled values themselves.
@@ -579,16 +584,16 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [2, 10, _CHUNK])
     def test_one_chunk_sums_are_correctly_rounded(self, n):
         # Within one chunk every TwoProduct piece is exact, so each of the
-        # three sums, c3's included, is the exact dot product rounded once.
+        # three sums, c3's included, is the exact dot product rounded once:
+        # for the rank weights and for their differences over shares.
         rng = np.random.default_rng(n)
         x = np.sort(rng.lognormal(0.0, 2.0, n) * rng.choice([-1.0, 1.0], n))
-        e, sums = _compensated_sums(x[np.newaxis], partial(_rank_weights, n))
+        e = _exponents(x[:1], x[-1:])
         scaled = [Fraction(v) for v in np.ldexp(x, -e[0]).tolist()]
-        c1 = [2 * k - n - 1 for k in range(1, n + 1)]
-        c2 = [3 * k * (k - 1) - (n * n - 1) for k in range(1, n + 1)]
-        c3 = [3 * n * a - b for a, b in zip(c1, c2)]
-        exact = [float(sum(w * v for w, v in zip(c, scaled))) for c in (c1, c2, c3)]
-        assert sums[0].tolist() == exact
+        for rows, weights in ((_rank_rows, rank_weights), (_share_rows, share_weights)):
+            sums = _rank_sums(x[np.newaxis], e, rows)
+            exact = [float(sum(w * v for w, v in zip(c, scaled))) for c in weights(n)]
+            assert sums[0].tolist() == exact
 
     @pytest.mark.parametrize("b", [3.0 * _MAX_EXACT_N, math.pi], ids=["3n at the limit", "53 bits"])
     def test_two_product_error_is_exact(self, b):
@@ -603,31 +608,136 @@ class TestBlockKernel:
             assert Fraction(a_k) * Fraction(b) == Fraction(ab_k) + Fraction(err_k)
 
 
+def rank_weights(n):
+    """The weights ``c1``, ``c2`` and ``c3`` of ranks 1 .. n, as Python ints."""
+    c1 = [2 * k - n - 1 for k in range(1, n + 1)]
+    c2 = [3 * k * (k - 1) - (n * n - 1) for k in range(1, n + 1)]
+    return c1, c2, [3 * n * a - b for a, b in zip(c1, c2)]
+
+
+def share_weights(n):
+    """The differences ``c_k - c_(k+1)`` of :func:`rank_weights`, ``c_(n+1) = 0``."""
+    return [[a - b for a, b in zip(c, c[1:] + [0])] for c in rank_weights(n)]
+
+
 class TestRankWeights:
-    def test_exact_integers_up_to_the_limit(self):
-        n = _MAX_EXACT_N
-        assert 3 * n * n <= 2**53 < 3 * (n + 1) ** 2
-        # Windows at either end, in the middle, and one chunk plus one
-        # long (the share weights' window) ending at rank n.
-        windows = ((0, 3), (n // 2 - 1, n // 2 + 2), (n - 3, n), (n - _CHUNK - 1, n))
-        for start, stop in windows:
-            weights = _rank_weights(n, start, stop)
-            assert weights.shape == (2, stop - start)
-            ranks = range(start + 1, stop + 1)
-            assert weights.tolist() == [
-                [2 * k - n - 1 for k in ranks],
-                [3 * k * (k - 1) - (n * n - 1) for k in ranks],
+    """The W-column coefficient rows stand for the rank weights exactly."""
+
+    @pytest.mark.parametrize("n", [_CHUNK + 1, 4 * _CHUNK + 3, _MAX_EXACT_N])
+    def test_exact_integers_up_to_the_limit(self, n):
+        assert 3 * _MAX_EXACT_N**2 <= 2**53 < 3 * (_MAX_EXACT_N + 1) ** 2
+        W = _CHUNK
+        kappa = range(1, W + 1)
+        rank, none = _rank_rows(n)
+        share, last = _share_rows(n)
+        assert none is None and rank.shape == (3, 3, W) and share.shape == (3, 2, W)
+        d1 = [[2 * k - n - 1 - 2 * W for k in kappa], [2 * W] * W, [0] * W]
+        d2 = [
+            [3 * k * (k - 1) - 3 * W * (2 * k - 1) + 3 * W * W - (n * n - 1) for k in kappa],
+            [3 * W * (2 * k - 1) - 9 * W * W for k in kappa],
+            [6 * W * W] * W,
+        ]
+        s1 = [[-2] * W, [0] * W]
+        s2 = [[-6 * (k - W) for k in kappa], [-6 * W] * W]
+        for got, (a, b) in ((rank, (d1, d2)), (share, (s1, s2))):
+            third = [[3 * n * u - v for u, v in zip(r, s)] for r, s in zip(a, b)]
+            assert got.tolist() == [a, b, third]
+            assert np.abs(got).max() < 2**53
+        assert last.tolist() == [n + 1, (2 * n + 1) * (n + 1), n * n - 1]
+        # Sparse integer data at both ends, in the middle and at chunk
+        # edges: the rows on its iterated sums give the weighted sums.
+        ranks = sorted({1, 2, W, W + 1, n // 2, n - W - 1, n - W, n - 1, n} - {0})
+        values = dict(zip(ranks, np.random.default_rng(n).integers(-(2**40), 2**40, len(ranks)).tolist()))
+        sums = {}
+        for k, v in values.items():
+            c, j = divmod(k - 1, W)
+            a, b, e = sums.get(j, (0, 0, 0))
+            sums[j] = (a + v, b + (c + 1) * v, e + (c + 1) * (c + 2) // 2 * v)
+        for rows, extra in ((rank, [0, 0, 0]), (share, last.tolist())):
+            got = [
+                sum(int(row[s][j]) * sums[j][s] for j in sums for s in range(rows.shape[1]))
+                + int(x) * values[n]
+                for row, x in zip(rows.tolist(), extra)
             ]
-            # c1 splits into (c1, 0), so the kernel multiplies it unsplit.
-            assert np.abs(weights[0]).max() < 2**26
+            if rows is rank:
+                c1 = {k: 2 * k - n - 1 for k in values}
+                c2 = {k: 3 * k * (k - 1) - (n * n - 1) for k in values}
+            else:
+                c1 = {k: -2 if k < n else n - 1 for k in values}
+                c2 = {k: -6 * k if k < n else (2 * n - 1) * (n - 1) for k in values}
+            want = [sum(c[k] * v for k, v in values.items()) for c in (c1, c2)]
+            assert got == want + [3 * n * want[0] - want[1]]
+
+    @pytest.mark.parametrize("n", [2, 10, _CHUNK])
+    def test_one_chunk_rows_sum_to_the_weights(self, n):
+        rank, _ = _rank_rows(n)
+        share, last = _share_rows(n)
+        assert rank.sum(axis=1).tolist() == [list(c) for c in rank_weights(n)]
+        summed = share.sum(axis=1)
+        summed[:, -1] += last
+        assert summed.tolist() == share_weights(n)
 
     def test_beyond_the_limit_raises(self):
-        # Checked at the kernel's entry; a broadcast view holds the n
-        # values in one float.
+        # Checked at the kernel's entry, before the rows are built; a
+        # broadcast view holds the n values in one float.
         n = _MAX_EXACT_N + 1
         x = np.broadcast_to(1.0, (1, n))
-        with pytest.raises(InvalidNError):
-            _compensated_sums(x, partial(_rank_weights, n))
+        for rows in (_rank_rows, _share_rows):
+            with pytest.raises(InvalidNError):
+                _rank_sums(x, np.array([1]), rows)
         curve = LorenzCurve(q=np.broadcast_to(1.0, (n,)), convex=True)
         with pytest.raises(InvalidNError):
             metrics_from_lorenz(curve)
+
+
+@st.composite
+def scaled_integers(draw):
+    """Integer-valued floats over two to four chunks: wide magnitudes with
+    mixed signs, cancelling pairs, or near-equal values, sorted or not.
+    ``n`` takes exact multiples of the chunk and multiples plus one."""
+    n = draw(
+        st.one_of(
+            st.integers(_CHUNK + 1, 4 * _CHUNK),
+            st.sampled_from([2 * _CHUNK, 4 * _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1]),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["wide", "cancelling", "near-equal"]))
+    if kind == "wide":
+        x = rng.integers(-(2**53) + 1, 2**53, n) * 2.0 ** rng.integers(0, 60, n)
+    elif kind == "cancelling":
+        half = rng.integers(1, 2**53, (n - 1) // 2) * 2.0 ** rng.integers(0, 40, (n - 1) // 2)
+        x = np.concatenate((half, -half, rng.integers(1, 2**20, n - 2 * half.size) * 1.0))
+    else:
+        x = 2.0**52 + rng.integers(0, 8, n)
+    return np.sort(x) if draw(st.booleans()) else rng.permutation(x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scaled_integers(), st.booleans())
+def test_kernel_sums_stay_within_the_bound_across_chunks(x, shares):
+    # The module doc's bound on each sum D with coefficient rows alpha,
+    # beta, epsilon on A, B, E: u |D| + gamma**2 sum_j (|alpha_j| B~_j +
+    # |beta_j| E~_j + 2 |epsilon_j| F~_j), gamma = 4Lu / (1 - 4Lu), with
+    # B~, E~, F~ the column sums of |x| weighted by (c+1), (c+1)(c+2)/2
+    # and (c+1)(c+2)(c+3)/6. Evaluated exactly, on the unscaled integers.
+    rows = _share_rows if shares else _rank_rows
+    n = x.size
+    e = _exponents(x[np.newaxis, :].min(axis=1), x[np.newaxis, :].max(axis=1))
+    got = _rank_sums(x[np.newaxis], e, rows)[0].tolist()
+    ints = [int(v) for v in x.tolist()]
+    exact = [sum(map(operator.mul, c, ints)) for c in (share_weights if shares else rank_weights)(n)]
+    weighted = [[0] * _CHUNK for _ in range(3)]
+    for k, v in enumerate(ints):
+        c, j = divmod(k, _CHUNK)
+        weighted[0][j] += (c + 1) * abs(v)
+        weighted[1][j] += (c + 1) * (c + 2) // 2 * abs(v)
+        weighted[2][j] += (c + 1) * (c + 2) * (c + 3) // 6 * abs(v)
+    u = Fraction(1, 2**53)
+    four_l = 4 * (-(-n // _CHUNK) + 1)
+    gamma = four_l * u / (1 - four_l * u)
+    for d_hat, d, row in zip(got, exact, rows(n)[0].tolist()):
+        s = sum(
+            f * int(abs(a)) * t for f, r, w in zip((1, 1, 2), row, weighted) for a, t in zip(r, w)
+        )
+        assert abs(Fraction(d_hat) * 2 ** int(e[0]) - d) <= u * abs(d) + gamma**2 * s
