@@ -623,9 +623,16 @@ def share_weights(n):
 class TestRankWeights:
     """The W-column coefficient rows stand for the rank weights exactly."""
 
-    @pytest.mark.parametrize("n", [_CHUNK + 1, 4 * _CHUNK + 3, _MAX_EXACT_N])
-    def test_exact_integers_up_to_the_limit(self, n):
+    def test_exact_integers_up_to_the_limit(self):
         assert 3 * _MAX_EXACT_N**2 <= 2**53 < 3 * (_MAX_EXACT_N + 1) ** 2
+        self.check_rows(_MAX_EXACT_N)
+
+    @pytest.mark.parametrize("n", [_CHUNK + 1, 4 * _CHUNK + 3])
+    def test_exact_integers_across_chunks(self, n):
+        self.check_rows(n)
+
+    @staticmethod
+    def check_rows(n):
         W = _CHUNK
         kappa = range(1, W + 1)
         rank, none = _rank_rows(n)
