@@ -12,28 +12,27 @@ naming their line.
 
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
-They share one read path, and both of its parsers one layout step,
-:func:`_layout`: the header's line number and the columns to read. Input
-without data rows, with or without a header, is an empty table, which
-validation rejects. The fast parser is numpy's C reader
-:func:`numpy.loadtxt`, which converts only the needed columns. Its float
-parser reads the same grammar and gives the same values: it strips
-Unicode whitespace padding, so padded cells stay on the fast path, and
-rejects underscores and non-ASCII digits. A cheap pre-screen of the raw
-bytes sends to the line-by-line parser any input holding a quote, a NUL
-or a line break other than ``\n`` and ``\r\n``, or a line longer than
-the csv module's field limit; so do invalid UTF-8 and any error
-:func:`numpy.loadtxt` raises. Every input, whatever its encoding, line
-ends or byte-order mark, takes that one screen without being decoded
-whole. The line parser gives the same values and is the only source of
-parse errors and their line numbers.
+They share one read path, which takes the file or stdin one block of
+:data:`_READ_BLOCK` bytes of whole lines at a time. Each block is hashed,
+decoded and split with :meth:`str.splitlines`, so both parsers get the
+same lines, whatever their line breaks. The header's cells and the
+columns to read come from the first data row, in whichever block it
+falls. Input without data rows, with or without a header, is an empty
+table, which validation rejects.
 
-On the fast path memory is bounded by blocks, not by the number of rows.
-``loadtxt`` reads the lines as they are decoded, :data:`_READ_BLOCK`
-bytes of whole lines at a time, so a read holds the input's bytes, one
-block of lines and the table. The line parser is not bounded: it holds
-the decoded text, its lines and every row's cells, over 20 times the
-input on a large table. The writers yield the report in pieces of
+The fast parser is numpy's C reader :func:`numpy.loadtxt`, which converts
+only the needed columns. Its float parser reads the same grammar and
+gives the same values: it strips Unicode whitespace padding, so padded
+cells stay on the fast path, and rejects underscores and non-ASCII
+digits. A block holding a quote, a NUL or a line longer than the csv
+module's field limit goes to the line-by-line parser instead, as does a
+block ``loadtxt`` rejects; the line parser gives the same values and
+names the line of a bad cell or row. Errors come in block order: an
+invalid byte is reported ahead of a bad row in its own block, but not
+ahead of one in an earlier block.
+
+A read holds one block's bytes, text and lines, or its cells on the line
+path, beyond the parsed table. The writers yield the report in pieces of
 :data:`_WRITE_BLOCK` shares or rows, which the CLI writes in turn;
 ``document_to_json``, ``document_to_csv`` and ``sweep_to_json`` are the
 joins of the same pieces. On 1e6 rows, ``compute`` to JSON peaks at
@@ -55,10 +54,10 @@ import csv
 import hashlib
 import json
 import sys
+from array import array
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,16 +70,10 @@ SCHEMA_VERSION = "2"
 _FORMATS = ("csv", "tsv", "whitespace")
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
-#: Characters :meth:`str.splitlines` breaks lines at, besides ``\n``,
-#: ``\r\n`` and a lone ``\r``, in UTF-8: the ASCII ones and those beyond
-#: ASCII. Input holding any of them takes the line-by-line parser.
-_OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-_WIDE_BREAKS = tuple(brk.encode() for brk in ("\x85", "\u2028", "\u2029"))
-
 _BOM = "\ufeff".encode()
 
-#: Bytes of input decoded at a time by the fast reader, rounded up to whole
-#: lines.
+#: Bytes of input read, decoded and parsed at a time, rounded up to whole
+#: lines: beyond the table, a read holds one block's bytes, text and lines.
 _READ_BLOCK = 1 << 18
 
 #: List items, Lorenz shares or sweep rows, that a writer puts in one piece.
@@ -101,32 +94,12 @@ class InputSpec:
     header: bool = False
 
 
-def _read_raw(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _decode(raw: bytes) -> str:
-    """UTF-8 text with any leading byte-order mark removed."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Everything before the bad byte decoded; the sentinel character
-        # makes a trailing line break start the line the byte is on.
-        lineno = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(
-            f"line {lineno}: byte {raw[exc.start]:#04x} is not valid UTF-8"
-        ) from None
-    return text.removeprefix("\ufeff")
-
-
-def _rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, list[str]]]:
-    """Split lazily into (1-based line number, cells); blank lines are dropped."""
-    if fmt not in _FORMATS:
-        raise ParseError(f"unknown input format {fmt!r}")
-    for lineno, line in enumerate(lines, start=1):
+def _rows(
+    lines: Iterable[str], fmt: str, before: int
+) -> Iterator[tuple[int, list[str]]]:
+    """Split lazily into (1-based line number, cells), counting ``before``
+    lines ahead of ``lines``; blank lines are dropped."""
+    for lineno, line in enumerate(lines, start=before + 1):
         if not line.strip():
             continue
         if fmt == "whitespace":
@@ -228,121 +201,112 @@ def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
 
 def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str]:
     """The one read path of :func:`read_values` and :func:`read_lorenz_points`."""
-    raw = _read_raw(spec.path)
-    digest = hashlib.sha256(raw).hexdigest()
-    table = _loadtxt(raw, spec, points)
-    if table is None:
-        table = _line_table(_decode(raw), spec, points)
-    return table, digest
+    if spec.path == "-":
+        return _read_stream(sys.stdin.buffer, spec, points)
+    with open(spec.path, "rb") as fh:
+        return _read_stream(fh, spec, points)
 
 
-def _layout(
-    rows: Iterator[tuple[int, list[str]]], spec: InputSpec, points: bool
-) -> tuple[int, tuple[int, ...]] | None:
-    """The header's line number (0 without a header) and the 0-based columns
-    to read: ``(0, 1)`` for points, else the one :func:`_resolve_column`
-    selects. None for a table without data rows.
+def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarray, str]:
+    """The table in ``fh`` and the sha256 hex of its bytes, read a block
+    of whole lines at a time.
 
-    ``rows`` is read only as far as the first data row.
-    """
-    skip, names = 0, None
-    if spec.header:
-        header = next(rows, None)
-        if header is None:
-            return None
-        skip, cells = header
-        names = [cell.strip() for cell in cells]
-    first = next(rows, None)
-    if first is None:
-        return None
-    return skip, (0, 1) if points else (_resolve_column(spec, names, first),)
-
-
-def _loadtxt(data: bytes, spec: InputSpec, points: bool) -> np.ndarray | None:
-    """The selected column, or the (p, q) columns if ``points``, read by
-    :func:`numpy.loadtxt` from the raw input ``data``; None leaves the
-    input to the line parser.
-
-    The screen runs on the bytes, which UTF-8 makes exact: no byte of a
-    multi-byte character is ASCII. It sends on what ``loadtxt`` reads
-    differently from :func:`_rows`: a quote, a NUL, a line break other than
-    ``\n`` or ``\r\n`` and a line beyond the csv module's field limit. The
-    breaks beyond ASCII are searched for only in non-ASCII input. What the
-    screen leaves, :func:`_lines` finds as it decodes: invalid UTF-8 and a
-    lone ``\r``. Like every other ``ValueError`` on the way, including an
-    unknown format from :func:`_rows`, they leave the input to the line
-    parser, which names the line.
-
-    ``loadtxt`` reads one stream of lines, decoded a block of
-    :data:`_READ_BLOCK` bytes at a time, so beyond the table itself it
-    holds one block's lines. The layout comes from :func:`_rows` on the
-    same lines, read only as far as the first data row; ``skiprows`` is the
-    header's line number, so blank lines before the header go with it.
-    ``loadtxt`` skips other blank lines and rejects a whitespace-only cell.
-    It warns on input without data rows, so it never sees one: that is an
-    empty table.
+    The header's cells and the columns to read come from the first data
+    row, in whichever block it falls; the lines up to the header are sliced
+    off the block that holds it.
     """
     fmt = spec.format
-    if b'"' in data or b"\x00" in data or any(brk in data for brk in _OTHER_BREAKS):
-        return None
-    # A break's lead byte alone is found some 20 times faster than the
-    # whole sequence, and most non-ASCII input holds none.
-    if not data.isascii() and any(brk[:1] in data and brk in data for brk in _WIDE_BREAKS):
-        return None
-    if fmt != "whitespace" and _has_line_over(data, csv.field_size_limit()):
-        return None
+    if fmt not in _FORMATS:
+        raise ParseError(f"unknown input format {fmt!r}")
+    sha = hashlib.sha256()
+    # Each block's values are appended to one growing buffer, so the table
+    # is held once, not as parts and their concatenation.
+    table = array("d")
+    header, names, usecols, before = spec.header, None, None, 0
+    for index, block in enumerate(_blocks(fh)):
+        sha.update(block)
+        lines = _decode(block.removeprefix(_BOM) if index == 0 else block, before).splitlines()
+        start = 0
+        if usecols is None:
+            for lineno, cells in _rows(lines, fmt, before):
+                if header:
+                    header, start = False, lineno - before
+                    names = [cell.strip() for cell in cells]
+                else:
+                    first = (lineno, cells)
+                    usecols = (0, 1) if points else (_resolve_column(spec, names, first),)
+                    break
+        body = lines[start:]
+        # Blank lines are not rows; loadtxt would warn on a block of them.
+        if usecols is not None and any(map(str.strip, body)):
+            part = _parse_block(block, body, before + start, fmt, usecols, points)
+            table.frombytes(memoryview(part).cast("B"))
+        before += len(lines)
+    values = np.frombuffer(table)
+    return values.reshape(-1, 2) if points else values, sha.hexdigest()
+
+
+def _blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """``fh`` in blocks of :data:`_READ_BLOCK` bytes or more, each ending
+    after a ``\\n`` but the last, so no line or ``\\r\\n`` is split."""
+    while block := fh.read(_READ_BLOCK):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        yield block
+
+
+def _decode(block: bytes, before: int) -> str:
+    """``block`` as UTF-8 text; an invalid byte is a parse error naming its
+    line, counting ``before`` lines ahead of the block."""
     try:
-        layout = _layout(_rows(_lines(data), fmt), spec, points)
-        if layout is None:
-            return np.empty((0, 2) if points else 0)
-        skip, usecols = layout
-        return np.loadtxt(
-            _lines(data),
-            delimiter=_DELIMITERS.get(fmt),
-            usecols=usecols,
-            skiprows=skip,
-            comments=None,
-            dtype=float,
-            ndmin=len(usecols),
-        )
-    except ValueError:
-        return None
+        return block.decode()
+    except UnicodeDecodeError as exc:
+        # Everything before the bad byte decoded; the sentinel character
+        # makes a trailing line break start the line the byte is on.
+        lineno = before + len((block[: exc.start].decode() + "x").splitlines())
+        raise ParseError(
+            f"line {lineno}: byte {block[exc.start]:#04x} is not valid UTF-8"
+        ) from None
 
 
-def _lines(data: bytes) -> Iterator[str]:
-    """The lines of ``data`` after any byte-order mark, without their
-    ``\n`` or ``\r\n``, as ``text.split("\n")`` gives them but for a last
-    empty line. They are decoded lazily in blocks of whole lines, each
-    :data:`_READ_BLOCK` bytes or more.
+def _parse_block(
+    block: bytes, lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool
+) -> np.ndarray:
+    """The ``usecols`` of ``lines``, which come from ``block`` after
+    ``before`` lines of input and hold at least one data row.
 
-    Invalid UTF-8 raises :class:`UnicodeDecodeError` and a lone ``\r``
-    :class:`ValueError` when their block is decoded.
+    :func:`numpy.loadtxt` reads them unless the block holds what it reads
+    differently from :func:`_rows`: a quote, a NUL or a line beyond the
+    csv module's field limit. The screen runs on the bytes, which UTF-8
+    makes exact: no byte of a multi-byte character is ASCII. Those blocks,
+    and any that ``loadtxt`` rejects, go to the line parser, which names
+    the line of an error. ``loadtxt`` skips blank lines and rejects a
+    whitespace-only cell.
     """
-    return chain.from_iterable(map(_block_lines, _blocks(data)))
-
-
-def _block_lines(block: bytes) -> list[str]:
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
-        if b"\r" in block:
-            raise ValueError("a line break other than \\n or \\r\\n")
-    return block.decode().removesuffix("\n").split("\n")
-
-
-def _blocks(data: bytes) -> Iterator[bytes]:
-    start = len(_BOM) if data.startswith(_BOM) else 0
-    while start < len(data):
-        end = data.find(b"\n", start + _READ_BLOCK - 1) + 1
-        end = end or len(data)
-        yield data[start:end]
-        start = end
+    if not (
+        b'"' in block
+        or b"\x00" in block
+        or (fmt != "whitespace" and _has_line_over(block, csv.field_size_limit()))
+    ):
+        try:
+            return np.loadtxt(
+                lines,
+                delimiter=_DELIMITERS.get(fmt),
+                usecols=usecols,
+                comments=None,
+                dtype=float,
+                ndmin=len(usecols),
+            )
+        except ValueError:
+            pass
+    return _line_table(lines, before, fmt, usecols, points)
 
 
 def _has_line_over(data: bytes, limit: int) -> bool:
     """Whether a line of ``data`` is longer than ``limit`` bytes.
 
     Such a line holds a whole window ``[k*step, (k+1)*step)`` with ``step =
-    limit // 2``, so only lines holding a window without a ``\n`` are
+    limit // 2``, so only lines holding a window without a ``\\n`` are
     measured: a scan of ``len(data) / step`` short searches, with no copy.
     """
     step = max(limit // 2, 1)
@@ -355,22 +319,21 @@ def _has_line_over(data: bytes, limit: int) -> bool:
     return False
 
 
-def _line_table(text: str, spec: InputSpec, points: bool) -> np.ndarray:
-    """What :func:`_loadtxt` reads, parsed line by line; errors name their line."""
-    rows = list(_rows(text.splitlines(), spec.format))
-    layout = _layout(iter(rows), spec, points)
+def _line_table(
+    lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool
+) -> np.ndarray:
+    """What :func:`numpy.loadtxt` reads from ``lines``, parsed line by line;
+    errors name their line, counting ``before`` lines ahead of ``lines``."""
+    width = max(usecols) + 1
     values = []
-    if layout is not None:
-        _, usecols = layout
-        width = max(usecols) + 1
-        for lineno, cells in rows[1:] if spec.header else rows:
-            if len(cells) < width:
-                raise ParseError(
-                    f"line {lineno}: need two columns (p, q), got {len(cells)}"
-                    if points
-                    else f"line {lineno}: only {len(cells)} column(s), need column {width}"
-                )
-            values.extend(_parse_cell(cells[col], lineno, col + 1) for col in usecols)
+    for lineno, cells in _rows(lines, fmt, before):
+        if len(cells) < width:
+            raise ParseError(
+                f"line {lineno}: need two columns (p, q), got {len(cells)}"
+                if points
+                else f"line {lineno}: only {len(cells)} column(s), need column {width}"
+            )
+        values.extend(_parse_cell(cells[col], lineno, col + 1) for col in usecols)
     table = np.array(values, dtype=float)
     return table.reshape(-1, 2) if points else table
 

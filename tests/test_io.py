@@ -1,6 +1,7 @@
 """Unit tests for input parsing and report-document serialization."""
 
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -27,10 +28,8 @@ from sagini.errors import ParseError
 from sagini.generators import SweepResult, SweepRow
 from sagini.io import (
     InputSpec,
-    _decode,
     _has_line_over,
-    _line_table,
-    _loadtxt,
+    _read_stream,
     build_document,
     csv_pieces,
     document_to_csv,
@@ -437,6 +436,29 @@ def outcome(read, *args):
     return "ok", result.dtype.str, result.shape, repr(result.tolist())
 
 
+def read_bytes(raw, spec, points):
+    """What the reader makes of the input ``raw``."""
+    return _read_stream(io.BytesIO(raw), spec, points)[0]
+
+
+def line_parse(raw, spec, points):
+    """The reference the reader must match: the whole input decoded and
+    split at once, in one block, and every line parsed by the line parser,
+    as numpy's reader is made to refuse it."""
+    with mock.patch.object(sagini_io, "_READ_BLOCK", len(raw) + 1), mock.patch.object(
+        sagini_io.np, "loadtxt", side_effect=ValueError
+    ):
+        return read_bytes(raw, spec, points)
+
+
+def takes_table_path(raw, spec, points):
+    """Whether numpy's reader gives the reader's table of ``raw``: it reads,
+    and hands no block to the line parser."""
+    with mock.patch.object(sagini_io, "_line_table", wraps=sagini_io._line_table) as spy:
+        result = outcome(read_bytes, raw, spec, points)
+    return result[0] == "ok" and not spy.called
+
+
 class TestReaderDifferential:
     """The table reader agrees with the line-by-line parser it stands in for."""
 
@@ -445,7 +467,7 @@ class TestReaderDifferential:
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
         spec = InputSpec(path=str(path), **kwargs)
-        expected = outcome(_line_table, text, spec, False)
+        expected = outcome(line_parse, text.encode("utf-8"), spec, False)
         assert outcome(lambda: read_values(spec)[0]) == expected
 
     @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
@@ -457,7 +479,7 @@ class TestReaderDifferential:
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
         spec = InputSpec(path=str(path), **kwargs)
-        expected = outcome(_line_table, text, spec, True)
+        expected = outcome(line_parse, text.encode("utf-8"), spec, True)
         assert outcome(lambda: read_lorenz_points(spec)[0]) == expected
 
     def test_stdin(self, monkeypatch):
@@ -475,11 +497,14 @@ class TestReaderDifferential:
          "first numeric column", "non-ascii label", "unicode padding",
          "balanced ragged two", "long row then short",
          "short rows between full ones", "leading blank line",
-         "blank line before header"],
+         "blank line before header", "cr only", "form feed break",
+         "line separator"],
     )
     def test_regular_values_take_the_table_path(self, name):
+        # Odd line breaks ("cr only" and the two after it) are split before
+        # either parser sees a line.
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=False) is not None
+        assert takes_table_path(text.encode(), InputSpec(**kwargs), points=False)
 
     @pytest.mark.parametrize(
         "name",
@@ -488,28 +513,27 @@ class TestReaderDifferential:
     )
     def test_outside_grammar_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=False) is None
+        assert not takes_table_path(text.encode(), InputSpec(**kwargs), points=False)
 
     @pytest.mark.parametrize("name", ["points underscore"])
     def test_points_outside_grammar_are_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=True) is None
+        assert not takes_table_path(text.encode(), InputSpec(**kwargs), points=True)
 
     @pytest.mark.parametrize(
         "name", ["points", "points header", "points three columns", "points unicode padding"]
     )
     def test_regular_points_take_the_table_path(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=True) is not None
+        assert takes_table_path(text.encode(), InputSpec(**kwargs), points=True)
 
     @pytest.mark.parametrize(
         "name",
-        ["balanced ragged", "quoted", "cr only", "form feed break",
-         "line separator", "nul", "whitespace ragged"],
+        ["balanced ragged", "quoted", "nul", "whitespace ragged"],
     )
     def test_irregular_text_is_left_to_the_line_parser(self, name):
         text, kwargs = READER_CORPUS[name]
-        assert _loadtxt(text.encode(), InputSpec(**kwargs), points=False) is None
+        assert not takes_table_path(text.encode(), InputSpec(**kwargs), points=False)
 
     def test_balanced_ragged_rows_still_fail(self, tmp_path):
         path = write(tmp_path, "1,2,3\n4,5\n6,7,8,9\n")
@@ -519,8 +543,8 @@ class TestReaderDifferential:
 
     def test_oversized_field_is_left_to_the_line_parser(self):
         raw = b"1," + b"9" * (csv.field_size_limit() + 1) + b"\n2,3\n"
-        assert _loadtxt(raw, InputSpec(), points=False) is None
-        assert _loadtxt(raw, InputSpec(), points=True) is None
+        assert not takes_table_path(raw, InputSpec(), points=False)
+        assert not takes_table_path(raw, InputSpec(), points=True)
 
 
 class TestReaderDifferentialSmallBlocks(TestReaderDifferential):
@@ -539,14 +563,14 @@ class TestReadBlockEdges:
         monkeypatch.setattr(sagini_io, "_READ_BLOCK", 4)
 
     def read_both_ways(self, tmp_path, raw, fast=True, **kwargs):
-        """The reader's outcome, which must be the line parser's; ``fast``
-        is whether numpy's reader gives it."""
+        """The reader's outcome, which must be the line parser's on the
+        whole input; ``fast`` is whether numpy's reader gives it."""
         path = tmp_path / "in.csv"
         path.write_bytes(raw)
         spec = InputSpec(path=str(path), **kwargs)
-        assert (_loadtxt(raw, spec, points=False) is not None) == fast
+        assert takes_table_path(raw, spec, points=False) == fast
         result = outcome(lambda: read_values(spec)[0])
-        assert result == outcome(_line_table, _decode(raw), spec, False)
+        assert result == outcome(line_parse, raw, spec, False)
         return result
 
     def test_header_straddling_a_block_edge(self, tmp_path):
@@ -579,19 +603,15 @@ class TestReadBlockEdges:
         ],
     )
     def test_lone_cr_in_a_later_block(self, tmp_path, raw, expected):
-        # The layout is read from the first block; the "\r" is found as
-        # loadtxt reads the third.
-        assert self.read_both_ways(tmp_path, raw, fast=False, column=2) == expected
+        # The layout is read from the first block; the third is split at
+        # its "\r" before numpy's reader sees its lines.
+        fast = expected[0] == "ok"
+        assert self.read_both_ways(tmp_path, raw, fast=fast, column=2) == expected
 
     def test_invalid_utf8_in_a_later_block(self, tmp_path):
         raw = b"".join(b"%d\n" % i for i in range(40)) + b"4\xff\n5\n"
-        path = tmp_path / "in.csv"
-        path.write_bytes(raw)
-        spec = InputSpec(path=str(path))
-        assert _loadtxt(raw, spec, points=False) is None
-        with pytest.raises(ParseError) as err:
-            read_values(spec)
-        assert str(err.value) == "line 41: byte 0xff is not valid UTF-8"
+        result = self.read_both_ways(tmp_path, raw, fast=False)
+        assert result == ("error", "line 41: byte 0xff is not valid UTF-8")
 
     def test_bad_cell_in_a_later_block(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -599,6 +619,64 @@ class TestReadBlockEdges:
         with pytest.raises(ParseError) as err:
             read_values(InputSpec(path=str(path)))
         assert str(err.value) == "line 41, column 1: '4x' is not a number"
+
+    @pytest.mark.parametrize(
+        "last, expected",
+        [
+            (b"9,9\n", ("ok", "<f8", (10,), "[5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 9.0]")),
+            (b"9,9x\n", ("error", "line 11, column 2: '9x' is not a number")),
+        ],
+    )
+    def test_quoted_first_block_then_later_blocks(self, tmp_path, last, expected):
+        # Only the quoted blocks go to the line parser; the rows after them
+        # are read by numpy's reader and keep their line numbers.
+        raw = b'"id","income"\n"0",5\n' + b"".join(b"%d,%d\n" % (i, 10 * i) for i in range(1, 9)) + last
+        result = self.read_both_ways(tmp_path, raw, fast=False, header=True, column="income")
+        assert result == expected
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\r"], ids=["nel", "line separator", "lone cr"])
+    def test_odd_breaks_in_an_early_block_count_as_lines(self, tmp_path, brk):
+        raw = f"1{brk}2{brk}3\n4\n5\n6\nx\n7\n".encode()
+        result = self.read_both_ways(tmp_path, raw, fast=False)
+        assert result == ("error", "line 7, column 1: 'x' is not a number")
+
+    def test_errors_come_in_block_order(self, tmp_path):
+        # Line 1 is a block of its own, read before the block holding the
+        # invalid byte; in one block, the byte is reported first.
+        raw = b"0.0\n\xff"
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        spec = InputSpec(path=str(path), column=2)
+        result = outcome(lambda: read_values(spec)[0])
+        assert result == ("error", "line 1: only 1 column(s), need column 2")
+        assert outcome(line_parse, raw, spec, False) == (
+            "error", "line 2: byte 0xff is not valid UTF-8"
+        )
+
+    def test_digest_of_a_bom_table_read_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", 3)
+        raw = b"\xef\xbb\xbfid,income\n1,10\n2,20\n3,30\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        values, digest = read_values(InputSpec(path=str(path), header=True, column="income"))
+        assert values.tolist() == [10.0, 20.0, 30.0]
+        assert digest == hashlib.sha256(raw).hexdigest()
+
+    def test_stdin_in_blocks_reads_as_the_file(self, tmp_path, monkeypatch):
+        raw = b"id,income\r\n" + b"".join(b"%d,%d.5\r\n" % (i, i) for i in range(30))
+
+        class Stdin:
+            buffer = io.BytesIO(raw)
+
+        monkeypatch.setattr(sys, "stdin", Stdin)
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        kwargs = {"header": True, "column": "income"}
+        values, digest = read_values(InputSpec(path="-", **kwargs))
+        from_file, file_digest = read_values(InputSpec(path=str(path), **kwargs))
+        assert Stdin.buffer.tell() == len(raw) > 4 * sagini_io._READ_BLOCK
+        assert values.tolist() == from_file.tolist() == [i + 0.5 for i in range(30)]
+        assert digest == file_digest == hashlib.sha256(raw).hexdigest()
 
 
 # Cells for the reader differential: numbers in every spelling ``float``
@@ -663,12 +741,21 @@ def reader_inputs(draw):
 @given(table=reader_tables(), points=st.booleans())
 def test_loadtxt_agrees_with_the_line_parser(table, points):
     """Whatever numpy's reader returns on a well-formed UTF-8 table, the
-    line parser returns bit for bit."""
+    line parser returns bit for bit, and they fail alike."""
     text, spec = table
-    fast = _loadtxt(text.encode(), spec, points)
-    if fast is not None:
-        expected = outcome(_line_table, text, spec, points)
-        assert outcome(lambda: fast) == expected
+    raw = text.encode()
+    assert outcome(read_bytes, raw, spec, points) == outcome(line_parse, raw, spec, points)
+
+
+def lines_before_the_invalid_byte(raw):
+    """The whole lines of ``raw`` before the line of its first byte that is
+    not valid UTF-8, or None if every byte is valid."""
+    try:
+        raw.decode()
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode() + "x"
+        return "".join(head.splitlines(keepends=True)[:-1]).encode()
+    return None
 
 
 @settings(max_examples=400, deadline=None)
@@ -677,19 +764,16 @@ def test_loadtxt_agrees_with_the_line_parser(table, points):
 def test_byte_reader_agrees_with_the_line_parser(block, table, points):
     """The same on the raw bytes as they arrive, with a byte-order mark,
     odd line breaks or bytes that are not UTF-8, read whole and three bytes
-    at a time. Input that is not UTF-8 is left to the line parser, which
-    names the line."""
+    at a time. Errors come in block order, so before an invalid byte a
+    smaller block may meet the first bad line of the lines before it."""
     raw, spec = table
     with mock.patch.object(sagini_io, "_READ_BLOCK", block):
-        fast = _loadtxt(raw, spec, points)
-    try:
-        text = _decode(raw)
-    except ParseError:
-        assert fast is None
-        return
-    if fast is not None:
-        expected = outcome(_line_table, text, spec, points)
-        assert outcome(lambda: fast) == expected
+        result = outcome(read_bytes, raw, spec, points)
+    expected = outcome(line_parse, raw, spec, points)
+    if result != expected:
+        before = lines_before_the_invalid_byte(raw)
+        assert before is not None and result[0] == "error"
+        assert result == outcome(line_parse, before, spec, points)
 
 
 @given(
@@ -883,8 +967,9 @@ class TestMemory:
             lambda text: "\ufeff".encode() + text.encode(),
             lambda text: text.replace("region", "r\xe9gion", 1).encode(),
             lambda text: text.replace("\n", "\r\n").encode(),
+            lambda text: text.replace("id,region,income", '"id","region","income"', 1).encode(),
         ],
-        ids=["ascii-lf", "bom", "non-ascii-header", "crlf"],
+        ids=["ascii-lf", "bom", "non-ascii-header", "crlf", "quoted-header"],
     )
     def test_read_peaks_below_twice_the_input(self, tmp_path, encode):
         path = income_table(tmp_path, 200_000, encode)

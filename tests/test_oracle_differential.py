@@ -3,22 +3,28 @@
 On adversarial data -- mixed signs with cancellation, ties, near-equal
 values, magnitudes from 1e-300 to 1e300 with a dynamic range of at most
 1e280 -- ``report(build_dataset(x))`` must either agree with
-``rational_report`` within the error bound the ``sagini.metrics`` module
-docstring states, or raise the same typed error the oracle raises. It
+``rational_report`` within the error bounds below, which start from the
+``sagini.metrics`` module docstring, or raise the same typed error the
+oracle raises. It
 must never raise where the oracle returns, nor return where it raises.
 
-The bound is evaluated exactly, in rationals. With ``u = 2**-53``,
-``L`` the number of chunks plus one and ``gamma = L u / (1 - L u)``, the
-docstring gives ``|D^ - D| <= u |D| + gamma**2 sum|c_k x_k|`` for each
-rank-weighted sum ``D`` and ``|T^ - T| <= u |T| + gamma**2 sum|x_k|`` for
-the total. Each index is ``a D / T`` (``a = 1/n`` for gini, ``2/(3 n^2)``
-for the tails), evaluated with one rounded multiplication and one
-rounded division, and ``sag = gini + |g_right - g_left| / 2`` with two
-more roundings; the per-index bounds below propagate exactly those
-errors. The kernel derives ``D3`` from the first two sums, and the
-docstring's bound for it, ``gamma**2 (3n sum|c1_k x_k| + sum|c2_k x_k|)``,
-is looser; the suite keeps the tighter ``sum|c3_k x_k|`` term, the bound
-of a third dot product taken directly. Where the total bound reaches
+The bounds are evaluated exactly, in rationals. With ``u = 2**-53`` and
+``L`` the number of chunks plus one, the docstring bounds the total by
+``u |T| + gamma_L**2 sum|x_k|``, ``gamma_L = L u / (1 - L u)``, which
+:func:`index_bounds` checks as stated. For each rank-weighted sum of the
+iterated-sum kernel it states ``u |D| + gamma**2 sum_j (|alpha_j| B~_j +
+|beta_j| E~_j + 2 |epsilon_j| F~_j)``, ``gamma = 4 L u / (1 - 4 L u)``,
+over the kernel's coefficient rows and ``(c+1)``-weighted column sums.
+:func:`index_bounds` keeps instead the older, tighter ``u |D| + gamma_L**2
+sum|c_k x_k|``, the bound of a dot product with the rank weights taken
+directly, for ``D3`` (``c3 = 3n c1 - c2``) as for ``D1`` and ``D2``. The
+documented bound does not imply it, so this part is an empirical check,
+stricter than what the docstring promises: the kernel keeps the accuracy
+of a direct dot product on these examples. Each index is ``a D / T``
+(``a = 1/n`` for gini, ``2/(3 n^2)`` for the tails), evaluated with one
+rounded multiplication and one rounded division, and ``sag = gini +
+|g_right - g_left| / 2`` with two more roundings; the per-index bounds
+below propagate exactly those errors. Where the total bound reaches
 ``|T|`` itself (a condition number above about 1e31) it promises no
 digits, so only the error agreement is checked there.
 """
