@@ -24,10 +24,10 @@ The fast parser is numpy's C reader :func:`numpy.loadtxt`, which converts
 only the needed columns. Its float parser reads the same grammar and
 gives the same values: it strips Unicode whitespace padding, so padded
 cells stay on the fast path, and rejects underscores and non-ASCII
-digits. A block holding a quote, a NUL or a line longer than the csv
-module's field limit goes to the line-by-line parser instead, as does a
-block ``loadtxt`` rejects; the line parser gives the same values and
-names the line of a bad cell or row. Errors come in block order: an
+digits. A block whose rows after the header hold a quote, a NUL or a line
+longer than the csv module's field limit goes to the line-by-line parser
+instead, as does a block ``loadtxt`` rejects; the line parser gives the
+same values and names the line of a bad cell or row. Errors come in block order: an
 invalid byte is reported ahead of a bad row in its own block, but not
 ahead of one in an earlier block.
 
@@ -225,7 +225,10 @@ def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarra
     header, names, usecols, before = spec.header, None, None, 0
     for index, block in enumerate(_blocks(fh)):
         sha.update(block)
-        lines = _decode(block.removeprefix(_BOM) if index == 0 else block, before).splitlines()
+        if index == 0:
+            block = block.removeprefix(_BOM)
+        text = _decode(block, before)
+        lines = text.splitlines()
         start = 0
         if usecols is None:
             for lineno, cells in _rows(lines, fmt, before):
@@ -239,7 +242,10 @@ def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarra
         body = lines[start:]
         # Blank lines are not rows; loadtxt would warn on a block of them.
         if usecols is not None and any(map(str.strip, body)):
-            part = _parse_block(block, body, before + start, fmt, usecols, points)
+            # Only the body's bytes are screened: a quoted header does not
+            # send the rows after it to the line parser.
+            data = block[_byte_offset(text, lines, start):] if start else block
+            part = _parse_block(data, body, before + start, fmt, usecols, points)
             table.frombytes(memoryview(part).cast("B"))
         before += len(lines)
     values = np.frombuffer(table)
@@ -269,11 +275,23 @@ def _decode(block: bytes, before: int) -> str:
         ) from None
 
 
+def _byte_offset(text: str, lines: list[str], start: int) -> int:
+    """Where ``lines[start]`` begins in the UTF-8 bytes of ``text``, whose
+    :meth:`str.splitlines` ``lines`` are. Each line before it ends with one
+    break character or with ``\\r\\n``."""
+    pos = 0
+    for line in lines[:start]:
+        pos += len(line)
+        pos += 2 if text.startswith("\r\n", pos) else 1
+    return len(text[:pos].encode())
+
+
 def _parse_block(
     block: bytes, lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool
 ) -> np.ndarray:
-    """The ``usecols`` of ``lines``, which come from ``block`` after
-    ``before`` lines of input and hold at least one data row.
+    """The ``usecols`` of ``lines``, the lines of the bytes ``block``,
+    which come after ``before`` lines of input and hold at least one data
+    row.
 
     :func:`numpy.loadtxt` reads them unless the block holds what it reads
     differently from :func:`_rows`: a quote, a NUL or a line beyond the

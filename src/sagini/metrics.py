@@ -16,8 +16,10 @@ Summed by parts, each index is an L-statistic: with ``x`` sorted ascending,
 * ``g_right = 2 sum(c2_k x_k) / (3 n^2 T)``, ``c2 = 3k(k-1) - (n^2 - 1)``,
 * ``g_left  = 2 sum(c3_k x_k) / (3 n^2 T)``, ``c3 = 3n c1 - c2``.
 
-:func:`report` and :func:`metrics_from_lorenz` evaluate these with one
-kernel over the values in chunks of ``W = _CHUNK``. Write the rank as ``k =
+:func:`build_dataset` sorts the values once, and one pass of one kernel
+over them gives ``T`` and the three sums, which :func:`report` scores;
+:func:`metrics_from_lorenz` runs the same kernel over the shares. It takes
+the values in chunks of ``W = _CHUNK``. Write the rank as ``k =
 cW + j + 1``, with chunk ``c``, column ``j`` and ``kappa = j + 1``. Every
 weight is then a polynomial of degree at most two in ``c + 1``, so each
 weighted sum is a column-wise combination of three iterated sums that need
@@ -30,7 +32,9 @@ no weights::
              + (3W (2 kappa - 1) - 9 W^2) B_j + 6 W^2 E_j,
 
 and ``D3``'s rows are ``3n`` times ``D1``'s minus ``D2``'s, from the identity
-``g_right + g_left = 2 gini`` (``c3 = 3n c1 - c2``). The kernel forms the
+``g_right + g_left = 2 gini`` (``c3 = 3n c1 - c2``). ``T`` is a fourth
+weighting, the weight 1: its rows are 1 on ``A`` and 0 on ``B`` and
+``E``. The kernel forms the
 iterated sums from the last chunk to the first: ``A += x_c``, then ``B +=
 A``, then ``E += B``, each an error-free TwoSum whose rounding error goes
 to a low column; ``B``'s low column also takes ``A``'s, and ``E``'s takes
@@ -45,7 +49,7 @@ kernel takes a block of rows, one dataset each, and sums each row on its
 own, so a block gives every row the bits it would get alone; a report is
 the block of one, and a replication sweep evaluates many rows per block.
 Data of one chunk has ``A = B = E = x``: the rows are summed into ``c1``,
-``c2`` and ``c3`` first, every TwoProduct with ``x`` is exact, and each sum
+``c2``, ``c3`` and 1 first, every TwoProduct with ``x`` is exact, and each sum
 is correctly rounded.
 
 With ``C`` chunks, ``L = C + 1``, ``u = 2**-53`` and ``gamma = 4Lu / (1 -
@@ -56,8 +60,9 @@ B~_j + |beta_j| E~_j + 2 |epsilon_j| F~_j)`` of its exact value, where
 ``(c+1)``, ``(c+1)(c+2)/2`` and ``(c+1)(c+2)(c+3)/6``. Each low column adds
 up rounding errors of its own high column and the low column one level
 down, so each level of iteration weights the bound by one more factor of
-about ``c``. The total ``T`` is ``A`` alone, a Sum2 in each column, and is
-within ``u |T| + gamma_L**2 * sum|x_k|`` with ``gamma_L = Lu / (1 - Lu)``.
+about ``c``. ``T``'s rows make every Dot2 product exact, so ``T`` is a
+Sum2 of ``A`` in each column, as a plain sum would be, and is within ``u
+|T| + gamma_L**2 * sum|x_k|`` with ``gamma_L = Lu / (1 - Lu)``.
 
 Values are first scaled by the power of two ``2**-e`` that brings the
 largest ``|x|`` into [0.5, 1), which leaves every index unchanged, so no
@@ -71,7 +76,9 @@ the total, is rejected by :func:`build_dataset` and by a replication sweep
 rather than divided by. No weight is formed per value, so only the
 coefficient rows and the normalisers ``n`` and ``3 n^2`` need to be exact
 in float64: both are up to ``n = _MAX_EXACT_N`` (about 5.5e7), and larger
-inputs raise :class:`InvalidNError` before the data is read.
+inputs raise :class:`InvalidNError` before the data is read. Above the
+limit :func:`build_dataset` still takes the plain total of the sorted
+values, with no weighting, and :func:`report` raises.
 
 For Lorenz points the weights are summed by parts over the shares: ``D =
 sum((c_k - c_(k+1)) q_k)`` with ``c_(n+1) = 0`` and ``T = q_n = 1``. The
@@ -90,7 +97,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Literal, NoReturn, Sequence
 
@@ -151,15 +158,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Validated observations, kept in input order.
+    """Validated observations, kept in input order and sorted.
 
     Build one with :func:`build_dataset`; it enforces at least two finite
     values with a strictly positive total. Individual zeros and negatives
-    are fine.
+    are fine. The values are sorted once, at build: ``sorted_values`` is
+    the ascending copy, and the kernel pass that gives the total also
+    gives the sums :func:`report` scores.
     """
 
     values: np.ndarray
     total: float
+    sorted_values: np.ndarray = field(repr=False)
+    #: The scaled sums of ``sorted_values`` (see :func:`_sorted_sums`):
+    #: ``D1``, ``D2``, ``D3`` and ``T``, or ``T`` alone above ``_MAX_EXACT_N``.
+    _sums: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -168,11 +181,6 @@ class Dataset:
     @property
     def mean(self) -> float:
         return self.total / self.n
-
-    @cached_property
-    def sorted_values(self) -> np.ndarray:
-        """Ascending copy of the observations."""
-        return _readonly(np.sort(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +231,11 @@ class InequalityReport:
 def build_dataset(raw: Iterable[float]) -> Dataset:
     """Validate raw observations into a :class:`Dataset`.
 
+    The values are copied and sorted once; the sorted copy is the
+    dataset's ``sorted_values``. One kernel pass over it gives the total
+    and the sums :func:`report` scores (the total alone above
+    ``_MAX_EXACT_N``, see module doc).
+
     Parameters
     ----------
     raw : iterable of real numbers
@@ -257,22 +270,31 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise EmptyOrSingletonError(
             f"need at least 2 observations, got {values.size}"
         )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteValueError(
-            f"non-finite value {float(values[bad[0]])!r} at index {int(bad[0])}"
-        )
-    totals, scaled = _totals(values[np.newaxis])
+    x = np.sort(values)
+    # NaN sorts last and the infinities sit at the ends.
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NonFiniteValueError(f"non-finite value {float(values[i])!r} at index {i}")
+    # Above the limit report refuses the weighted sums; the total alone is
+    # still taken.
+    sums, totals = _sorted_sums(
+        x[np.newaxis], _rank_rows if x.size <= _MAX_EXACT_N else None
+    )
     total = float(totals[0])
     if math.isinf(total):
         raise NonFiniteValueError("the sum of the values overflows float64")
-    if abs(scaled[0]) < _TINY:
+    if abs(sums[0, -1]) < _TINY:
         _raise_cancelled_total(values)
     if total <= 0.0:
         raise NonPositiveTotalError(
             f"sum of values must be positive, got {total!r}"
         )
-    return Dataset(values=_readonly(values), total=total)
+    return Dataset(
+        values=_readonly(values),
+        total=total,
+        sorted_values=_readonly(x),
+        _sums=_readonly(sums[0]),
+    )
 
 
 def _raise_cancelled_total(values: np.ndarray) -> NoReturn:
@@ -350,11 +372,17 @@ def _skew_call(gr: float, gl: float) -> SkewDirection:
 
 
 def report(data: Dataset) -> InequalityReport:
-    """All four indices and the skew call, from one pass over the sorted values.
+    """All four indices and the skew call, scored from the sums of the
+    kernel pass :func:`build_dataset` made over the sorted values.
 
     Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module doc).
     """
-    scores = _sorted_scores(data.sorted_values[np.newaxis], np.array([data.total]))
+    x = data.sorted_values[np.newaxis]
+    sums = data._sums[np.newaxis]
+    if sums.shape[1] == 1:
+        # Built above the limit with the total alone: this raises.
+        sums = _sorted_sums(x, _rank_rows)[0]
+    scores = _sorted_scores(x, sums, np.array([data.total]))
     return _make_report(data.n, data.mean, scores, convex=True)
 
 
@@ -362,17 +390,21 @@ def _replication_scores(x: np.ndarray) -> np.ndarray:
     """:func:`report` of :func:`build_dataset` for every row of ``x``, as a
     ``(4, b)`` array of gini, g_right, g_left and sag.
 
-    The finite check and the compensated totals run over the whole block.
-    If a row fails either, :func:`build_dataset` is run on the first such
-    row, so the error is the one a row-by-row loop would raise.
+    The block is sorted, and one kernel pass gives every row's total and
+    weighted sums. If a row is not finite or its total is not valid,
+    :func:`build_dataset` is run on the first such row, so the error is the
+    one a row-by-row loop would raise.
     """
-    finite = np.isfinite(x).all(axis=1)
-    # Rows with a nan or inf are summed as zeros: fsum refuses inf + -inf.
-    total, scaled = _totals(np.where(finite[:, np.newaxis], x, 0.0))
-    valid = finite & (np.abs(scaled) >= _TINY) & (total > 0.0) & (total < math.inf)
+    s = np.sort(x, axis=1)
+    # NaN sorts last and the infinities sit at the ends. Rows with one are
+    # summed as zeros: fsum refuses inf + -inf.
+    finite = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
+    s[~finite] = 0.0
+    sums, total = _sorted_sums(s, _rank_rows)
+    valid = finite & (np.abs(sums[:, -1]) >= _TINY) & (total > 0.0) & (total < math.inf)
     if not valid.all():
         build_dataset(x[np.argmin(valid)])  # raises that row's error
-    return _sorted_scores(np.sort(x, axis=1), total)
+    return _sorted_scores(s, sums, total)
 
 
 def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> LorenzCurve:
@@ -472,23 +504,29 @@ def _exponents(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(-low, high))[1]
 
 
-def _totals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The compensated sum of each row of the finite ``(b, n)`` array ``x``
-    (+-inf where it overflows float64), and the same sums still scaled by
-    each row's power of two (see :func:`_rank_sums`)."""
-    e = _exponents(x.min(axis=1), x.max(axis=1))
-    sums = _rank_sums(x, e)[:, 0]
+def _sorted_sums(
+    x: np.ndarray, rows: Callable[[int], tuple[np.ndarray, None]] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel pass over each row of the finite ``(b, n)`` array ``x``,
+    sorted ascending: the sums scaled by the row's power of two, ``D1``,
+    ``D2``, ``D3`` and ``T`` with :func:`_rank_rows` or ``T`` alone without
+    rows, and the totals ``T`` unscaled (+-inf where they overflow
+    float64). A sorted row's largest ``|x|`` is at one of its ends."""
+    e = _exponents(x[:, 0], x[:, -1])
+    sums = _rank_sums(x, e, rows)
     with np.errstate(over="ignore"):
-        return np.ldexp(sums, e), sums
+        return sums, np.ldexp(sums[:, -1], e)
 
 
-def _sorted_scores(x: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """:func:`_scores` of each row of ``x``, sorted ascending, whose totals
-    are ``total``. A sorted row's largest ``|x|`` is at one of its ends."""
+def _sorted_scores(x: np.ndarray, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """:func:`_scores` of each sorted row of ``x``, from its sums and total
+    as :func:`_sorted_sums` gives them."""
     n = x.shape[1]
     e = _exponents(x[:, 0], x[:, -1])
-    sums = _rank_sums(x, e, _rank_rows)
+    # The reported total, scaled back: it is the kernel's scaled sum unless
+    # the total is subnormal.
     total = np.ldexp(total, -e)
+    sums = sums[:, :3].copy()
     # Perfect equality. The compensated sums would leave rounding noise of
     # order u**2 here; the exact answer is zero.
     equal = x[:, 0] == x[:, -1]
@@ -507,20 +545,21 @@ def _scores(n: int, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _rank_rows(n: int) -> tuple[np.ndarray, None]:
-    """The W-column coefficient rows of ``c1``, ``c2`` and ``c3`` on the
-    iterated sums ``A``, ``B`` and ``E``, shape ``(3, 3, min(n, W))``, and
-    no weight of their own for the last value (see module doc). Built in
-    int64: ``3n`` times ``D1``'s rows passes ``2**53`` near the limit
-    before ``D2``'s are subtracted."""
+    """The W-column coefficient rows of ``c1``, ``c2``, ``c3`` and the
+    total's weight 1 on the iterated sums ``A``, ``B`` and ``E``, shape
+    ``(4, 3, min(n, W))``, and no weight of their own for the last value
+    (see module doc). Built in int64: ``3n`` times ``D1``'s rows passes
+    ``2**53`` near the limit before ``D2``'s are subtracted."""
     k = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
     d = k - _CHUNK
-    rows = np.zeros((3, 3, k.size), dtype=np.int64)
+    rows = np.zeros((4, 3, k.size), dtype=np.int64)
     rows[0, 0] = 2 * k - (n + 1 + 2 * _CHUNK)
     rows[0, 1] = 2 * _CHUNK
     rows[1, 0] = 3 * d * (d - 1) - (n * n - 1)
     rows[1, 1] = 6 * _CHUNK * k - 3 * _CHUNK * (1 + 3 * _CHUNK)
     rows[1, 2] = 6 * _CHUNK * _CHUNK
     rows[2] = 3 * n * rows[0] - rows[1]
+    rows[3, 0] = 1
     return rows.astype(float), None
 
 

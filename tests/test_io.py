@@ -535,6 +535,23 @@ class TestReaderDifferential:
         text, kwargs = READER_CORPUS[name]
         assert not takes_table_path(text.encode(), InputSpec(**kwargs), points=False)
 
+    @pytest.mark.parametrize(
+        "head, brk", [(b"", b"\n"), (b"\xef\xbb\xbf\r\n \r\n", b"\r\n")], ids=["lf", "bom blank crlf"]
+    )
+    def test_quoted_header_leaves_clean_rows_to_the_table_path(self, tmp_path, head, brk):
+        # Only the body's bytes are screened for quotes, not the header's.
+        rows = b"".join(b"%d,north,%d.5%s" % (i, 3 * i, brk) for i in range(50))
+        quoted = head + b'"id","region","income"' + brk + rows
+        plain = head + b"id,region,income" + brk + rows
+        path = tmp_path / "in.csv"
+        path.write_bytes(quoted)
+        spec = InputSpec(path=str(path), header=True, column="income")
+        assert takes_table_path(quoted, spec, points=False)
+        values, digest = read_values(spec)
+        assert values.tolist() == read_bytes(plain, spec, False).tolist()
+        assert values.tolist() == [3 * i + 0.5 for i in range(50)]
+        assert digest == hashlib.sha256(quoted).hexdigest()
+
     def test_balanced_ragged_rows_still_fail(self, tmp_path):
         path = write(tmp_path, "1,2,3\n4,5\n6,7,8,9\n")
         message = r"^line 2: only 2 column\(s\), need column 3$"

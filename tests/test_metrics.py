@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sagini import (
     BadEndpointError,
     EmptyOrSingletonError,
+    ExperimentConfig,
     InvalidNError,
     NonFiniteValueError,
     NonPositiveTotalError,
@@ -24,7 +25,9 @@ from sagini import (
     rational_report,
     rational_report_from_lorenz,
     report,
+    sensitivity_sweep,
 )
+from sagini import metrics
 from sagini.metrics import (
     _CHUNK,
     _MAX_EXACT_N,
@@ -187,6 +190,57 @@ class TestBuildDataset:
         raw[0] = 9.0
         assert data.values.tolist() == [1.0, 2.0, 3.0]
         assert data.n == 3
+
+    def test_above_the_kernel_limit_the_total_is_taken_alone(self, monkeypatch):
+        # Data beyond the kernel's limit is accepted with the same total;
+        # only the weighted sums, and so report, are refused.
+        values = np.random.default_rng(50).lognormal(0.0, 1.0, 50)
+        total = build_dataset(values).total
+        monkeypatch.setattr(metrics, "_MAX_EXACT_N", 20)
+        data = build_dataset(values)
+        assert data.total == total
+        with pytest.raises(InvalidNError, match="^n = 50 is above 20, beyond which"):
+            report(data)
+
+
+class TestOnePass:
+    """A dataset is sorted once, at build, and one kernel pass gives its
+    total and the sums its report scores."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = metrics._rank_sums
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics, "_rank_sums", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [10, 3 * _CHUNK + 1])
+    def test_report_of_a_new_dataset_runs_the_kernel_once(self, kernel_calls, n):
+        report(build_dataset(np.random.default_rng(n).lognormal(0.0, 1.0, n)))
+        assert kernel_calls == [(1, n)]
+
+    def test_sweep_runs_the_kernel_once_per_block(self, kernel_calls):
+        block = _CHUNK // 10
+        cfg = ExperimentConfig(
+            family="lognormal", sample_size=10, replications=2 * block + 3, seed=1
+        )
+        sensitivity_sweep(cfg)
+        assert kernel_calls == [(block, 10), (block, 10), (3, 10)]
+
+    def test_lorenz_curve_reuses_the_sorted_values(self, monkeypatch):
+        data = build_dataset(np.random.default_rng(4).lognormal(0.0, 1.0, 100))
+        x = data.sorted_values
+        sorts = []
+        monkeypatch.setattr(np, "sort", lambda *args, **kwargs: sorts.append(args))
+        report(data)
+        curve = lorenz_curve(data)
+        assert sorts == [] and data.sorted_values is x
+        assert curve.q[:-1].tolist() == (np.cumsum(x) / data.total)[:-1].tolist()
 
 
 class TestLorenzCurve:
@@ -555,7 +609,7 @@ class TestBlockKernel:
         e = _exponents(x.min(axis=1), x.max(axis=1))
         for rows in (_rank_rows, _share_rows) if weighted else (None,):
             sums = _rank_sums(x, e, rows)
-            assert sums.shape == (4, 3 if weighted else 1)
+            assert sums.shape == (4, {None: 1, _rank_rows: 4, _share_rows: 3}[rows])
             for row, e_row, sums_row in zip(x, e, sums.tolist()):
                 alone = _rank_sums(row[np.newaxis], e_row[np.newaxis], rows)
                 assert alone.tolist() == [sums_row]
@@ -583,9 +637,9 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", [2, 10, _CHUNK])
     def test_one_chunk_sums_are_correctly_rounded(self, n):
-        # Within one chunk every TwoProduct piece is exact, so each of the
-        # three sums, c3's included, is the exact dot product rounded once:
-        # for the rank weights and for their differences over shares.
+        # Within one chunk every TwoProduct piece is exact, so each sum,
+        # c3's and the total's included, is the exact dot product rounded
+        # once: for the rank weights and for their differences over shares.
         rng = np.random.default_rng(n)
         x = np.sort(rng.lognormal(0.0, 2.0, n) * rng.choice([-1.0, 1.0], n))
         e = _exponents(x[:1], x[-1:])
@@ -609,15 +663,17 @@ class TestBlockKernel:
 
 
 def rank_weights(n):
-    """The weights ``c1``, ``c2`` and ``c3`` of ranks 1 .. n, as Python ints."""
+    """The weights ``c1``, ``c2`` and ``c3`` of ranks 1 .. n and the
+    total's weight 1, as Python ints."""
     c1 = [2 * k - n - 1 for k in range(1, n + 1)]
     c2 = [3 * k * (k - 1) - (n * n - 1) for k in range(1, n + 1)]
-    return c1, c2, [3 * n * a - b for a, b in zip(c1, c2)]
+    return c1, c2, [3 * n * a - b for a, b in zip(c1, c2)], [1] * n
 
 
 def share_weights(n):
-    """The differences ``c_k - c_(k+1)`` of :func:`rank_weights`, ``c_(n+1) = 0``."""
-    return [[a - b for a, b in zip(c, c[1:] + [0])] for c in rank_weights(n)]
+    """The differences ``c_k - c_(k+1)`` of the index weights of
+    :func:`rank_weights`, ``c_(n+1) = 0``; the shares' total is ``q_n = 1``."""
+    return [[a - b for a, b in zip(c, c[1:] + [0])] for c in rank_weights(n)[:3]]
 
 
 class TestRankWeights:
@@ -637,18 +693,19 @@ class TestRankWeights:
         kappa = range(1, W + 1)
         rank, none = _rank_rows(n)
         share, last = _share_rows(n)
-        assert none is None and rank.shape == (3, 3, W) and share.shape == (3, 2, W)
+        assert none is None and rank.shape == (4, 3, W) and share.shape == (3, 2, W)
         d1 = [[2 * k - n - 1 - 2 * W for k in kappa], [2 * W] * W, [0] * W]
         d2 = [
             [3 * k * (k - 1) - 3 * W * (2 * k - 1) + 3 * W * W - (n * n - 1) for k in kappa],
             [3 * W * (2 * k - 1) - 9 * W * W for k in kappa],
             [6 * W * W] * W,
         ]
+        total = [[1] * W, [0] * W, [0] * W]
         s1 = [[-2] * W, [0] * W]
         s2 = [[-6 * (k - W) for k in kappa], [-6 * W] * W]
-        for got, (a, b) in ((rank, (d1, d2)), (share, (s1, s2))):
+        for got, (a, b), more in ((rank, (d1, d2), [total]), (share, (s1, s2), [])):
             third = [[3 * n * u - v for u, v in zip(r, s)] for r, s in zip(a, b)]
-            assert got.tolist() == [a, b, third]
+            assert got.tolist() == [a, b, third] + more
             assert np.abs(got).max() < 2**53
         assert last.tolist() == [n + 1, (2 * n + 1) * (n + 1), n * n - 1]
         # Sparse integer data at both ends, in the middle and at chunk
@@ -660,7 +717,7 @@ class TestRankWeights:
             c, j = divmod(k - 1, W)
             a, b, e = sums.get(j, (0, 0, 0))
             sums[j] = (a + v, b + (c + 1) * v, e + (c + 1) * (c + 2) // 2 * v)
-        for rows, extra in ((rank, [0, 0, 0]), (share, last.tolist())):
+        for rows, extra in ((rank, [0, 0, 0, 0]), (share, last.tolist())):
             got = [
                 sum(int(row[s][j]) * sums[j][s] for j in sums for s in range(rows.shape[1]))
                 + int(x) * values[n]
@@ -673,7 +730,10 @@ class TestRankWeights:
                 c1 = {k: -2 if k < n else n - 1 for k in values}
                 c2 = {k: -6 * k if k < n else (2 * n - 1) * (n - 1) for k in values}
             want = [sum(c[k] * v for k, v in values.items()) for c in (c1, c2)]
-            assert got == want + [3 * n * want[0] - want[1]]
+            want.append(3 * n * want[0] - want[1])
+            if rows is rank:
+                want.append(sum(values.values()))
+            assert got == want
 
     @pytest.mark.parametrize("n", [2, 10, _CHUNK])
     def test_one_chunk_rows_sum_to_the_weights(self, n):
@@ -748,3 +808,40 @@ def test_kernel_sums_stay_within_the_bound_across_chunks(x, shares):
             f * int(abs(a)) * t for f, r, w in zip((1, 1, 2), row, weighted) for a, t in zip(r, w)
         )
         assert abs(Fraction(d_hat) * 2 ** int(e[0]) - d) <= u * abs(d) + gamma**2 * s
+
+
+@settings(max_examples=20, deadline=None)
+@given(scaled_integers())
+def test_kernel_total_stays_within_its_bound_across_chunks(x):
+    # The total's weight 1 on A alone makes every Dot2 product exact: the
+    # total row is the plain Sum2 of A bit for bit, within the module doc's
+    # u |T| + gamma_L**2 sum|x_k|, gamma_L = Lu / (1 - Lu).
+    n = x.size
+    e = _exponents(x[np.newaxis, :].min(axis=1), x[np.newaxis, :].max(axis=1))
+    total = _rank_sums(x[np.newaxis], e, _rank_rows)[0, -1]
+    assert total == _rank_sums(x[np.newaxis], e)[0, 0]
+    ints = [int(v) for v in x.tolist()]
+    exact = sum(ints)
+    u = Fraction(1, 2**53)
+    big_l = -(-n // _CHUNK) + 1
+    gamma = big_l * u / (1 - big_l * u)
+    bound = u * abs(exact) + gamma**2 * sum(map(abs, ints))
+    assert abs(Fraction(total) * 2 ** int(e[0]) - exact) <= bound
+
+
+def dataset_outcome(x):
+    """The total and report of ``x``, or the error it raises."""
+    try:
+        data = build_dataset(x)
+        return data.total, report(data)
+    except (NonFiniteValueError, NonPositiveTotalError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scaled_integers(), st.integers(0, 2**32 - 1))
+def test_total_and_report_do_not_depend_on_the_input_order(x, seed):
+    # The kernel pass runs over the sorted values, so the order of the
+    # input cannot change a bit, across chunks too.
+    y = np.random.default_rng(seed).permutation(x)
+    assert dataset_outcome(x) == dataset_outcome(y)
