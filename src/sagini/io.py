@@ -27,9 +27,9 @@ cells stay on the fast path, and rejects underscores and non-ASCII
 digits. A block whose rows after the header hold a quote, a NUL or a line
 longer than the csv module's field limit goes to the line-by-line parser
 instead, as does a block ``loadtxt`` rejects; the line parser gives the
-same values and names the line of a bad cell or row. Errors come in block order: an
-invalid byte is reported ahead of a bad row in its own block, but not
-ahead of one in an earlier block.
+same values and names the line of a bad cell or row. Errors come in block
+order: an invalid byte is reported ahead of a bad row in its own block,
+but not ahead of one in an earlier block.
 
 A read holds one block's bytes, text and lines, or its cells on the line
 path, beyond the parsed table. The writers yield the report in pieces of
@@ -225,10 +225,7 @@ def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarra
     header, names, usecols, before = spec.header, None, None, 0
     for index, block in enumerate(_blocks(fh)):
         sha.update(block)
-        if index == 0:
-            block = block.removeprefix(_BOM)
-        text = _decode(block, before)
-        lines = text.splitlines()
+        lines = _decode(block.removeprefix(_BOM) if index == 0 else block, before).splitlines()
         start = 0
         if usecols is None:
             for lineno, cells in _rows(lines, fmt, before):
@@ -242,9 +239,9 @@ def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarra
         body = lines[start:]
         # Blank lines are not rows; loadtxt would warn on a block of them.
         if usecols is not None and any(map(str.strip, body)):
-            # Only the body's bytes are screened: a quoted header does not
-            # send the rows after it to the line parser.
-            data = block[_byte_offset(text, lines, start):] if start else block
+            # Only the body is screened: a quoted header does not send the
+            # rows after it to the line parser.
+            data = "\n".join(body).encode() if start else block
             part = _parse_block(data, body, before + start, fmt, usecols, points)
             table.frombytes(memoryview(part).cast("B"))
         before += len(lines)
@@ -275,23 +272,11 @@ def _decode(block: bytes, before: int) -> str:
         ) from None
 
 
-def _byte_offset(text: str, lines: list[str], start: int) -> int:
-    """Where ``lines[start]`` begins in the UTF-8 bytes of ``text``, whose
-    :meth:`str.splitlines` ``lines`` are. Each line before it ends with one
-    break character or with ``\\r\\n``."""
-    pos = 0
-    for line in lines[:start]:
-        pos += len(line)
-        pos += 2 if text.startswith("\r\n", pos) else 1
-    return len(text[:pos].encode())
-
-
 def _parse_block(
     block: bytes, lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool
 ) -> np.ndarray:
-    """The ``usecols`` of ``lines``, the lines of the bytes ``block``,
-    which come after ``before`` lines of input and hold at least one data
-    row.
+    """The ``usecols`` of ``lines``, whose bytes ``block`` holds, which
+    come after ``before`` lines of input and hold at least one data row.
 
     :func:`numpy.loadtxt` reads them unless the block holds what it reads
     differently from :func:`_rows`: a quote, a NUL or a line beyond the

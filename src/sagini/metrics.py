@@ -97,7 +97,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Literal, NoReturn, Sequence
 
@@ -162,17 +162,14 @@ class Dataset:
 
     Build one with :func:`build_dataset`; it enforces at least two finite
     values with a strictly positive total. Individual zeros and negatives
-    are fine. The values are sorted once, at build: ``sorted_values`` is
-    the ascending copy, and the kernel pass that gives the total also
-    gives the sums :func:`report` scores.
+    are fine. :func:`build_dataset` sorts the values once and keeps the
+    sorted copy, and the kernel pass that gives the total also gives the
+    sums :func:`report` scores; a dataset built by hand sorts and sums on
+    first use.
     """
 
     values: np.ndarray
     total: float
-    sorted_values: np.ndarray = field(repr=False)
-    #: The scaled sums of ``sorted_values`` (see :func:`_sorted_sums`):
-    #: ``D1``, ``D2``, ``D3`` and ``T``, or ``T`` alone above ``_MAX_EXACT_N``.
-    _sums: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -181,6 +178,19 @@ class Dataset:
     @property
     def mean(self) -> float:
         return self.total / self.n
+
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        """Ascending copy of the observations."""
+        return _readonly(np.sort(self.values))
+
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted sums of ``sorted_values`` and their exponent, as
+        :func:`_sorted_sums` gives them for a block of one. Raises
+        :class:`InvalidNError` above ``_MAX_EXACT_N`` values."""
+        sums, _, e = _sorted_sums(self.sorted_values[np.newaxis], _rank_rows)
+        return sums, e
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +244,9 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     The values are copied and sorted once; the sorted copy is the
     dataset's ``sorted_values``. One kernel pass over it gives the total
     and the sums :func:`report` scores (the total alone above
-    ``_MAX_EXACT_N``, see module doc).
+    ``_MAX_EXACT_N``, see module doc). A dataset that is never reported,
+    say one only drawn with :func:`lorenz_curve`, pays for those sums all
+    the same: the pass costs about three times the total alone.
 
     Parameters
     ----------
@@ -277,9 +289,8 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise NonFiniteValueError(f"non-finite value {float(values[i])!r} at index {i}")
     # Above the limit report refuses the weighted sums; the total alone is
     # still taken.
-    sums, totals = _sorted_sums(
-        x[np.newaxis], _rank_rows if x.size <= _MAX_EXACT_N else None
-    )
+    weighted = x.size <= _MAX_EXACT_N
+    sums, totals, e = _sorted_sums(x[np.newaxis], _rank_rows if weighted else None)
     total = float(totals[0])
     if math.isinf(total):
         raise NonFiniteValueError("the sum of the values overflows float64")
@@ -289,12 +300,12 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise NonPositiveTotalError(
             f"sum of values must be positive, got {total!r}"
         )
-    return Dataset(
-        values=_readonly(values),
-        total=total,
-        sorted_values=_readonly(x),
-        _sums=_readonly(sums[0]),
-    )
+    data = Dataset(values=_readonly(values), total=total)
+    # The cached properties take what this pass already has.
+    vars(data)["sorted_values"] = _readonly(x)
+    if weighted:
+        vars(data)["_sums"] = (sums, e)
+    return data
 
 
 def _raise_cancelled_total(values: np.ndarray) -> NoReturn:
@@ -377,12 +388,8 @@ def report(data: Dataset) -> InequalityReport:
 
     Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module doc).
     """
-    x = data.sorted_values[np.newaxis]
-    sums = data._sums[np.newaxis]
-    if sums.shape[1] == 1:
-        # Built above the limit with the total alone: this raises.
-        sums = _sorted_sums(x, _rank_rows)[0]
-    scores = _sorted_scores(x, sums, np.array([data.total]))
+    sums, e = data._sums
+    scores = _sorted_scores(data.sorted_values[np.newaxis], sums, np.array([data.total]), e)
     return _make_report(data.n, data.mean, scores, convex=True)
 
 
@@ -400,11 +407,11 @@ def _replication_scores(x: np.ndarray) -> np.ndarray:
     # summed as zeros: fsum refuses inf + -inf.
     finite = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
     s[~finite] = 0.0
-    sums, total = _sorted_sums(s, _rank_rows)
+    sums, total, e = _sorted_sums(s, _rank_rows)
     valid = finite & (np.abs(sums[:, -1]) >= _TINY) & (total > 0.0) & (total < math.inf)
     if not valid.all():
         build_dataset(x[np.argmin(valid)])  # raises that row's error
-    return _sorted_scores(s, sums, total)
+    return _sorted_scores(s, sums, total, e)
 
 
 def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> LorenzCurve:
@@ -506,23 +513,25 @@ def _exponents(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 def _sorted_sums(
     x: np.ndarray, rows: Callable[[int], tuple[np.ndarray, None]] | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One kernel pass over each row of the finite ``(b, n)`` array ``x``,
-    sorted ascending: the sums scaled by the row's power of two, ``D1``,
-    ``D2``, ``D3`` and ``T`` with :func:`_rank_rows` or ``T`` alone without
-    rows, and the totals ``T`` unscaled (+-inf where they overflow
-    float64). A sorted row's largest ``|x|`` is at one of its ends."""
+    sorted ascending: the sums scaled by the row's power of two ``2**-e``,
+    ``D1``, ``D2``, ``D3`` and ``T`` with :func:`_rank_rows` or ``T`` alone
+    without rows; the totals ``T`` unscaled (+-inf where they overflow
+    float64); and ``e``. A sorted row's largest ``|x|`` is at one of its
+    ends."""
     e = _exponents(x[:, 0], x[:, -1])
     sums = _rank_sums(x, e, rows)
     with np.errstate(over="ignore"):
-        return sums, np.ldexp(sums[:, -1], e)
+        return sums, np.ldexp(sums[:, -1], e), e
 
 
-def _sorted_scores(x: np.ndarray, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """:func:`_scores` of each sorted row of ``x``, from its sums and total
-    as :func:`_sorted_sums` gives them."""
+def _sorted_scores(
+    x: np.ndarray, sums: np.ndarray, total: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """:func:`_scores` of each sorted row of ``x``, from its sums, total
+    and exponent as :func:`_sorted_sums` gives them."""
     n = x.shape[1]
-    e = _exponents(x[:, 0], x[:, -1])
     # The reported total, scaled back: it is the kernel's scaled sum unless
     # the total is subnormal.
     total = np.ldexp(total, -e)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sagini import (
     BadEndpointError,
+    Dataset,
     EmptyOrSingletonError,
     ExperimentConfig,
     InvalidNError,
@@ -231,6 +232,15 @@ class TestOnePass:
         )
         sensitivity_sweep(cfg)
         assert kernel_calls == [(block, 10), (block, 10), (3, 10)]
+
+    def test_a_dataset_built_by_hand_sorts_and_sums_on_first_report(self, kernel_calls):
+        assert [f.name for f in dataclasses.fields(Dataset)] == ["values", "total"]
+        x = np.random.default_rng(5).lognormal(0.0, 1.0, 50)
+        built = build_dataset(x)
+        data = Dataset(values=x, total=built.total)
+        assert data.sorted_values.tolist() == built.sorted_values.tolist()
+        assert report(data) == report(built)
+        assert kernel_calls == [(1, 50), (1, 50)]
 
     def test_lorenz_curve_reuses_the_sorted_values(self, monkeypatch):
         data = build_dataset(np.random.default_rng(4).lognormal(0.0, 1.0, 100))
