@@ -169,6 +169,9 @@ def _draw(config: ExperimentConfig, rng: np.random.Generator, reps: range) -> np
 
 def generate(config: ExperimentConfig, rep_index: int) -> Dataset:
     """Draw one dataset; bit-identical for identical ``(config, rep_index)``."""
+    if isinstance(rep_index, bool) or not isinstance(rep_index, numbers.Integral):
+        raise BadParamsError(f"rep_index must be an integer, got {rep_index!r}")
+    rep_index = int(rep_index)
     if not 0 <= rep_index < config.replications:
         raise BadParamsError(
             f"rep_index must be in [0, {config.replications}), got {rep_index}"

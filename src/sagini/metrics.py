@@ -34,7 +34,8 @@ no weights::
 and ``D3``'s rows are ``3n`` times ``D1``'s minus ``D2``'s, from the identity
 ``g_right + g_left = 2 gini`` (``c3 = 3n c1 - c2``). ``T`` is a fourth
 weighting, the weight 1: its rows are 1 on ``A`` and 0 on ``B`` and
-``E``. The kernel forms the
+``E``. It is the last weighting of every pass, so each pass ends in the
+total of the values it summed. The kernel forms the
 iterated sums from the last chunk to the first: ``A += x_c``, then ``B +=
 A``, then ``E += B``, each an error-free TwoSum whose rounding error goes
 to a low column; ``B``'s low column also takes ``A``'s, and ``E``'s takes
@@ -65,8 +66,10 @@ Sum2 of ``A`` in each column, as a plain sum would be, and is within ``u
 |T| + gamma_L**2 * sum|x_k|`` with ``gamma_L = Lu / (1 - Lu)``.
 
 Values are first scaled by the power of two ``2**-e`` that brings the
-largest ``|x|`` into [0.5, 1), which leaves every index unchanged, so no
-product or partial sum overflows; sorted data takes ``e`` from its ends.
+largest ``|x|`` into [0.5, 1), so no product or partial sum overflows;
+sorted data takes ``e`` from its ends. The scores divide ``D1``, ``D2``
+and ``D3`` by the same pass's scaled ``T``, so the scale cancels and is
+never undone.
 The scaling is a multiplication, exact upwards and correctly rounded
 downwards, in two factors where ``2**-e`` exceeds the largest float (the
 largest ``|x|`` below ``2**-1024``). The bounds hold barring underflow,
@@ -75,17 +78,18 @@ whose scaled total is zero or subnormal, where that underflow can swamp
 the total, is rejected by :func:`build_dataset` and by a replication sweep
 rather than divided by. No weight is formed per value, so only the
 coefficient rows and the normalisers ``n`` and ``3 n^2`` need to be exact
-in float64: both are up to ``n = _MAX_EXACT_N`` (about 5.5e7), and larger
-inputs raise :class:`InvalidNError` before the data is read. Above the
-limit :func:`build_dataset` still takes the plain total of the sorted
-values, with no weighting, and :func:`report` raises.
+in float64: both are up to ``n = _MAX_EXACT_N`` (about 5.5e7). Larger
+inputs make :func:`report` and :func:`metrics_from_lorenz` raise
+:class:`InvalidNError` before any sort or sum; there the rank rows are
+``T``'s alone, which stay exact, so :func:`build_dataset` still totals.
 
 For Lorenz points the weights are summed by parts over the shares: ``D =
 sum((c_k - c_(k+1)) q_k)`` with ``c_(n+1) = 0`` and ``T = q_n = 1``. The
 differences are ``-2`` and ``-6k`` below ``k = n``, so ``D1 = -2 sum_j A_j
 + (n + 1) q_n`` and ``D2 = sum_j (-6 (kappa - W) A_j - 6W B_j) + (2n +
 1)(n + 1) q_n``, ``D3``'s rows are again ``3n`` times ``D1``'s minus
-``D2``'s, and the ``q_n`` pieces are exact products.
+``D2``'s, and the ``q_n`` pieces are exact products: ``T``, with zero
+rows and the weight 1 on ``q_n``, is ``q_n`` scaled, exactly.
 
 This kernel is the only float path for the indices; the exact rational
 evaluations in :mod:`sagini.oracle` are its ground truth. Every value
@@ -165,7 +169,7 @@ class Dataset:
     are fine. :func:`build_dataset` sorts the values once and keeps the
     sorted copy, and the kernel pass that gives the total also gives the
     sums :func:`report` scores; a dataset built by hand sorts and sums on
-    first use.
+    first use, and its ``total`` gives only the ``mean``.
     """
 
     values: np.ndarray
@@ -185,12 +189,11 @@ class Dataset:
         return _readonly(np.sort(self.values))
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted sums of ``sorted_values`` and their exponent, as
-        :func:`_sorted_sums` gives them for a block of one. Raises
-        :class:`InvalidNError` above ``_MAX_EXACT_N`` values."""
-        sums, _, e = _sorted_sums(self.sorted_values[np.newaxis], _rank_rows)
-        return sums, e
+    def _sums(self) -> np.ndarray:
+        """The scaled sums ``D1``, ``D2``, ``D3`` and ``T`` of
+        ``sorted_values`` (``T`` alone above ``_MAX_EXACT_N`` values), as
+        :func:`_sorted_sums` gives them for a block of one."""
+        return _sorted_sums(self.sorted_values[np.newaxis])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,10 +290,7 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteValueError(f"non-finite value {float(values[i])!r} at index {i}")
-    # Above the limit report refuses the weighted sums; the total alone is
-    # still taken.
-    weighted = x.size <= _MAX_EXACT_N
-    sums, totals, e = _sorted_sums(x[np.newaxis], _rank_rows if weighted else None)
+    sums, totals = _sorted_sums(x[np.newaxis])
     total = float(totals[0])
     if math.isinf(total):
         raise NonFiniteValueError("the sum of the values overflows float64")
@@ -303,8 +303,7 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     data = Dataset(values=_readonly(values), total=total)
     # The cached properties take what this pass already has.
     vars(data)["sorted_values"] = _readonly(x)
-    if weighted:
-        vars(data)["_sums"] = (sums, e)
+    vars(data)["_sums"] = sums
     return data
 
 
@@ -388,8 +387,8 @@ def report(data: Dataset) -> InequalityReport:
 
     Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module doc).
     """
-    sums, e = data._sums
-    scores = _sorted_scores(data.sorted_values[np.newaxis], sums, np.array([data.total]), e)
+    _check_exact(data.n)
+    scores = _sorted_scores(data.sorted_values[np.newaxis], data._sums)
     return _make_report(data.n, data.mean, scores, convex=True)
 
 
@@ -407,11 +406,11 @@ def _replication_scores(x: np.ndarray) -> np.ndarray:
     # summed as zeros: fsum refuses inf + -inf.
     finite = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
     s[~finite] = 0.0
-    sums, total, e = _sorted_sums(s, _rank_rows)
+    sums, total = _sorted_sums(s)
     valid = finite & (np.abs(sums[:, -1]) >= _TINY) & (total > 0.0) & (total < math.inf)
     if not valid.all():
         build_dataset(x[np.argmin(valid)])  # raises that row's error
-    return _sorted_scores(s, sums, total, e)
+    return _sorted_scores(s, sums)
 
 
 def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> LorenzCurve:
@@ -480,10 +479,10 @@ def metrics_from_lorenz(
     """
     curve = points if isinstance(points, LorenzCurve) else lorenz_from_points(points)
     n = curve.n
+    _check_exact(n)
     q = curve.q[np.newaxis]
     e = _exponents(q.min(axis=1), q.max(axis=1))
-    sums = _rank_sums(q, e, _share_rows)
-    return _make_report(n, None, _scores(n, sums, np.ldexp(1.0, -e)), convex=curve.convex)
+    return _make_report(n, None, _scores(n, _rank_sums(q, e, _share_rows)), convex=curve.convex)
 
 
 def _make_report(
@@ -511,54 +510,57 @@ def _exponents(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(-low, high))[1]
 
 
-def _sorted_sums(
-    x: np.ndarray, rows: Callable[[int], tuple[np.ndarray, None]] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One kernel pass over each row of the finite ``(b, n)`` array ``x``,
-    sorted ascending: the sums scaled by the row's power of two ``2**-e``,
-    ``D1``, ``D2``, ``D3`` and ``T`` with :func:`_rank_rows` or ``T`` alone
-    without rows; the totals ``T`` unscaled (+-inf where they overflow
-    float64); and ``e``. A sorted row's largest ``|x|`` is at one of its
-    ends."""
+def _sorted_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel pass with :func:`_rank_rows` over each row of the finite
+    ``(b, n)`` array ``x``, sorted ascending: the sums scaled by the row's
+    power of two, ending in ``T``, and the totals ``T`` unscaled (+-inf
+    where they overflow float64). A sorted row's largest ``|x|`` is at one
+    of its ends."""
     e = _exponents(x[:, 0], x[:, -1])
-    sums = _rank_sums(x, e, rows)
+    sums = _rank_sums(x, e, _rank_rows)
     with np.errstate(over="ignore"):
-        return sums, np.ldexp(sums[:, -1], e), e
+        return sums, np.ldexp(sums[:, -1], e)
 
 
-def _sorted_scores(
-    x: np.ndarray, sums: np.ndarray, total: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """:func:`_scores` of each sorted row of ``x``, from its sums, total
-    and exponent as :func:`_sorted_sums` gives them."""
-    n = x.shape[1]
-    # The reported total, scaled back: it is the kernel's scaled sum unless
-    # the total is subnormal.
-    total = np.ldexp(total, -e)
-    sums = sums[:, :3].copy()
+def _sorted_scores(x: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """:func:`_scores` of each sorted row of ``x``, from its sums as
+    :func:`_sorted_sums` gives them."""
+    sums = sums.copy()
     # Perfect equality. The compensated sums would leave rounding noise of
     # order u**2 here; the exact answer is zero.
-    equal = x[:, 0] == x[:, -1]
-    sums[equal] = 0.0
-    total[equal] = 1.0
-    return _scores(n, sums, total)
+    sums[x[:, 0] == x[:, -1], :3] = 0.0
+    return _scores(x.shape[1], sums)
 
 
-def _scores(n: int, sums: np.ndarray, total: np.ndarray) -> np.ndarray:
+def _scores(n: int, sums: np.ndarray) -> np.ndarray:
     """gini, g_right, g_left and sag as the rows of a ``(4, b)`` array: the
-    three weighted sums of each of the ``b`` rows of ``sums`` divided by
-    their normalisers, with the row's scaled total (see module doc)."""
-    scores = sums.T * _ONE_TWO_TWO / np.multiply.outer([n, 3 * n * n, 3 * n * n], total)
+    weighted sums ``D1``, ``D2`` and ``D3`` of each of the ``b`` rows of
+    ``sums`` divided by their normalisers and by the row's ``T``, all four
+    scaled alike by one pass (see module doc)."""
+    scores = sums[:, :3].T * _ONE_TWO_TWO / np.multiply.outer([n, 3 * n * n, 3 * n * n], sums[:, 3])
     g, gr, gl = scores
     return np.concatenate((scores, (g + abs(gr - gl) / 2.0)[np.newaxis]))
 
 
+def _check_exact(n: int) -> None:
+    """Raise :class:`InvalidNError` above ``_MAX_EXACT_N`` values, where the
+    index sums' coefficient rows and normalisers are not exact in float64."""
+    if n > _MAX_EXACT_N:
+        raise InvalidNError(
+            f"n = {n} is above {_MAX_EXACT_N}, beyond which the kernel's "
+            "coefficient rows and normalisers are not exact in float64"
+        )
+
+
 def _rank_rows(n: int) -> tuple[np.ndarray, None]:
-    """The W-column coefficient rows of ``c1``, ``c2``, ``c3`` and the
-    total's weight 1 on the iterated sums ``A``, ``B`` and ``E``, shape
-    ``(4, 3, min(n, W))``, and no weight of their own for the last value
-    (see module doc). Built in int64: ``3n`` times ``D1``'s rows passes
+    """The W-column coefficient rows of ``c1``, ``c2``, ``c3`` and ``T``'s
+    weight 1 on the iterated sums ``A``, ``B`` and ``E``, shape ``(4, 3,
+    min(n, W))``, and no weight of their own for the last value (see
+    module doc); above ``_MAX_EXACT_N``, ``T``'s row alone, shape ``(1, 1,
+    min(n, W))``. Built in int64: ``3n`` times ``D1``'s rows passes
     ``2**53`` near the limit before ``D2``'s are subtracted."""
+    if n > _MAX_EXACT_N:
+        return np.ones((1, 1, min(n, _CHUNK))), None
     k = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
     d = k - _CHUNK
     rows = np.zeros((4, 3, k.size), dtype=np.int64)
@@ -574,15 +576,16 @@ def _rank_rows(n: int) -> tuple[np.ndarray, None]:
 
 def _share_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The W-column coefficient rows of the differenced weights ``c_k -
-    c_(k+1)`` on ``A`` and ``B``, shape ``(3, 2, min(n, W))``, and the
-    weights of the last share ``q_n`` beyond them (see module doc)."""
+    c_(k+1)`` and of ``T = q_n`` (zero rows) on ``A`` and ``B``, shape
+    ``(4, 2, min(n, W))``, and the weights of the last share ``q_n`` beyond
+    them, ``T``'s 1 (see module doc)."""
     k = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
-    rows = np.zeros((3, 2, k.size), dtype=np.int64)
+    rows = np.zeros((4, 2, k.size), dtype=np.int64)
     rows[0, 0] = -2
     rows[1, 0] = 6 * (_CHUNK - k)
     rows[1, 1] = -6 * _CHUNK
     rows[2] = 3 * n * rows[0] - rows[1]
-    last = np.array([n + 1, (2 * n + 1) * (n + 1), n * n - 1], dtype=float)
+    last = np.array([n + 1, (2 * n + 1) * (n + 1), n * n - 1, 1], dtype=float)
     return rows.astype(float), last
 
 
@@ -606,7 +609,7 @@ def _two_product(a: np.ndarray, b: float | np.ndarray, ab: np.ndarray) -> np.nda
 def _rank_sums(
     x: np.ndarray,
     e: np.ndarray,
-    rows: Callable[[int], tuple[np.ndarray, np.ndarray | None]] | None = None,
+    rows: Callable[[int], tuple[np.ndarray, np.ndarray | None]],
 ) -> np.ndarray:
     """Compensated rank-weighted sums of each row ``b`` of the ``(b, n)``
     array ``x`` multiplied by ``2**-e_b`` (see module doc).
@@ -616,8 +619,8 @@ def _rank_sums(
     overflow. ``rows(n)`` gives the coefficient rows of ``k`` weightings on
     the iterated sums ``A``, ``B``, ... (shape ``(k, depth, min(n, W))``)
     and the weights of the last value beyond them (shape ``(k,)``, or
-    None); the result has shape ``(b, k)``. Without ``rows`` it is the
-    plain sum ``A``, shape ``(b, 1)``.
+    None); the result has shape ``(b, k)``. Both :func:`_rank_rows` and
+    :func:`_share_rows` end in ``T``, the scaled total of the pass.
 
     Each column of each row keeps its iterated sums as error-free TwoSum
     pairs of high and low columns, formed from the last chunk to the
@@ -630,12 +633,7 @@ def _rank_sums(
     row.
     """
     b, n = x.shape
-    if rows is not None and n > _MAX_EXACT_N:
-        raise InvalidNError(
-            f"n = {n} is above {_MAX_EXACT_N}, beyond which the kernel's "
-            "coefficient rows and normalisers are not exact in float64"
-        )
-    coef, last = rows(n) if rows is not None else (None, None)
+    coef, last = rows(n)
     # Multiplying by 2**-e is exact scaling up and one correctly rounded
     # multiply scaling down, as np.ldexp(x, -e) is. Where the largest |x|
     # is subnormal, 2**-e can exceed the largest float: such rows are
@@ -654,18 +652,15 @@ def _rank_sums(
     if n <= _CHUNK:
         # One chunk: A = B = E = x, so the rows sum to the weights.
         v = scaled(0, n)[:, np.newaxis]
-        if coef is None:
-            pieces = v
-        else:
-            c = coef.sum(axis=1)
-            if last is not None:
-                c[:, -1] += last
-            h = c * v
-            pieces = np.concatenate((h, _two_product(v, c, h)), axis=-1)
+        c = coef.sum(axis=1)
+        if last is not None:
+            c[:, -1] += last
+        h = c * v
+        pieces = np.concatenate((h, _two_product(v, c, h)), axis=-1)
         return np.array([list(map(math.fsum, row)) for row in pieces.tolist()])
 
     # The first chunk taken is the last, and may be short: A = B = E = x.
-    depth = 1 if coef is None else coef.shape[1]
+    depth = coef.shape[1]
     top = (n - 1) // _CHUNK * _CHUNK
     first = np.zeros((b, _CHUNK))
     first[:, : n - top] = scaled(top, n)
@@ -689,8 +684,6 @@ def _rank_sums(
                 lo[s] += lo[s - 1]
             hi[s], t = t, p
             v = hi[s]
-    if coef is None:
-        return np.array([[math.fsum(row.tolist())] for row in np.concatenate((hi[0], lo[0]), axis=-1)])
     sums = np.empty((b, coef.shape[0]))
     for i, weighting in enumerate(coef):
         # Dot2 down each column: h + r is sum_s weighting[s] (hi[s] + lo[s]),

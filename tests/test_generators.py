@@ -179,6 +179,17 @@ class TestGenerate:
         with pytest.raises(BadParamsError, match="rep_index"):
             generate(cfg, -1)
 
+    @pytest.mark.parametrize("rep", [True, False, 1.5, 1.0, "1", None])
+    def test_rep_index_must_be_an_integer(self, rep):
+        # As for ExperimentConfig's counts, a bool or a float is no index.
+        with pytest.raises(BadParamsError, match=r"^rep_index must be an integer, got "):
+            generate(config("uniform", reps=2), rep)
+
+    @pytest.mark.parametrize("rep", [np.int64(1), np.uint8(1), np.uint64(1)])
+    def test_rep_index_may_be_a_numpy_integer(self, rep):
+        cfg = config("uniform", n=9, reps=2)
+        assert np.array_equal(generate(cfg, rep).values, generate(cfg, 1).values)
+
     @pytest.mark.parametrize("rep", [0, 1, 7])
     def test_draws_follow_the_documented_stream(self, rep):
         # A fresh Philox(key=seed, counter=rep << 128) per replication.

@@ -192,15 +192,17 @@ class TestBuildDataset:
         assert data.values.tolist() == [1.0, 2.0, 3.0]
         assert data.n == 3
 
-    def test_above_the_kernel_limit_the_total_is_taken_alone(self, monkeypatch):
-        # Data beyond the kernel's limit is accepted with the same total;
-        # only the weighted sums, and so report, are refused.
-        values = np.random.default_rng(50).lognormal(0.0, 1.0, 50)
+    @pytest.mark.parametrize("n", [50, 3 * _CHUNK + 1])
+    def test_above_the_kernel_limit_the_total_is_taken_alone(self, monkeypatch, n):
+        # Data beyond the kernel's limit is accepted with the same total, in
+        # one chunk and over several; only the weighted sums, and so
+        # report, are refused.
+        values = np.random.default_rng(n).lognormal(0.0, 1.0, n)
         total = build_dataset(values).total
         monkeypatch.setattr(metrics, "_MAX_EXACT_N", 20)
         data = build_dataset(values)
         assert data.total == total
-        with pytest.raises(InvalidNError, match="^n = 50 is above 20, beyond which"):
+        with pytest.raises(InvalidNError, match=f"^n = {n} is above 20, beyond which"):
             report(data)
 
 
@@ -240,7 +242,12 @@ class TestOnePass:
         data = Dataset(values=x, total=built.total)
         assert data.sorted_values.tolist() == built.sorted_values.tolist()
         assert report(data) == report(built)
-        assert kernel_calls == [(1, 50), (1, 50)]
+        # The indices are scored with the pass's own total; the given total
+        # gives only the mean.
+        doubled = Dataset(values=x, total=2 * built.total)
+        assert indices(report(doubled)) == indices(report(built))
+        assert report(doubled).mean == 2 * report(built).mean
+        assert kernel_calls == [(1, 50), (1, 50), (1, 50)]
 
     def test_lorenz_curve_reuses_the_sorted_values(self, monkeypatch):
         data = build_dataset(np.random.default_rng(4).lognormal(0.0, 1.0, 100))
@@ -601,25 +608,28 @@ class TestKernelAgainstOracle:
 
 class TestBlockKernel:
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_each_row_sums_as_it_would_alone(self, weighted):
+    def test_each_row_sums_as_it_would_alone(self, weighted, monkeypatch):
         # Rows of different scales and signs, two chunk edges, one block:
         # the iterated sums and their combination run column by column.
-        self.check_rows_alone(weighted, 2 * _CHUNK + 5)
+        self.check_rows_alone(weighted, 2 * _CHUNK + 5, monkeypatch)
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_each_row_sums_as_it_would_alone_in_one_chunk(self, weighted):
+    def test_each_row_sums_as_it_would_alone_in_one_chunk(self, weighted, monkeypatch):
         # One chunk: the coefficient rows are summed into the weights.
-        self.check_rows_alone(weighted, _CHUNK)
+        self.check_rows_alone(weighted, _CHUNK, monkeypatch)
 
     @staticmethod
-    def check_rows_alone(weighted, n):
+    def check_rows_alone(weighted, n, monkeypatch):
         rng = np.random.default_rng(11)
         x = rng.lognormal(0.0, 2.0, (4, n)) * np.array([[1e-300], [1.0], [-3e7], [1e300]])
         x[1, ::7] = 0.0
         e = _exponents(x.min(axis=1), x.max(axis=1))
-        for rows in (_rank_rows, _share_rows) if weighted else (None,):
+        if not weighted:
+            # Above the limit _rank_rows gives the total's row alone.
+            monkeypatch.setattr(metrics, "_MAX_EXACT_N", 1)
+        for rows in (_rank_rows, _share_rows) if weighted else (_rank_rows,):
             sums = _rank_sums(x, e, rows)
-            assert sums.shape == (4, {None: 1, _rank_rows: 4, _share_rows: 3}[rows])
+            assert sums.shape == (4, 4 if weighted else 1)
             for row, e_row, sums_row in zip(x, e, sums.tolist()):
                 alone = _rank_sums(row[np.newaxis], e_row[np.newaxis], rows)
                 assert alone.tolist() == [sums_row]
@@ -639,11 +649,11 @@ class TestBlockKernel:
         )
         e = _exponents(x.min(axis=1), x.max(axis=1))
         assert e.tolist() == np.frexp(np.abs(x).max(axis=1))[1].tolist()
-        sums = _rank_sums(x, e)
+        sums = _rank_sums(x, e, _rank_rows)
         scaled = np.ldexp(x, -e[:, np.newaxis])
         assert (np.abs(scaled[1]) < 2.0**-1022).sum() > n // 2
-        # One chunk: the sum is the fsum of the scaled values themselves.
-        assert sums[:, 0].tolist() == [math.fsum(row) for row in scaled.tolist()]
+        # One chunk: the total is the fsum of the scaled values themselves.
+        assert sums[:, -1].tolist() == [math.fsum(row) for row in scaled.tolist()]
 
     @pytest.mark.parametrize("n", [2, 10, _CHUNK])
     def test_one_chunk_sums_are_correctly_rounded(self, n):
@@ -682,8 +692,10 @@ def rank_weights(n):
 
 def share_weights(n):
     """The differences ``c_k - c_(k+1)`` of the index weights of
-    :func:`rank_weights`, ``c_(n+1) = 0``; the shares' total is ``q_n = 1``."""
-    return [[a - b for a, b in zip(c, c[1:] + [0])] for c in rank_weights(n)[:3]]
+    :func:`rank_weights`, ``c_(n+1) = 0``, and the weights of the shares'
+    total ``q_n``."""
+    differences = [[a - b for a, b in zip(c, c[1:] + [0])] for c in rank_weights(n)[:3]]
+    return differences + [[0] * (n - 1) + [1]]
 
 
 class TestRankWeights:
@@ -703,7 +715,7 @@ class TestRankWeights:
         kappa = range(1, W + 1)
         rank, none = _rank_rows(n)
         share, last = _share_rows(n)
-        assert none is None and rank.shape == (4, 3, W) and share.shape == (3, 2, W)
+        assert none is None and rank.shape == (4, 3, W) and share.shape == (4, 2, W)
         d1 = [[2 * k - n - 1 - 2 * W for k in kappa], [2 * W] * W, [0] * W]
         d2 = [
             [3 * k * (k - 1) - 3 * W * (2 * k - 1) + 3 * W * W - (n * n - 1) for k in kappa],
@@ -713,11 +725,11 @@ class TestRankWeights:
         total = [[1] * W, [0] * W, [0] * W]
         s1 = [[-2] * W, [0] * W]
         s2 = [[-6 * (k - W) for k in kappa], [-6 * W] * W]
-        for got, (a, b), more in ((rank, (d1, d2), [total]), (share, (s1, s2), [])):
+        for got, (a, b), more in ((rank, (d1, d2), [total]), (share, (s1, s2), [[[0] * W] * 2])):
             third = [[3 * n * u - v for u, v in zip(r, s)] for r, s in zip(a, b)]
             assert got.tolist() == [a, b, third] + more
             assert np.abs(got).max() < 2**53
-        assert last.tolist() == [n + 1, (2 * n + 1) * (n + 1), n * n - 1]
+        assert last.tolist() == [n + 1, (2 * n + 1) * (n + 1), n * n - 1, 1]
         # Sparse integer data at both ends, in the middle and at chunk
         # edges: the rows on its iterated sums give the weighted sums.
         ranks = sorted({1, 2, W, W + 1, n // 2, n - W - 1, n - W, n - 1, n} - {0})
@@ -741,8 +753,7 @@ class TestRankWeights:
                 c2 = {k: -6 * k if k < n else (2 * n - 1) * (n - 1) for k in values}
             want = [sum(c[k] * v for k, v in values.items()) for c in (c1, c2)]
             want.append(3 * n * want[0] - want[1])
-            if rows is rank:
-                want.append(sum(values.values()))
+            want.append(sum(values.values()) if rows is rank else values[n])
             assert got == want
 
     @pytest.mark.parametrize("n", [2, 10, _CHUNK])
@@ -755,16 +766,19 @@ class TestRankWeights:
         assert summed.tolist() == share_weights(n)
 
     def test_beyond_the_limit_raises(self):
-        # Checked at the kernel's entry, before the rows are built; a
-        # broadcast view holds the n values in one float.
+        # Checked before the values are sorted or summed; a broadcast view
+        # holds the n values in one float.
         n = _MAX_EXACT_N + 1
-        x = np.broadcast_to(1.0, (1, n))
-        for rows in (_rank_rows, _share_rows):
-            with pytest.raises(InvalidNError):
-                _rank_sums(x, np.array([1]), rows)
+        message = f"^n = {n} is above {_MAX_EXACT_N}, beyond which"
+        data = Dataset(values=np.broadcast_to(1.0, (n,)), total=float(n))
+        with pytest.raises(InvalidNError, match=message):
+            report(data)
         curve = LorenzCurve(q=np.broadcast_to(1.0, (n,)), convex=True)
-        with pytest.raises(InvalidNError):
+        with pytest.raises(InvalidNError, match=message):
             metrics_from_lorenz(curve)
+        # Only the total's row is exact there, and it is all the rows.
+        rows, last = _rank_rows(n)
+        assert rows.tolist() == [[[1.0] * _CHUNK]] and last is None
 
 
 @st.composite
@@ -829,7 +843,10 @@ def test_kernel_total_stays_within_its_bound_across_chunks(x):
     n = x.size
     e = _exponents(x[np.newaxis, :].min(axis=1), x[np.newaxis, :].max(axis=1))
     total = _rank_sums(x[np.newaxis], e, _rank_rows)[0, -1]
-    assert total == _rank_sums(x[np.newaxis], e)[0, 0]
+    with pytest.MonkeyPatch.context() as patch:
+        # Above the limit _rank_rows gives the total's row alone.
+        patch.setattr(metrics, "_MAX_EXACT_N", 1)
+        assert total == _rank_sums(x[np.newaxis], e, _rank_rows)[0, 0]
     ints = [int(v) for v in x.tolist()]
     exact = sum(ints)
     u = Fraction(1, 2**53)
