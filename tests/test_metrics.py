@@ -192,11 +192,17 @@ class TestBuildDataset:
         assert data.values.tolist() == [1.0, 2.0, 3.0]
         assert data.n == 3
 
-    @pytest.mark.parametrize("n", [50, 3 * _CHUNK + 1])
-    def test_above_the_kernel_limit_the_total_is_taken_alone(self, monkeypatch, n):
-        # Data beyond the kernel's limit is accepted with the same total, in
-        # one chunk and over several; only the weighted sums, and so
-        # report, are refused.
+    def test_above_the_kernel_limit_the_total_is_taken_alone(self, monkeypatch):
+        # Data beyond the kernel's limit is accepted with the same total;
+        # only the weighted sums, and so report, are refused.
+        self.check_total_alone(monkeypatch, 50)
+
+    def test_above_the_kernel_limit_the_total_is_taken_alone_across_chunks(self, monkeypatch):
+        # The same over several chunks.
+        self.check_total_alone(monkeypatch, 3 * _CHUNK + 1)
+
+    @staticmethod
+    def check_total_alone(monkeypatch, n):
         values = np.random.default_rng(n).lognormal(0.0, 1.0, n)
         total = build_dataset(values).total
         monkeypatch.setattr(metrics, "_MAX_EXACT_N", 20)
