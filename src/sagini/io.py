@@ -510,17 +510,18 @@ def document_to_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: One sweep row as ``json.dumps(doc, indent=2)`` writes it inside ``rows``.
+#: One sweep row as ``json.dumps(doc, indent=2)`` writes it inside ``rows``,
+#: with a ``%s`` for each field of the row in turn.
 _SWEEP_ROW = """\
-    {{
-      "rep_index": {},
-      "gini": {},
-      "g_right": {},
-      "g_left": {},
-      "sag": {},
-      "sag_minus_gini": {},
-      "skew_direction": {}
-    }}"""
+    {
+      "rep_index": %s,
+      "gini": %s,
+      "g_right": %s,
+      "g_left": %s,
+      "sag": %s,
+      "sag_minus_gini": %s,
+      "skew_direction": %s
+    }"""
 
 
 def sweep_to_json(result) -> str:
@@ -534,12 +535,13 @@ def sweep_json_pieces(result) -> Iterator[str]:
     sweep document ``{"config": ..., "rows": [...], "summary": ...}``;
     :data:`_WRITE_BLOCK` rows to a piece.
 
-    ``config`` and ``summary`` go through :func:`json.dumps`. Each row is
-    written into :data:`_SWEEP_ROW` with ``float.__repr__``, what
-    :mod:`json` itself uses for a finite float, as :func:`json_pieces`
-    does for the Lorenz array. A block of rows holding a nan or an
-    infinity, which json spells differently, goes through
-    :func:`json.dumps` too.
+    ``config`` and ``summary`` go through :func:`json.dumps`. A block of
+    rows is written with one ``%`` format of :data:`_SWEEP_ROW`, repeated
+    once per row, over the block's fields taken a column at a time; the
+    floats are written with ``float.__repr__``, what :mod:`json` itself
+    uses for a finite float, as :func:`json_pieces` does for the Lorenz
+    array. A block of rows holding a nan or an infinity, which json spells
+    differently, goes through :func:`json.dumps` too.
     """
     doc = {
         "config": {
@@ -558,20 +560,19 @@ def sweep_json_pieces(result) -> Iterator[str]:
         return
     head, tail = text.split('"rows": []', 1)
     opening = head + '"rows": [\n'
+    floats = ("gini", "g_right", "g_left", "sag", "sag_minus_gini")
     for block in _write_blocks(result.rows):
-        rows = ",\n".join(
-            [
-                _SWEEP_ROW.format(
-                    row.rep_index,
-                    *map(
-                        float.__repr__,
-                        (row.gini, row.g_right, row.g_left, row.sag, row.sag_minus_gini),
-                    ),
-                    json.encoder.encode_basestring_ascii(row.skew_direction),
-                )
-                for row in block
-            ]
+        # The seven fields of each row in turn, each column written as json
+        # writes it: float.__repr__ of the floats, not repr, which numpy
+        # floats override, and the skew call quoted.
+        cells = [None] * (7 * len(block))
+        cells[0::7] = [row.rep_index for row in block]
+        for k, name in enumerate(floats, 1):
+            cells[k::7] = map(float.__repr__, [getattr(row, name) for row in block])
+        cells[6::7] = map(
+            json.encoder.encode_basestring_ascii, [row.skew_direction for row in block]
         )
+        rows = ",\n".join([_SWEEP_ROW] * len(block)) % tuple(cells)
         # Every float is followed by ",\n"; its repr ends in a digit unless
         # it is "nan", "inf" or "-inf".
         if "n,\n" in rows or "f,\n" in rows:

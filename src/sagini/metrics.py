@@ -45,13 +45,22 @@ to a low column; ``B``'s low column also takes ``A``'s, and ``E``'s takes
 as in Dot2 (Ogita, Rump and Oishi, "Accurate Sum and Dot Product", SIAM J.
 Sci. Comput. 2005): an exact TwoProduct for each high column, a TwoSum
 across the rows, and the errors and the low columns' products summed in a
-low column. One :func:`math.fsum` per sum then adds up the columns. The
-kernel takes a block of rows, one dataset each, and sums each row on its
-own, so a block gives every row the bits it would get alone; a report is
-the block of one, and a replication sweep evaluates many rows per block.
-Data of one chunk has ``A = B = E = x``: the rows are summed into ``c1``,
-``c2``, ``c3`` and 1 first, every TwoProduct with ``x`` is exact, and each sum
-is correctly rounded.
+low column. Each sum's columns are then added up correctly rounded, to
+the bits :func:`math.fsum` gives, by :func:`_rounded_sums` for all sums
+of a block at once: it splits every piece of a sum at a power of two
+``sigma`` well above the sum's largest piece (ExtractVector, from Rump,
+Ogita and Oishi, "Accurate Floating-Point Summation Part I", SIAM J.
+Sci. Comput. 2008) into high parts that add up exactly and low parts
+whose float sum has a bounded error, and keeps the TwoSum of the two
+where that bound proves it is the correctly rounded sum. The few sums it
+cannot prove, and all sums of a small block, are summed by
+:func:`math.fsum` itself. The kernel takes a block of rows, one dataset
+each, and sums each row on its own, so a block gives every row the bits
+it would get alone; a report is the block of one, and a replication
+sweep evaluates many rows per block. Data of one chunk has ``A = B = E =
+x``: the rows are summed into ``c1``, ``c2``, ``c3`` and 1 first, every
+TwoProduct with ``x`` is exact, and each sum is the correctly rounded sum
+of those exact products.
 
 With ``C`` chunks, ``L = C + 1``, ``u = 2**-53`` and ``gamma = 4Lu / (1 -
 4Lu)``, each sum ``D`` whose rows on ``A``, ``B`` and ``E`` are ``alpha``,
@@ -131,6 +140,11 @@ _CONVEXITY_SLACK = 1e-12
 #: cache and peak memory does not grow with n.
 _CHUNK = 8192
 
+#: Arrays of fewer pieces are summed by :func:`math.fsum` alone in
+#: :func:`_rounded_sums`: below this the vectorised path's fixed cost of
+#: about thirty numpy calls exceeds fsum's per-piece cost.
+_FSUM_BELOW = 1000
+
 #: Dekker's splitting constant ``2**27 + 1``: ``a * _SPLIT`` cuts a float
 #: into two halves of at most 26 significant bits each, whose products are
 #: exact.
@@ -168,8 +182,9 @@ class Dataset:
     values with a strictly positive total. Individual zeros and negatives
     are fine. :func:`build_dataset` sorts the values once and keeps the
     sorted copy, and the kernel pass that gives the total also gives the
-    sums :func:`report` scores; a dataset built by hand sorts and sums on
-    first use, and its ``total`` gives only the ``mean``.
+    sums :func:`report` scores; a dataset built by hand sorts, checks and
+    sums on first use, raising what :func:`build_dataset` would, and its
+    ``total`` gives only the ``mean``.
     """
 
     values: np.ndarray
@@ -192,8 +207,12 @@ class Dataset:
     def _sums(self) -> np.ndarray:
         """The scaled sums ``D1``, ``D2``, ``D3`` and ``T`` of
         ``sorted_values`` (``T`` alone above ``_MAX_EXACT_N`` values), as
-        :func:`_sorted_sums` gives them for a block of one."""
-        return _sorted_sums(self.sorted_values[np.newaxis])[0]
+        :func:`_sorted_sums` gives them for a block of one.
+
+        Values that :func:`build_dataset` would refuse raise its error here:
+        a dataset built by hand is validated on first use, by the pass's
+        own total rather than by ``total``."""
+        return _checked_sums(self.values, self.sorted_values)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,6 +305,21 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
             f"need at least 2 observations, got {values.size}"
         )
     x = np.sort(values)
+    sums, total = _checked_sums(values, x)
+    data = Dataset(values=_readonly(values), total=total)
+    # The cached properties take what this pass already has.
+    vars(data)["sorted_values"] = _readonly(x)
+    vars(data)["_sums"] = sums
+    return data
+
+
+def _checked_sums(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The kernel pass over ``x``, the sorted copy of ``values``: its sums
+    as :func:`_sorted_sums` gives them for a block of one, and its total.
+
+    Raises what :func:`build_dataset` documents for values that are not
+    finite or whose total, the pass's own, is not positive.
+    """
     # NaN sorts last and the infinities sit at the ends.
     if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -300,11 +334,7 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         raise NonPositiveTotalError(
             f"sum of values must be positive, got {total!r}"
         )
-    data = Dataset(values=_readonly(values), total=total)
-    # The cached properties take what this pass already has.
-    vars(data)["sorted_values"] = _readonly(x)
-    vars(data)["_sums"] = sums
-    return data
+    return sums, total
 
 
 def _raise_cancelled_total(values: np.ndarray) -> NoReturn:
@@ -626,11 +656,12 @@ def _rank_sums(
     pairs of high and low columns, formed from the last chunk to the
     first. At the end the columns' products with the coefficient rows are
     combined column by column (exact TwoProducts, and TwoSum across the
-    rows), and one :func:`math.fsum` per row and weighting adds up the
-    high and low columns, so a row comes out as it would if it were summed
-    alone. Data of one chunk sums the rows first and takes exact
-    TwoProducts with the values. Memory beyond ``x`` is a few chunks per
-    row.
+    rows), and :func:`_rounded_sums` adds up the high and low columns of
+    every row of a weighting at once, correctly rounded as one
+    :func:`math.fsum` per row and weighting would, so a row comes out as it
+    would if it were summed alone. Data of one chunk sums the rows first,
+    takes exact TwoProducts with the values and rounds all its sums in one
+    call. Memory beyond ``x`` is a few chunks per row.
     """
     b, n = x.shape
     coef, last = rows(n)
@@ -657,7 +688,7 @@ def _rank_sums(
             c[:, -1] += last
         h = c * v
         pieces = np.concatenate((h, _two_product(v, c, h)), axis=-1)
-        return np.array([list(map(math.fsum, row)) for row in pieces.tolist()])
+        return _rounded_sums(pieces)
 
     # The first chunk taken is the last, and may be short: A = B = E = x.
     depth = coef.shape[1]
@@ -708,5 +739,59 @@ def _rank_sums(
             a = scaled(n - 1, n)
             p = a * last[i]
             pieces += [p, _two_product(a, last[i], p)]
-        sums[:, i] = [math.fsum(row.tolist()) for row in np.concatenate(pieces, axis=-1)]
+        sums[:, i] = _rounded_sums(np.concatenate(pieces, axis=-1))
     return sums
+
+
+def _rounded_sums(p: np.ndarray) -> np.ndarray:
+    """:func:`math.fsum` of every row of the finite ``(..., m)`` array
+    ``p``, bit for bit, as an array of shape ``p.shape[:-1]``.
+
+    Each row is split as in ExtractVector (Rump, Ogita and Oishi,
+    "Accurate Floating-Point Summation Part I: Faithful Rounding", SIAM J.
+    Sci. Comput. 2008). With ``2**E`` above the row's largest ``|p|`` and
+    ``2**M >= m + 2``, ``sigma = 2**(E + M)`` cuts every piece exactly into
+    ``hi = (sigma + p) - sigma``, a multiple of ``u sigma``, and ``lo = p -
+    hi``. The ``hi`` add up exactly in any order, as every partial sum is
+    such a multiple below ``sigma``; the ``lo`` add up to ``r`` within
+    ``m 2**-52 sum|lo|``, and a TwoSum of the two gives ``s`` and its
+    error. Where that error and the bound are less than half the gap
+    below ``|s|``, the gap above being no narrower, ``s`` is the only float
+    that near the exact sum, so it is the correctly rounded sum fsum gives
+    whatever the tie rule; rounding is monotone, so the test, made in
+    floats, holds for the exact values too. Every other row (a zero, subnormal or tied sum,
+    or a row whose ``sigma`` would overflow) is summed by fsum. So are all
+    rows of an array of fewer than :data:`_FSUM_BELOW` pieces.
+    """
+    if p.size < _FSUM_BELOW:
+        return _fsums(p)
+    m = p.shape[-1]
+    es = np.frexp(np.abs(p).max(axis=-1, keepdims=True))[1] + (m + 1).bit_length()
+    split = p
+    big = es > 1023
+    if big.any():
+        # Those rows sum to zero here and fall back to fsum.
+        split = np.where(big, 0.0, p)
+        es[big] = 0
+    sigma = np.ldexp(1.0, es)
+    hi = sigma + split
+    hi -= sigma
+    lo = np.subtract(split, hi)
+    tau = hi.sum(axis=-1)
+    r = lo.sum(axis=-1)
+    np.abs(lo, out=lo)
+    bound = lo.sum(axis=-1) * (m * 2.0**-52)
+    s = tau + r
+    z = s - tau
+    bound += abs((tau - (s - z)) + (r - z))
+    a = abs(s)
+    bad = ~(bound < (a - np.nextafter(a, 0.0)) * 0.5)
+    if bad.any():
+        s[bad] = _fsums(p[bad])
+    return s
+
+
+def _fsums(p: np.ndarray) -> np.ndarray:
+    """:func:`math.fsum` of every row of the ``(..., m)`` array ``p``."""
+    rows = p.reshape(-1, p.shape[-1]).tolist()
+    return np.array(list(map(math.fsum, rows)), dtype=float).reshape(p.shape[:-1])

@@ -6,7 +6,7 @@ import io
 import json
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +38,7 @@ from sagini.io import (
     json_pieces,
     read_lorenz_points,
     read_values,
+    sweep_json_pieces,
     sweep_to_csv,
     sweep_to_json,
 )
@@ -911,6 +912,33 @@ class TestJsonGolden:
         text = sweep_to_json(result)
         assert "NaN" in text and "-Infinity" in text
         assert text == json.dumps(sweep_document(result), indent=2) + "\n"
+
+    def test_sweep_rows_of_numpy_scalars(self):
+        # A numpy float's repr is "np.float64(...)"; json writes
+        # float.__repr__. json has no int64, so the reference doc gets the
+        # same index as an int.
+        config = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {})).config
+        skew = 'le"ft\\\u00e9\n'
+        rows = tuple(
+            SweepRow(np.int64(i), *map(np.float64, (0.1 * i, 1 / 3, 2.5e-7, 1e22, -0.0)), skew)
+            for i in range(3)
+        )
+        result = SweepResult(config, rows, {})
+        doc = sweep_document(result)
+        for row in doc["rows"]:
+            row["rep_index"] = int(row["rep_index"])
+        text = sweep_to_json(result)
+        assert "np." not in text and '"le\\"ft\\\\\\u00e9\\n"' in text
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    def test_sweep_nan_in_the_second_block_only(self):
+        cfg = ExperimentConfig("lognormal", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
+        result = sensitivity_sweep(cfg)
+        odd = replace(result.rows[-1], g_left=float("nan"))
+        result = SweepResult(cfg, (*result.rows[:-1], odd), result.summary)
+        pieces = list(sweep_json_pieces(result))
+        assert ["NaN" in piece for piece in pieces] == [False, True, False]
+        assert "".join(pieces) == json.dumps(sweep_document(result), indent=2) + "\n"
 
     def test_specials_after_the_first_floats(self):
         nan, inf = float("nan"), float("inf")

@@ -31,12 +31,14 @@ from sagini import (
 from sagini import metrics
 from sagini.metrics import (
     _CHUNK,
+    _FSUM_BELOW,
     _MAX_EXACT_N,
     LorenzCurve,
     _exponents,
     _rank_rows,
     _rank_sums,
     _replication_scores,
+    _rounded_sums,
     _share_rows,
     _two_product,
 )
@@ -254,6 +256,22 @@ class TestOnePass:
         assert indices(report(doubled)) == indices(report(built))
         assert report(doubled).mean == 2 * report(built).mean
         assert kernel_calls == [(1, 50), (1, 50), (1, 50)]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 0.0], [1.0, -5.0], [1.0, np.inf], [np.nan, 1.0], [1e300, -1e300, 1e-10]],
+        ids=["zero total", "negative total", "infinity", "nan", "cancelled total"],
+    )
+    def test_a_dataset_built_by_hand_raises_what_build_dataset_raises(self, values):
+        # Judged by the pass's own total, not the positive one given.
+        x = np.array(values)
+        with pytest.raises((NonFiniteValueError, NonPositiveTotalError)) as built:
+            build_dataset(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(built.type) as by_hand:
+                report(Dataset(values=x, total=1.0))
+        assert str(by_hand.value) == str(built.value)
 
     def test_lorenz_curve_reuses_the_sorted_values(self, monkeypatch):
         data = build_dataset(np.random.default_rng(4).lognormal(0.0, 1.0, 100))
@@ -785,6 +803,122 @@ class TestRankWeights:
         # Only the total's row is exact there, and it is all the rows.
         rows, last = _rank_rows(n)
         assert rows.tolist() == [[[1.0] * _CHUNK]] and last is None
+
+
+def fsums(p):
+    """math.fsum of each row of ``p``, as the bits of a uint64 array."""
+    rows = p.reshape(-1, p.shape[-1]).tolist()
+    return np.array(list(map(math.fsum, rows))).reshape(p.shape[:-1]).view(np.uint64)
+
+
+class TestRoundedSums:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The number of rows each call of _rounded_sums leaves to fsum."""
+        calls = []
+        fsum_rows = metrics._fsums
+
+        def counted(p):
+            calls.append(p.size // p.shape[-1])
+            return fsum_rows(p)
+
+        monkeypatch.setattr(metrics, "_fsums", counted)
+        return calls
+
+    def test_the_fast_path_proves_nearly_every_sum_of_a_sweep_block(self, fallbacks):
+        cfg = ExperimentConfig("lognormal", sample_size=10, replications=_CHUNK // 10, seed=1)
+        sensitivity_sweep(cfg)
+        assert sum(fallbacks) <= 0.01 * 4 * cfg.replications
+
+    def test_rows_it_cannot_prove_fall_back_to_fsum(self, fallbacks):
+        rng = np.random.default_rng(8)
+        p = rng.lognormal(0.0, 1.0, (_FSUM_BELOW // 20 + 6, 20))
+        chosen = [
+            [1.0, 2.0**-53],  # a tie, rounded to even
+            [1.0, -1.0],  # zero
+            [-0.0, -0.0],
+            [2.0**-1070, -(2.0**-1072)],  # subnormal
+            [1.7e308, -1.7e308],  # 2**(E + M) overflows
+            [1.0, 2.0**-53 + 2.0**-104],  # just past a tie
+        ]
+        for i, row in enumerate(chosen):
+            p[i] = 0.0
+            p[i, : len(row)] = row
+        p = p.reshape(-1, 2, 20)
+        assert p.size >= _FSUM_BELOW
+        got = _rounded_sums(p)
+        assert got.view(np.uint64).tolist() == fsums(p).tolist()
+        assert len(chosen) <= fallbacks[0] < len(chosen) + 3
+
+    def test_small_arrays_go_to_fsum_alone(self, fallbacks):
+        p = np.random.default_rng(9).lognormal(0.0, 1.0, (1, 4, 20))
+        assert _rounded_sums(p).view(np.uint64).tolist() == fsums(p).tolist()
+        assert fallbacks == [4]
+
+
+@st.composite
+def fsum_rows(draw):
+    """A ``(b, m)`` block of finite rows of one kind: cancelling pairs,
+    magnitudes to 1e+-300, huge values near the top of the range,
+    subnormals, zeros of both signs, exact ties and near-ties, or sums on
+    and next to a power of two."""
+    b = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(
+            ["cancelling", "wide", "huge", "subnormal", "zeros", "ties", "power of two"]
+        )
+    )
+    if kind == "cancelling":
+        half = rng.standard_normal((b, m // 2)) * 10.0 ** rng.integers(-300, 301, (b, m // 2))
+        rest = rng.standard_normal((b, m % 2)) * 10.0 ** rng.integers(-300, 301, (b, 1))
+        p = rng.permuted(np.concatenate((half, -half, rest), axis=1), axis=1)
+    elif kind == "wide":
+        p = rng.standard_normal((b, m)) * 10.0 ** rng.integers(-300, 301, (b, m))
+    elif kind == "huge":
+        # Pairs that cancel one after the other, so fsum never overflows.
+        a = rng.uniform(1e307, 1.7e308, (b, (m + 1) // 2))
+        p = np.stack((a, -a * rng.choice([1.0, 1.0 - 2.0**-52], a.shape)), axis=-1)
+        p = p.reshape(b, -1)[:, :m]
+    elif kind == "subnormal":
+        p = rng.integers(-(2**20), 2**20, (b, m)) * 5e-324
+    elif kind == "zeros":
+        p = np.where(rng.random((b, m)) < 0.5, -0.0, 0.0)
+    elif kind == "ties":
+        # A value, half the gap to its neighbour either way, cancelling
+        # pairs and sometimes a nudge off the tie, which the float sum of
+        # the small pieces may keep or lose. Half the values are powers of
+        # two, whose gap below is half the gap above.
+        mantissa = np.where(rng.random((b, 1)) < 0.5, 2**52, rng.integers(2**52, 2**53, (b, 1)))
+        base = mantissa * 2.0 ** rng.integers(-60, 60, (b, 1))
+        below = rng.random((b, 1)) < 0.5
+        half = np.where(below, np.nextafter(base, 0.0) - base, np.spacing(base)) / 2
+        nudge = half * 2.0 ** -rng.integers(40, 100, (b, 1)) * rng.integers(0, 2, (b, 1))
+        pairs = rng.lognormal(0.0, 1.0, (b, 2)) * base
+        pieces = np.concatenate((base, half, nudge, pairs, -pairs), axis=1)
+        p = np.concatenate((rng.permuted(pieces, axis=1), np.zeros((b, m))), axis=1)[:, :m]
+    else:
+        # Integers whose exact sum is 2**k, less or more a small piece.
+        ints = rng.integers(-(2**40), 2**40, (b, m))
+        k = rng.integers(41, 52, b)
+        ints[:, -1] = 2**k - ints[:, :-1].sum(axis=1)
+        tweak = rng.choice([0.0, 2.0**-30, -(2.0**-30)], (b, 1))
+        p = np.concatenate((ints * 1.0, tweak), axis=1)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(fsum_rows())
+def test_rounded_sums_are_fsum_bit_for_bit(p):
+    # On the block as drawn, which may be below the small-array limit, and
+    # on the block repeated to above it, where the fast path runs.
+    big = np.tile(p, (-(-_FSUM_BELOW // p.size), 1))
+    assert big.size >= _FSUM_BELOW
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in (p, big, big.reshape(big.shape[0], 1, -1)):
+            assert _rounded_sums(block).view(np.uint64).tolist() == fsums(block).tolist()
 
 
 @st.composite
