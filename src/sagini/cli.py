@@ -213,6 +213,7 @@ def compute(
         data=data,
         digest=digest,
         with_provenance=not no_provenance,
+        _q_array=True,
     )
     if out_format == "json":
         pieces = json_pieces(doc)

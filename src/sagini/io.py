@@ -35,9 +35,14 @@ A read holds one block's bytes, text and lines, or its cells on the line
 path, beyond the parsed table. The writers yield the report in pieces of
 :data:`_WRITE_BLOCK` shares or rows, which the CLI writes in turn;
 ``document_to_json``, ``document_to_csv`` and ``sweep_to_json`` are the
-joins of the same pieces. On 1e6 rows, ``compute`` to JSON peaks at
-about 98 MB RSS, 64 MB above the interpreter with its imports, and takes
-about 2 s on a 2-core host.
+joins of the same pieces. The CLI's document keeps the Lorenz shares as the
+curve's float64 array, and the JSON writer formats each block of it with
+:func:`sagini._repr.float_text`, a column-at-a-time shortest-repr
+formatter, instead of one ``float.__repr__`` call per share. On 1e6 rows
+of cents data, ``compute`` to JSON takes 0.64 s and peaks at 70 MB RSS,
+36 MB above the interpreter with its imports, on a 2-core x86-64 host
+with Python 3.11 and numpy 2.4; with a list of shares and the
+``float.__repr__`` join it took 0.95-1.02 s and 98.7 MB there.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
@@ -55,7 +60,7 @@ import hashlib
 import json
 import sys
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -348,6 +353,7 @@ def build_document(
     data: Dataset | None,
     digest: str | None,
     with_provenance: bool = True,
+    _q_array: bool = False,
 ) -> dict:
     """Assemble the report document (JSON-ready plain dict).
 
@@ -356,6 +362,10 @@ def build_document(
     raw-value report, supplies the input's mean, min, max and total; it is
     None for Lorenz-point input, where only n is known and the rest are
     null.
+
+    The CLI passes the private ``_q_array=True``, which leaves ``q`` as the
+    curve's read-only float64 array: the writers take it a block at a time,
+    while a list of it would hold 32 bytes a share beside the array's 8.
     """
     stats = dict.fromkeys(("mean", "min", "max", "total"))
     if data is not None:
@@ -379,7 +389,7 @@ def build_document(
             "skew_direction": result.skew_direction,
             "convex": result.convex,
         },
-        "lorenz": {"q": curve.q.tolist()},
+        "lorenz": {"q": curve.q if _q_array else curve.q.tolist()},
     }
     if with_provenance:
         doc["provenance"] = {
@@ -402,10 +412,16 @@ def json_pieces(value) -> Iterator[str]:
 
     Before Python 3.13, :mod:`json` falls back to its pure-Python encoder
     when ``indent`` is set, and spends nearly all its time on the Lorenz
-    array ``q``. A block of floats such as ``q`` holds is written here by
-    joining ``float.__repr__`` -- what :mod:`json` itself uses for a finite
-    float -- with the separator it would put between them; everything else
-    still goes through :func:`json.dumps`.
+    array ``q``. A block of finite floats such as ``q`` holds is written
+    here as ``float.__repr__`` -- what :mod:`json` itself uses for a finite
+    float -- of each, joined by the separator json would put between them;
+    everything else still goes through :func:`json.dumps`.
+
+    ``value`` may also hold a 1-D float64 ndarray, as the CLI's document
+    does for ``q``, which is written as its list would be. A block of it is
+    formatted by :func:`sagini._repr.float_text`, with no Python float per
+    share; a block holding a nan or an infinity goes through
+    :func:`json.dumps` as a list block would.
     """
     yield from _json_at(value, 0)
     yield "\n"
@@ -422,21 +438,15 @@ def _json_at(value, level: int) -> Iterator[str]:
             yield from _json_at(item, level + 1)
             opening = "," + indent
         yield close + "}"
-    elif isinstance(value, list) and value:
-        opening = "[" + indent
+    elif isinstance(value, (list, np.ndarray)) and len(value):
+        opening, sep = "[" + indent, "," + indent
         for block in _write_blocks(value):
-            try:
-                body = ("," + indent).join(map(float.__repr__, block))
-            except TypeError:
-                body = None  # not all floats
-            # Among float reprs only "nan", "inf" and "-inf" hold an "n";
-            # json spells those differently.
-            if body is None or "n" in body:
-                body = ("," + indent).join(
-                    "".join(_json_at(item, level + 1)) for item in block
-                )
+            body = _float_block(block, sep)
+            if body is None:
+                items = block.tolist() if isinstance(block, np.ndarray) else block
+                body = sep.join("".join(_json_at(item, level + 1)) for item in items)
             yield opening + body
-            opening = "," + indent
+            opening = sep
         yield close + "]"
     else:
         # A JSON string never holds a raw line break, so every "\n" in the
@@ -447,6 +457,29 @@ def _json_at(value, level: int) -> Iterator[str]:
 def _write_blocks(items: Sequence) -> Iterator[Sequence]:
     for start in range(0, len(items), _WRITE_BLOCK):
         yield items[start : start + _WRITE_BLOCK]
+
+
+def _float_block(block: Sequence, sep: str) -> str | None:
+    """``sep.join(map(float.__repr__, block))``, or None when ``block``
+    holds anything but finite floats, which json spells differently.
+
+    A float64 array block is written by :func:`sagini._repr.float_text`; a
+    list block by the join itself.
+    """
+    if isinstance(block, np.ndarray):
+        if block.dtype == np.float64 and block.ndim == 1 and np.isfinite(block).all():
+            # Imported on first use, as it builds its tables when it loads:
+            # a command that writes no float array pays for neither.
+            from ._repr import float_text
+
+            return float_text(block, sep)
+        return None
+    try:
+        body = sep.join(map(float.__repr__, block))
+    except TypeError:
+        return None  # not all floats
+    # Among float reprs only "nan", "inf" and "-inf" hold an "n".
+    return None if "n" in body else body
 
 
 def document_to_csv(doc: dict) -> str:
@@ -473,6 +506,9 @@ def csv_pieces(doc: dict) -> Iterator[str]:
     q = doc["lorenz"]["q"]
     for start in range(0, len(q), _WRITE_BLOCK):
         block = q[start : start + _WRITE_BLOCK]
+        # The CLI's document holds q as an array, whose items' repr is numpy's.
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
         yield "".join([f"{i},{i / n!r},{x!r}\n" for i, x in enumerate(block, start + 1)])
 
 
@@ -536,12 +572,13 @@ def sweep_json_pieces(result) -> Iterator[str]:
     :data:`_WRITE_BLOCK` rows to a piece.
 
     ``config`` and ``summary`` go through :func:`json.dumps`. A block of
-    rows is written with one ``%`` format of :data:`_SWEEP_ROW`, repeated
-    once per row, over the block's fields taken a column at a time; the
-    floats are written with ``float.__repr__``, what :mod:`json` itself
-    uses for a finite float, as :func:`json_pieces` does for the Lorenz
-    array. A block of rows holding a nan or an infinity, which json spells
-    differently, goes through :func:`json.dumps` too.
+    rows is written by :func:`_sweep_rows`, its floats with
+    ``float.__repr__``, what :mod:`json` itself uses for a finite float (not
+    ``repr``, which numpy floats override). A block of rows holding a nan
+    or an infinity, which json spells differently, is written again with
+    :func:`json.dumps` for each float; ``rep_index`` is written the same way
+    on both passes, so a numpy integer, which :func:`json.dumps` refuses,
+    is written as the integer it holds.
     """
     doc = {
         "config": {
@@ -560,26 +597,30 @@ def sweep_json_pieces(result) -> Iterator[str]:
         return
     head, tail = text.split('"rows": []', 1)
     opening = head + '"rows": [\n'
-    floats = ("gini", "g_right", "g_left", "sag", "sag_minus_gini")
     for block in _write_blocks(result.rows):
-        # The seven fields of each row in turn, each column written as json
-        # writes it: float.__repr__ of the floats, not repr, which numpy
-        # floats override, and the skew call quoted.
-        cells = [None] * (7 * len(block))
-        cells[0::7] = [row.rep_index for row in block]
-        for k, name in enumerate(floats, 1):
-            cells[k::7] = map(float.__repr__, [getattr(row, name) for row in block])
-        cells[6::7] = map(
-            json.encoder.encode_basestring_ascii, [row.skew_direction for row in block]
-        )
-        rows = ",\n".join([_SWEEP_ROW] * len(block)) % tuple(cells)
+        rows = _sweep_rows(block, float.__repr__)
         # Every float is followed by ",\n"; its repr ends in a digit unless
         # it is "nan", "inf" or "-inf".
         if "n,\n" in rows or "f,\n" in rows:
-            rows = ",\n".join("    " + "".join(_json_at(asdict(row), 2)) for row in block)
+            rows = _sweep_rows(block, json.dumps)
         yield opening + rows
         opening = ",\n"
     yield "\n  ]" + tail
+
+
+def _sweep_rows(block: Sequence, spell) -> str:
+    """A block of sweep rows, written with one ``%`` format of
+    :data:`_SWEEP_ROW`, repeated once per row, over the block's fields taken
+    a column at a time: ``rep_index`` as ``%s`` writes it, the floats as
+    ``spell`` does and the skew call quoted as json quotes it."""
+    cells = [None] * (7 * len(block))
+    cells[0::7] = [row.rep_index for row in block]
+    for k, name in enumerate(("gini", "g_right", "g_left", "sag", "sag_minus_gini"), 1):
+        cells[k::7] = map(spell, [getattr(row, name) for row in block])
+    cells[6::7] = map(
+        json.encoder.encode_basestring_ascii, [row.skew_direction for row in block]
+    )
+    return ",\n".join([_SWEEP_ROW] * len(block)) % tuple(cells)
 
 
 def sweep_to_csv(result) -> str:

@@ -11,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from sagini import build_dataset, cli, lorenz_curve, lorenz_from_points, report
+from sagini import io as sagini_io
 from sagini.cli import main
 from sagini.errors import ParseError, SaginiError
-from sagini.io import json_pieces
+from sagini.io import build_document, document_to_csv, document_to_json, json_pieces
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -241,6 +242,31 @@ class TestCompute:
                 doc["indices"][key], rel=1e-12, abs=1e-12
             )
         assert again["lorenz"]["q"] == doc["lorenz"]["q"]
+
+    @pytest.mark.parametrize(
+        "out_format, writer", [("json", document_to_json), ("csv", document_to_csv)]
+    )
+    def test_stdout_is_the_public_document_in_blocks(
+        self, runner, monkeypatch, out_format, writer
+    ):
+        # The losses make the first shares negative, and the small gains
+        # after them bring shares below 1e-4, where repr turns to exponent
+        # notation; the CLI writes q from the curve's array, three to a block.
+        monkeypatch.setattr(sagini_io, "_WRITE_BLOCK", 3)
+        values = [-40.0, 3.5, -2.5, 0.0, 1e-3, -0.0, 12.5, 1e6, 27.0, 0.75, 2.5e5, 1e4, -1e-3]
+        result = run(
+            runner, "compute", "-f", out_format, "--no-provenance",
+            input="".join(f"{v!r}\n" for v in values),
+        )
+        assert result.exit_code == 0
+        data = build_dataset(values)
+        doc = build_document(
+            report(data), lorenz_curve(data), data=data, digest=None, with_provenance=False
+        )
+        q = doc["lorenz"]["q"]
+        assert min(q) < 0 and any(0 < x < 1e-4 for x in q) and type(q) is list
+        assert "e-05" in result.stdout
+        assert result.stdout == writer(doc)
 
     def test_provenance_present_by_default(self, runner):
         result = run(runner, "compute", "-i", SYMMETRIC)

@@ -872,6 +872,23 @@ class TestJsonGolden:
         assert "NaN" in document_to_json(doc)
         json_golden(doc)
 
+    def test_array_document_is_written_as_the_list_document(self):
+        # The CLI's document holds q as the curve's array.
+        q = [-3e-05, -0.0, 0.0, 5e-324, 9.5e-05, 0.0001, 0.1, 1 / 3, 123.5, 1e16, 1e22, 1.0]
+        listed = curve_document(q, with_provenance=False)
+        array = curve_document(q, with_provenance=False, _q_array=True)
+        assert isinstance(array["lorenz"]["q"], np.ndarray)
+        json_golden(listed)
+        assert document_to_json(array) == document_to_json(listed)
+        assert document_to_csv(array) == document_to_csv(listed)
+
+    def test_array_blocks_with_specials_fall_back_to_json_spelling(self):
+        nan, inf = float("nan"), float("inf")
+        q = [0.5, 1e-05, nan, 0.25, inf, -inf, -0.0, 1.0]
+        text = "".join(json_pieces({"lorenz": {"q": np.array(q)}}))
+        assert "NaN" in text and "-Infinity" in text and "1e-05" in text
+        assert text == json.dumps({"lorenz": {"q": q}}, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "family, params",
         [
@@ -930,6 +947,17 @@ class TestJsonGolden:
         text = sweep_to_json(result)
         assert "np." not in text and '"le\\"ft\\\\\\u00e9\\n"' in text
         assert text == json.dumps(doc, indent=2) + "\n"
+
+    def test_sweep_numpy_index_in_a_block_with_a_nan(self):
+        # The nan sends the block to json's spelling of floats; the index is
+        # written as on the fast path, not through json.dumps, which refuses
+        # an int64.
+        config = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {})).config
+        nan = float("nan")
+        result = SweepResult(config, (SweepRow(np.int64(0), nan, 0.25, nan, 0.5, -0.0, "left"),), {})
+        doc = sweep_document(result)
+        doc["rows"][0]["rep_index"] = 0
+        assert sweep_to_json(result) == json.dumps(doc, indent=2) + "\n"
 
     def test_sweep_nan_in_the_second_block_only(self):
         cfg = ExperimentConfig("lognormal", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
@@ -1023,11 +1051,20 @@ class TestMemory:
         assert peak <= 2 * path.stat().st_size
 
     def test_writer_peak_beyond_the_document_is_bounded(self, tmp_path):
-        from sagini.cli import _write_output
+        check_writer_peak(tmp_path, q_array=False)
 
-        data = build_dataset(np.random.default_rng(8).lognormal(10.0, 1.0, 200_000))
-        doc = build_document(report(data), lorenz_curve(data), data=data, digest=None)
-        out = tmp_path / "report.json"
-        peak = traced_peak(lambda: _write_output(str(out), json_pieces(doc)))
-        assert peak <= 4 * 2**20
-        assert out.read_text() == document_to_json(doc)
+    def test_writer_peak_beyond_the_array_document_is_bounded(self, tmp_path):
+        # The CLI's document, whose shares the formatter writes a block at a
+        # time from the array.
+        check_writer_peak(tmp_path, q_array=True)
+
+
+def check_writer_peak(tmp_path, q_array):
+    from sagini.cli import _write_output
+
+    data = build_dataset(np.random.default_rng(8).lognormal(10.0, 1.0, 200_000))
+    doc = build_document(report(data), lorenz_curve(data), data=data, digest=None, _q_array=q_array)
+    out = tmp_path / "report.json"
+    peak = traced_peak(lambda: _write_output(str(out), json_pieces(doc)))
+    assert peak <= 4 * 2**20
+    assert out.read_text() == document_to_json(doc)

@@ -1,0 +1,76 @@
+"""The float64 block formatter against float.__repr__."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sagini._repr import float_text
+
+
+def repr_join(x, sep):
+    return sep.join(map(float.__repr__, x.tolist()))
+
+
+SEPARATORS = [", ", ",\n      ", ""]
+
+
+def _with_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+class TestFloatText:
+    """float_text is the join of float.__repr__, byte for byte."""
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=["comma", "json", "none"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # Every binary exponent, with each power of two closer to its
+            # lower neighbour than to its upper one.
+            _with_neighbours([2.0**e for e in range(-1074, 1024)]),
+            _with_neighbours([float(f"1e{e}") for e in range(-323, 309)]),
+            np.arange(1, 100_000, dtype=np.uint64).view(np.float64),
+            [5e-324, 1e-323, 8e-323, 1e-322, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, 0.0, -0.0, 1.0, 0.1, 1 / 3, 9007199254740993.0],
+            # Both sides of the switches to exponent notation.
+            _with_neighbours([1e-4, 9.5e-5, 1.5e-4, 1e16, 9.5e15, 1.5e16, 123456789e8]),
+        ],
+        ids=["powers of 2", "powers of 10", "subnormals", "specials", "notation switch"],
+    )
+    def test_edge_sets(self, values, sep):
+        x = np.asarray(values, dtype=float)
+        for signed in (x, -x):
+            assert float_text(signed, sep) == repr_join(signed, sep)
+
+    def test_lognormal_shares(self):
+        v = np.sort(np.random.default_rng(3).lognormal(10.0, 1.0, 20_000))
+        q = np.cumsum(v) / v.sum()
+        assert float_text(q, ",\n      ") == repr_join(q, ",\n      ")
+
+    def test_not_imported_with_the_cli(self):
+        # The CLI imports io for every command, including those that write
+        # no float array; the formatter builds its tables when it loads.
+        code = "import sys, sagini.cli; print('sagini._repr' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False"]
+
+
+_FINITE_BITS = st.integers(min_value=0, max_value=2**64 - 1).filter(
+    lambda bits: (bits >> 52) & 0x7FF != 0x7FF
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(_FINITE_BITS, min_size=1, max_size=40), sep=st.sampled_from(SEPARATORS))
+def test_float_text_is_the_repr_join_on_raw_bit_patterns(patterns, sep):
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert float_text(x, sep) == repr_join(x, sep)
