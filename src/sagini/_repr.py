@@ -1,32 +1,40 @@
-"""``float.__repr__`` of a float64 array block, computed a column at a time.
+"""Text of a block of rows of numbers, computed a column at a time.
 
-:func:`float_text` returns ``sep.join(map(float.__repr__, block.tolist()))``
-for a 1-D block of finite float64, byte for byte, without a Python float
-per value. :mod:`sagini.io` writes the JSON Lorenz shares with it.
+:func:`rows_text` returns ``sep.join(template % row for row in rows)``,
+byte for byte, for rows whose fields come from columns: finite float64,
+written as ``float.__repr__`` writes them, uint64, or codes into a few
+words. No Python object is made per value. :mod:`sagini.io` writes the
+JSON Lorenz shares, the CSV ``i,p,q`` rows and the sweep rows with it.
 
-The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
+A part of the rows at a time is laid out as a byte matrix: the template's
+bytes at fixed places, each field in a slot as wide as its column's
+widest text, and a mask of the bytes used, which compacts it. An int's
+digits are eight to a uint64 word, split by SWAR steps (4 + 4, 2 + 2,
+1 + 1 digits within the word), leading zeros masked out.
+
+A float's digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020): the shortest decimal that reads back as the double, and
 of those the closest, ties to even, which are the digits ``repr`` writes.
 Two steps differ from Giulietti's Java code, which always writes at least
 two digits: a subnormal's significand is not scaled by 10, and the
 one-digit-shorter candidate is tried from ``s >= 10``, not ``s >= 100``,
 so ``5e-324`` and ``1e-322`` keep their single digit. The 64x64-bit high
-products are four 32x32-bit ones. Significands stay in uint64 arrays and
-exponents in int64 ones, and no operation mixes the two: before numpy 2.0,
-uint64 meeting int64 gives float64.
-
-The text is gathered from a byte matrix holding each value's 17 digits,
-constants and exponent digits, through a template of columns chosen per
-row by its sign, count of significant digits and decimal point position.
-The separator is appended as fixed columns, and the templates' padding is
-dropped with one mask.
+products are four 32x32-bit ones. Significands and digits stay in uint64
+arrays and exponents in int64 ones, and no operation mixes the two: before
+numpy 2.0, uint64 meeting int64 gives float64. The text is gathered from a
+matrix of each value's 17 digits, constants and exponent digits, through a
+template of columns chosen by its sign, count of significant digits and
+decimal point position.
 
 The tables are built when the module loads, in a few milliseconds;
 :mod:`sagini.io` imports it on first use, so that commands writing no
-float array pay for neither.
+float pay for neither.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +57,10 @@ _SOURCE_BYTES = 32
 _DIGITS = (_LEAD, *range(16))
 #: The longest repr, "-1.2345678901234567e-308".
 _REPR_BYTES = 24
+#: Bytes of the row matrix :func:`rows_text` lays out at a time: a block of
+#: 8192 JSON shares in one part, while a sweep's part, its mask and the
+#: float formatter's temporaries stay below a megabyte.
+_PART_BYTES = 1 << 18
 #: Template positions: 0-19 for fixed notation, ``D + 3`` for D from -3 to
 #: 16, then 20 + exponent notation's class, 2 * (e > 0) + (|e| >= 100).
 _POSITIONS = 24
@@ -127,7 +139,7 @@ def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
 _G1, _G0 = _schubfach_table()
 #: The low and high 32 bits of g's high and low 63 bits.
 _G_HALVES = (_G1 & _LOW32, _G1 >> 32, _G0 & _LOW32, _G0 >> 32)
-_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 #: A word is below ``2**(8 * i)`` when all but its low i bytes are zero.
 _BYTE_BOUNDS = np.array([1 << (8 * i) for i in range(8)], dtype=np.uint64)
 #: Per ``D - _D_MIN``: the template position, and source words 2 and 3 but
@@ -142,19 +154,98 @@ for _table in (_G1, *_G_HALVES, _POW10, _BYTE_BOUNDS, _POSITION, _WORD2, _WORD3,
     _table.flags.writeable = False
 
 
-def float_text(block: np.ndarray, sep: str) -> str:
-    """``sep.join(map(float.__repr__, block.tolist()))`` for a 1-D block of
-    finite float64, byte for byte."""
-    bits = np.ascontiguousarray(block).view(np.uint64)
-    f, k = _shortest_decimal(bits)
-    return _decimal_text(bits, f, k, sep)
+def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
+    """``sep.join(template % row for row in rows)``, byte for byte, for the
+    rows of a block whose fields are the items of ``columns``, one to each
+    ``%s`` of ``template`` in turn. A column is
+
+    - a 1-D float64 array of finite values, written as ``float.__repr__``
+      writes them;
+    - a 1-D uint64 array;
+    - or a pair ``(codes, words)`` of an integer array and a sequence of
+      str, its fields ``words[code]``.
+
+    There is at least one column, they are all as long, and ``template``
+    holds no other ``%``.
+    """
+    literals = template.split("%s")
+    layout = bytearray()
+    fields = []
+    for literal, column in zip(literals, columns):
+        layout += literal.encode()
+        if isinstance(column, tuple):
+            column, words = column[0], [word.encode() for word in column[1]]
+            width, write = max(map(len, words)), partial(_write_words, words)
+        elif column.dtype == np.uint64:
+            top = int(column.max(initial=0))
+            width, write = 8 * (1 + (top >= 10**8) + (top >= 10**16)), _write_digits
+        else:
+            width, write = _REPR_BYTES, _write_floats
+        fields.append((len(layout), width, write, column))
+        layout += bytes(width)
+    rows = len(column)
+    layout += literals[-1].encode()
+    end = len(layout)
+    layout += sep.encode()
+    # A part of the rows at a time, so that its matrix, mask and the
+    # formatter's temporaries stay small. The mask keeps the template's
+    # bytes and each field's text without its padding.
+    text = bytearray()
+    step = max(1, _PART_BYTES // len(layout))
+    for first in range(0, rows, step):
+        part = slice(first, first + step)
+        # np.tile fills it several times faster than a broadcast assignment.
+        matrix = np.tile(np.frombuffer(layout, dtype=np.uint8), (min(step, rows - first), 1))
+        keep = np.ones(matrix.shape, dtype=bool)
+        # The part's float columns are formatted as one array, which costs
+        # a fifth of the numpy calls for the five of a sweep row.
+        floats = [column[part] for _, _, write, column in fields if write is _write_floats]
+        if floats:
+            key, source = _float_sources(np.concatenate(floats))
+        count = len(matrix)
+        for start, width, write, column in fields:
+            cells = np.s_[:, start : start + width]
+            if write is _write_floats:
+                write(key[:count], source[:count], matrix[cells], keep[cells])
+                key, source = key[count:], source[count:]
+            else:
+                write(column[part], matrix[cells], keep[cells])
+        if first + step >= rows:
+            keep[-1, end:] = False  # no separator after the last row
+        text += memoryview(matrix[keep])
+    return str(text, "utf-8")
+
+
+def _write_words(words: list[bytes], codes: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Write ``words[code]`` for each row's code into ``text``, and the mask
+    of its bytes into ``keep``."""
+    width = text.shape[1]
+    table = np.array([list(word.ljust(width, b"\0")) for word in words], dtype=np.uint8)
+    text[:] = table[codes]
+    keep[:] = (np.arange(width) < np.array([len(word) for word in words])[:, None])[codes]
+
+
+def _write_digits(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Write the digits of each uint64 ``x`` into ``text``, eight to a word
+    and padded with leading zeros, and the mask of all but those zeros into
+    ``keep``."""
+    width = text.shape[1]
+    digits = np.empty((len(x), width // 8), dtype=np.uint64)
+    rest = x
+    for word in reversed(range(width // 8)):
+        high = rest // 10**8
+        digits[:, word] = _digit_bytes(rest - high * 10**8) + _ASCII_ZEROS
+        rest = high
+    text[:] = digits.astype("<u8", copy=False).view(np.uint8).reshape(len(x), width)
+    count = np.searchsorted(_POW10[1:], x, side="right") + 1
+    keep[:] = np.arange(width) >= width - count[:, None]
 
 
 def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schubfach's ``(f, k)`` of each finite double in ``bits``: the digits
     ``f`` (uint64, up to 17 of them, trailing zeros kept) and the exponent
     ``k`` (int64) of ``f * 10**k``. A zero gives digits that
-    :func:`_decimal_text` does not use."""
+    :func:`_float_sources` does not use."""
     # The double is c * 2**q, with c the significand and q the exponent.
     fraction = bits & ((1 << 52) - 1)
     biased = ((bits >> 52) & 0x7FF).astype(np.int64)
@@ -200,10 +291,11 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-def _decimal_text(bits: np.ndarray, f: np.ndarray, k: np.ndarray, sep: str) -> str:
-    """The reprs of the doubles ``bits``, with digits ``f * 10**k``, joined
-    by ``sep``."""
-    rows = bits.size
+def _float_sources(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The template key and the source bytes, a row of
+    :data:`_SOURCE_BYTES` each, of the repr of each finite double."""
+    bits = np.ascontiguousarray(values).view(np.uint64)
+    f, k = _shortest_decimal(bits)
     # f's digits padded to 17, split 1 + 8 + 8.
     ndigits = np.searchsorted(_POW10, f, side="right")
     decpt = k + ndigits - _D_MIN
@@ -222,22 +314,21 @@ def _decimal_text(bits: np.ndarray, f: np.ndarray, k: np.ndarray, sep: str) -> s
     n[(bits << 1) == 0] = 0
     key = ((bits >> 63).astype(np.intp) * 18 + n) * _POSITIONS + _POSITION[decpt]
 
-    source = np.empty((rows, 4), dtype=np.uint64)
+    source = np.empty((bits.size, 4), dtype=np.uint64)
     source[:, 0] = high + _ASCII_ZEROS
     source[:, 1] = low + _ASCII_ZEROS
     source[:, 2] = _WORD2[decpt] + lead
     source[:, 3] = _WORD3[decpt]
+    return key, source.astype("<u8", copy=False).view(np.uint8)
+
+
+def _write_floats(key: np.ndarray, source: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Write the reprs of :func:`_float_sources` into ``text``, padded to
+    :data:`_REPR_BYTES`, and the mask of their bytes into ``keep``."""
     gather = _COLUMNS[key]
-    gather += np.arange(0, rows * _SOURCE_BYTES, _SOURCE_BYTES)[:, None]
-    width = _REPR_BYTES + len(sep)
-    text = np.empty((rows, width), dtype=np.uint8)
-    text[:, :_REPR_BYTES] = source.astype("<u8", copy=False).view(np.uint8).reshape(-1)[gather]
-    del gather  # the largest array here: 8 bytes a column of every row
-    text[:, _REPR_BYTES:] = np.frombuffer(sep.encode(), dtype=np.uint8)
-    keep = np.ones((rows, width), dtype=bool)
-    keep[:, :_REPR_BYTES] = _USED[key]
-    text = text[keep].tobytes()
-    return text[: len(text) - len(sep)].decode("ascii")
+    gather += np.arange(0, source.size, _SOURCE_BYTES)[:, None]
+    text[:] = source.reshape(-1)[gather]
+    keep[:] = _USED[key]
 
 
 def _high_product(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:

@@ -9,12 +9,13 @@ from the bit stream to values is pinned down too.
 
 A sweep uses one generator for all its replications: before each one the
 counter is reset to ``rep_index * 2**128`` and the buffer emptied, which
-draws the same bits as a fresh generator for that replication. Replications
-are evaluated in blocks of about one kernel chunk of values, with one
-batched validation and one kernel pass per block
-(:func:`sagini.metrics._replication_scores`). The rows and summary are the
-same, bit for bit, as ``report(generate(config, rep))`` one replication at
-a time; :func:`generate` is the one-replication case of the same draw.
+draws the same bits as a fresh generator for that replication. Blocks of
+about one kernel chunk of values get one batched validation and one kernel
+pass each (:func:`sagini.metrics._replication_scores`), into columns of
+arrays that the CLI writes as they are; :func:`sensitivity_sweep` makes its
+rows from them. Rows and summary are the same, bit for bit, as
+``report(generate(config, rep))`` one replication at a time; :func:`generate`
+is the one-replication case of the same draw.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import get_args
 
 import numpy as np
 
@@ -29,9 +31,10 @@ from .errors import BadParamsError
 from .metrics import (
     _CHUNK,
     _MAX_EXACT_N,
+    SKEW_TOLERANCE,
     Dataset,
+    SkewDirection,
     _replication_scores,
-    _skew_call,
     build_dataset,
 )
 
@@ -207,6 +210,17 @@ def sensitivity_sweep(config: ExperimentConfig) -> SweepResult:
     pure function of the config (seed included). The summary holds mean and
     quantiles for each index and for the asymmetry premium ``sag - gini``.
     """
+    columns, (codes, calls), summary = _sweep_columns(config)
+    skew = np.array(calls, dtype=object)[codes].tolist()
+    values = zip(*(column.tolist() for column in columns.values()), skew)
+    rows = tuple(SweepRow(rep, *fields) for rep, fields in enumerate(values))
+    return SweepResult(config=config, rows=rows, summary=summary)
+
+
+def _sweep_columns(config: ExperimentConfig) -> tuple[dict, tuple, dict]:
+    """:func:`sensitivity_sweep` as columns: the five float index fields of
+    its rows, as float64 arrays by name; the skew calls, as a pair of codes
+    and the calls they index; and the summary."""
     reps = config.replications
     # Blocks of about one kernel chunk of values keep the working set small.
     block = max(1, _CHUNK // config.sample_size)
@@ -218,27 +232,13 @@ def sensitivity_sweep(config: ExperimentConfig) -> SweepResult:
         ],
         axis=1,
     )
-    columns = {
-        "gini": gini,
-        "g_right": g_right,
-        "g_left": g_left,
-        "sag": sag,
-        "sag_minus_gini": sag - gini,
-    }
-    rows = tuple(
-        SweepRow(rep, g, gr, gl, s, d, _skew_call(gr, gl))
-        for rep, (g, gr, gl, s, d) in enumerate(
-            zip(*(col.tolist() for col in columns.values()))
-        )
-    )
-    summary: dict[str, dict[str, float]] = {}
+    columns = dict(gini=gini, g_right=g_right, g_left=g_left, sag=sag, sag_minus_gini=sag - gini)
+    # metrics._skew_call of each row.
+    d = g_right - g_left
+    skew = (d > SKEW_TOLERANCE) + 2 * (d < -SKEW_TOLERANCE)
+    summary = {}
     for name, col in columns.items():
-        summary[name] = {
-            "mean": float(col.mean()),
-            "min": float(col.min()),
-            "p25": float(np.quantile(col, 0.25)),
-            "median": float(np.quantile(col, 0.5)),
-            "p75": float(np.quantile(col, 0.75)),
-            "max": float(col.max()),
-        }
-    return SweepResult(config=config, rows=rows, summary=summary)
+        p25, median, p75 = np.quantile(col, [0.25, 0.5, 0.75]).tolist()
+        mean, low, high = float(col.mean()), float(col.min()), float(col.max())
+        summary[name] = dict(mean=mean, min=low, p25=p25, median=median, p75=p75, max=high)
+    return columns, (skew, get_args(SkewDirection)), summary

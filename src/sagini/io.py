@@ -33,16 +33,17 @@ but not ahead of one in an earlier block.
 
 A read holds one block's bytes, text and lines, or its cells on the line
 path, beyond the parsed table. The writers yield the report in pieces of
-:data:`_WRITE_BLOCK` shares or rows, which the CLI writes in turn;
-``document_to_json``, ``document_to_csv`` and ``sweep_to_json`` are the
-joins of the same pieces. The CLI's document keeps the Lorenz shares as the
-curve's float64 array, and the JSON writer formats each block of it with
-:func:`sagini._repr.float_text`, a column-at-a-time shortest-repr
-formatter, instead of one ``float.__repr__`` call per share. On 1e6 rows
-of cents data, ``compute`` to JSON takes 0.64 s and peaks at 70 MB RSS,
-36 MB above the interpreter with its imports, on a 2-core x86-64 host
-with Python 3.11 and numpy 2.4; with a list of shares and the
-``float.__repr__`` join it took 0.95-1.02 s and 98.7 MB there.
+:data:`_WRITE_BLOCK` shares or rows, which the CLI writes in turn; the
+``document_to_*`` and ``sweep_to_*`` functions join the same pieces. A
+block of rows of finite floats, JSON or CSV, is laid out as one byte matrix
+by :func:`sagini._repr.rows_text`, a column at a time, its floats by a
+shortest-repr formatter, not a ``float.__repr__`` call each; the CLI hands
+it the curve's float64 array and the sweep's columns, with no Python float
+or row object per value. On 1e6 rows of cents data, ``compute`` to JSON
+takes 0.64 s and peaks at 70 MB RSS, 36 MB above the interpreter with its
+imports, on a 2-core x86-64 host with Python 3.11 and numpy 2.4; with a
+list of shares and the ``float.__repr__`` join it took 0.95-1.02 s and
+98.7 MB there.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
@@ -412,16 +413,10 @@ def json_pieces(value) -> Iterator[str]:
 
     Before Python 3.13, :mod:`json` falls back to its pure-Python encoder
     when ``indent`` is set, and spends nearly all its time on the Lorenz
-    array ``q``. A block of finite floats such as ``q`` holds is written
-    here as ``float.__repr__`` -- what :mod:`json` itself uses for a finite
-    float -- of each, joined by the separator json would put between them;
-    everything else still goes through :func:`json.dumps`.
-
-    ``value`` may also hold a 1-D float64 ndarray, as the CLI's document
-    does for ``q``, which is written as its list would be. A block of it is
-    formatted by :func:`sagini._repr.float_text`, with no Python float per
-    share; a block holding a nan or an infinity goes through
-    :func:`json.dumps` as a list block would.
+    array ``q``. A block of finite floats, from a list or a 1-D float64
+    array such as the CLI's ``q``, is written here by
+    :func:`sagini._repr.rows_text`, as :mod:`json` spells it; anything
+    else, an array as its list, goes through :func:`json.dumps`.
     """
     yield from _json_at(value, 0)
     yield "\n"
@@ -441,8 +436,9 @@ def _json_at(value, level: int) -> Iterator[str]:
     elif isinstance(value, (list, np.ndarray)) and len(value):
         opening, sep = "[" + indent, "," + indent
         for block in _write_blocks(value):
-            body = _float_block(block, sep)
-            if body is None:
+            if (floats := _finite_floats(block)) is not None:
+                body = _text("%s", [floats], sep)
+            else:
                 items = block.tolist() if isinstance(block, np.ndarray) else block
                 body = sep.join("".join(_json_at(item, level + 1)) for item in items)
             yield opening + body
@@ -459,27 +455,23 @@ def _write_blocks(items: Sequence) -> Iterator[Sequence]:
         yield items[start : start + _WRITE_BLOCK]
 
 
-def _float_block(block: Sequence, sep: str) -> str | None:
-    """``sep.join(map(float.__repr__, block))``, or None when ``block``
-    holds anything but finite floats, which json spells differently.
+def _text(template: str, columns: list, sep: str = "") -> str:
+    """:func:`sagini._repr.rows_text`, imported on first use: it builds its
+    tables when it loads, and a command that writes no float needs neither."""
+    from ._repr import rows_text
 
-    A float64 array block is written by :func:`sagini._repr.float_text`; a
-    list block by the join itself.
-    """
-    if isinstance(block, np.ndarray):
-        if block.dtype == np.float64 and block.ndim == 1 and np.isfinite(block).all():
-            # Imported on first use, as it builds its tables when it loads:
-            # a command that writes no float array pays for neither.
-            from ._repr import float_text
+    return rows_text(template, columns, sep)
 
-            return float_text(block, sep)
-        return None
-    try:
-        body = sep.join(map(float.__repr__, block))
-    except TypeError:
-        return None  # not all floats
-    # Among float reprs only "nan", "inf" and "-inf" hold an "n".
-    return None if "n" in body else body
+
+def _finite_floats(block: Sequence) -> np.ndarray | None:
+    """``block``, a 1-D float64 array or a list of floats, as an array; None
+    if it is neither or holds a nan or an inf, which json and repr spell
+    otherwise."""
+    if isinstance(block, list) and set(map(type, block)) == {float}:
+        block = np.array(block)
+    if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.ndim == 1:
+        return block if np.isfinite(block).all() else None
+    return None
 
 
 def document_to_csv(doc: dict) -> str:
@@ -501,15 +493,20 @@ def csv_pieces(doc: dict) -> Iterator[str]:
     }
     lines = ["key,value", *(f"{key},{_csv_value(value)}" for key, value in flat.items()), "i,p,q"]
     yield "\n".join(lines) + "\n"
-    # i / n is the correctly rounded quotient, as LorenzCurve.p is.
+    # i / n is the correctly rounded quotient, as LorenzCurve.p is; so is
+    # the quotient of the float64 i and n below 2**53.
     n = doc["input"]["n"]
     q = doc["lorenz"]["q"]
     for start in range(0, len(q), _WRITE_BLOCK):
         block = q[start : start + _WRITE_BLOCK]
-        # The CLI's document holds q as an array, whose items' repr is numpy's.
-        if isinstance(block, np.ndarray):
-            block = block.tolist()
-        yield "".join([f"{i},{i / n!r},{x!r}\n" for i, x in enumerate(block, start + 1)])
+        floats, stop = _finite_floats(block), start + len(block)
+        if floats is not None and isinstance(n, int) and 0 < n < 2**53:
+            i = np.arange(start + 1, stop + 1, dtype=np.uint64)
+            yield _text("%s,%s,%s\n", [i, i / n, floats])
+        else:
+            # An array's items' repr is numpy's.
+            items = block.tolist() if isinstance(block, np.ndarray) else block
+            yield "".join([f"{i},{i / n!r},{x!r}\n" for i, x in enumerate(items, start + 1)])
 
 
 def _csv_value(value) -> str:
@@ -546,18 +543,11 @@ def document_to_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The fields of a sweep row, in order.
+_SWEEP_FIELDS = ("rep_index", "gini", "g_right", "g_left", "sag", "sag_minus_gini", "skew_direction")
 #: One sweep row as ``json.dumps(doc, indent=2)`` writes it inside ``rows``,
 #: with a ``%s`` for each field of the row in turn.
-_SWEEP_ROW = """\
-    {
-      "rep_index": %s,
-      "gini": %s,
-      "g_right": %s,
-      "g_left": %s,
-      "sag": %s,
-      "sag_minus_gini": %s,
-      "skew_direction": %s
-    }"""
+_SWEEP_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in _SWEEP_FIELDS) + "\n    }"
 
 
 def sweep_to_json(result) -> str:
@@ -567,70 +557,80 @@ def sweep_to_json(result) -> str:
 
 
 def sweep_json_pieces(result) -> Iterator[str]:
-    """``json.dumps(doc, indent=2) + "\\n"`` in pieces, built faster, for the
-    sweep document ``{"config": ..., "rows": [...], "summary": ...}``;
-    :data:`_WRITE_BLOCK` rows to a piece.
+    """``json.dumps(doc, indent=2) + "\\n"`` in pieces for the sweep document
+    ``{"config": ..., "rows": [...], "summary": ...}``; the rows are written
+    by :func:`_sweep_rows`, :data:`_WRITE_BLOCK` to a piece."""
+    return _sweep_json(result.config, _row_blocks(result.rows), result.summary)
 
-    ``config`` and ``summary`` go through :func:`json.dumps`. A block of
-    rows is written by :func:`_sweep_rows`, its floats with
-    ``float.__repr__``, what :mod:`json` itself uses for a finite float (not
-    ``repr``, which numpy floats override). A block of rows holding a nan
-    or an infinity, which json spells differently, is written again with
-    :func:`json.dumps` for each float; ``rep_index`` is written the same way
-    on both passes, so a numpy integer, which :func:`json.dumps` refuses,
-    is written as the integer it holds.
-    """
-    doc = {
-        "config": {
-            "family": result.config.family,
-            "sample_size": result.config.sample_size,
-            "replications": result.config.replications,
-            "seed": result.config.seed,
-            "params": dict(sorted(result.config.params.items())),
-        },
-        "rows": [],
-        "summary": result.summary,
-    }
-    text = json.dumps(doc, indent=2) + "\n"
-    if not result.rows:
-        yield text
-        return
+
+def _sweep_json(config, blocks: Iterable[tuple], summary: dict) -> Iterator[str]:
+    fields = {name: getattr(config, name) for name in ("family", "sample_size", "replications", "seed")}
+    params = dict(sorted(config.params.items()))
+    text = json.dumps({"config": {**fields, "params": params}, "rows": [], "summary": summary}, indent=2)
     head, tail = text.split('"rows": []', 1)
     opening = head + '"rows": [\n'
-    for block in _write_blocks(result.rows):
-        rows = _sweep_rows(block, float.__repr__)
-        # Every float is followed by ",\n"; its repr ends in a digit unless
-        # it is "nan", "inf" or "-inf".
-        if "n,\n" in rows or "f,\n" in rows:
-            rows = _sweep_rows(block, json.dumps)
-        yield opening + rows
+    for block in blocks:
+        yield opening + _sweep_rows(block, _SWEEP_ROW, ",\n", json.dumps, json.encoder.encode_basestring_ascii)
         opening = ",\n"
-    yield "\n  ]" + tail
-
-
-def _sweep_rows(block: Sequence, spell) -> str:
-    """A block of sweep rows, written with one ``%`` format of
-    :data:`_SWEEP_ROW`, repeated once per row, over the block's fields taken
-    a column at a time: ``rep_index`` as ``%s`` writes it, the floats as
-    ``spell`` does and the skew call quoted as json quotes it."""
-    cells = [None] * (7 * len(block))
-    cells[0::7] = [row.rep_index for row in block]
-    for k, name in enumerate(("gini", "g_right", "g_left", "sag", "sag_minus_gini"), 1):
-        cells[k::7] = map(spell, [getattr(row, name) for row in block])
-    cells[6::7] = map(
-        json.encoder.encode_basestring_ascii, [row.skew_direction for row in block]
-    )
-    return ",\n".join([_SWEEP_ROW] * len(block)) % tuple(cells)
+    # With no rows, nothing has been written, and json's "[]" stands.
+    yield ("\n  ]" + tail if opening == ",\n" else text) + "\n"
 
 
 def sweep_to_csv(result) -> str:
-    lines = ["rep_index,gini,g_right,g_left,sag,sag_minus_gini,skew_direction"]
-    for row in result.rows:
-        lines.append(
-            f"{row.rep_index},{row.gini!r},{row.g_right!r},{row.g_left!r},"
-            f"{row.sag!r},{row.sag_minus_gini!r},{row.skew_direction}"
-        )
-    for metric, stats in result.summary.items():
-        for stat, value in stats.items():
-            lines.append(f"summary,{metric},{stat},{value!r}")
-    return "\n".join(lines) + "\n"
+    """The join of :func:`sweep_csv_pieces`."""
+    return "".join(sweep_csv_pieces(result))
+
+
+def sweep_csv_pieces(result) -> Iterator[str]:
+    """The sweep as CSV in pieces: a header, the rows by :func:`_sweep_rows`,
+    :data:`_WRITE_BLOCK` to a piece, and a line per summary value."""
+    return _sweep_csv(_row_blocks(result.rows), result.summary)
+
+
+def _sweep_csv(blocks: Iterable[tuple], summary: dict) -> Iterator[str]:
+    yield ",".join(_SWEEP_FIELDS) + "\n"
+    for block in blocks:
+        yield _sweep_rows(block, "%s,%s,%s,%s,%s,%s,%s\n", "", repr, str)
+    for metric, values in summary.items():
+        yield "".join(f"summary,{metric},{stat},{value!r}\n" for stat, value in values.items())
+
+
+def _row_blocks(rows: Sequence) -> Iterator[tuple]:
+    """Blocks of sweep rows as :func:`_sweep_rows` takes them: arrays if the
+    fields have the types :func:`sagini.sensitivity_sweep` gives and the
+    floats are finite, else lists."""
+    for block in _write_blocks(rows):
+        rep, *floats, skew = ([getattr(row, name) for row in block] for name in _SWEEP_FIELDS)
+        types = [set(map(type, column)) for column in (rep, *floats, skew)]
+        typed = types == [{int}, *[{float}] * 5, {str}] and 0 <= min(rep) and max(rep) < 2**64
+        if typed and np.isfinite(array := np.array(floats)).all():
+            index = {call: code for code, call in enumerate(dict.fromkeys(skew))}
+            skew = np.array([index[call] for call in skew]), list(index)
+            rep, floats = np.array(rep, dtype=np.uint64), array
+        yield rep, floats, skew
+
+
+def _column_blocks(columns: dict, skew: tuple) -> Iterator[tuple]:
+    """Blocks of the columns of :func:`sagini.generators._sweep_columns`, as
+    :func:`_sweep_rows` takes them; the indices of valid data are finite."""
+    codes, calls = skew
+    rep = np.arange(len(codes), dtype=np.uint64)
+    for cut in (slice(start, start + _WRITE_BLOCK) for start in range(0, len(codes), _WRITE_BLOCK)):
+        yield rep[cut], [column[cut] for column in columns.values()], (codes[cut], calls)
+
+
+def _sweep_rows(block: tuple, template: str, sep: str, spell, quote) -> str:
+    """A block of sweep rows joined by ``sep``, each ``template`` with its
+    fields in the ``%s`` slots in turn: ``rep_index`` as ``%s`` writes it,
+    the floats as ``spell`` does and the skew call as ``quote`` does.
+
+    ``block`` is ``(rep_index, floats, skew)``: three lists, written a row
+    at a time, or the arrays and the ``(codes, calls)`` pair that
+    :func:`sagini._repr.rows_text` writes, finite floats as both :mod:`json`
+    and ``repr`` spell them."""
+    rep, floats, skew = block
+    if isinstance(rep, np.ndarray):
+        codes, calls = skew
+        return _text(template, [rep, *floats, (codes, [quote(call) for call in calls])], sep)
+    fields = zip(rep, *(map(spell, column) for column in floats), map(quote, skew))
+    return sep.join([template % row for row in fields])

@@ -14,7 +14,15 @@ from sagini import build_dataset, cli, lorenz_curve, lorenz_from_points, report
 from sagini import io as sagini_io
 from sagini.cli import main
 from sagini.errors import ParseError, SaginiError
-from sagini.io import build_document, document_to_csv, document_to_json, json_pieces
+from sagini.generators import ExperimentConfig, sensitivity_sweep
+from sagini.io import (
+    build_document,
+    document_to_csv,
+    document_to_json,
+    json_pieces,
+    sweep_to_csv,
+    sweep_to_json,
+)
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -601,7 +609,7 @@ class TestSimulate:
         def draw(*_):
             raise AssertionError("drew values for an invalid config")
 
-        monkeypatch.setattr(cli, "sensitivity_sweep", draw)
+        monkeypatch.setattr(cli, "_sweep_columns", draw)
         result = runner.invoke(
             main,
             ["simulate", "--dist", dist, "--n", "10", "--reps", "1", "--seed", "1", *options],
@@ -628,6 +636,33 @@ class TestSimulate:
         assert lines[0].startswith("rep_index,")
         assert lines[1].startswith("0,")
         assert any(line.startswith("summary,gini,median,") for line in lines)
+
+    @pytest.mark.parametrize("block", [None, 2], ids=["one block", "two rows a block"])
+    @pytest.mark.parametrize(
+        "dist, params",
+        [
+            ("lognormal", {"sigma": 2.5}),
+            ("pareto", {"alpha": 1.1}),
+            ("uniform", {"low": -0.5, "high": 2.0}),
+            ("symmetric_triangular", {}),
+            ("one_holder", {}),
+        ],
+    )
+    @pytest.mark.parametrize("out_format", ["json", "csv"])
+    def test_stdout_is_the_public_sweep_document(
+        self, runner, monkeypatch, out_format, dist, params, block
+    ):
+        # The CLI writes the sweep's columns; the library builds rows first.
+        if block:
+            monkeypatch.setattr(sagini_io, "_WRITE_BLOCK", block)
+        options = [arg for key, value in params.items() for arg in (f"--{key}", repr(value))]
+        result = run(
+            runner, "simulate", "--dist", dist, "--n", "7", "--reps", "9", "--seed", "3",
+            *options, "-f", out_format,
+        )
+        assert result.exit_code == 0
+        writer = sweep_to_json if out_format == "json" else sweep_to_csv
+        assert result.stdout == writer(sensitivity_sweep(ExperimentConfig(dist, 7, 9, 3, params)))
 
     def test_deterministic_bytes(self, runner):
         args = [

@@ -14,9 +14,10 @@ from sagini import (
     report,
     sensitivity_sweep,
 )
+from sagini import generators
 from sagini.generators import SweepRow
 from sagini.io import sweep_to_json
-from sagini.metrics import _CHUNK, _MAX_EXACT_N
+from sagini.metrics import _CHUNK, _MAX_EXACT_N, SKEW_TOLERANCE, _skew_call
 
 
 def config(family, n=100, reps=1, seed=1, **params):
@@ -317,6 +318,18 @@ class TestBatchedSweep:
             col = np.array([getattr(row, name) for row in want])
             expected = [col.mean(), col.min(), *np.quantile(col, [0.25, 0.5, 0.75]), col.max()]
             assert list(map(repr, stats.values())) == [repr(float(v)) for v in expected]
+
+    def test_skew_calls_at_the_tolerance_are_report_calls(self, monkeypatch):
+        # The sweep calls skew a column at a time; report one row at a time.
+        tol, above = SKEW_TOLERANCE, np.nextafter(SKEW_TOLERANCE, 1.0)
+        g_right = np.array([tol, 0.0, above, 0.0, 0.5, np.nan])
+        g_left = np.array([0.0, tol, 0.0, above, 0.5, 0.0])
+        scores = np.stack([g_right, g_right, g_left, g_right])
+        monkeypatch.setattr(generators, "_replication_scores", lambda x: scores[:, : len(x)])
+        result = sensitivity_sweep(config("uniform", n=2, reps=6))
+        calls = [_skew_call(gr, gl) for gr, gl in zip(g_right.tolist(), g_left.tolist())]
+        assert calls == ["symmetric", "symmetric", "right", "left", "symmetric", "symmetric"]
+        assert [row.skew_direction for row in result.rows] == calls
 
     @pytest.mark.parametrize(
         "cfg, first_bad",

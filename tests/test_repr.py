@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sagini._repr import float_text
+from sagini._repr import rows_text
+
+
+def float_text(x, sep):
+    """The block writer's one-column case."""
+    return rows_text("%s", [x], sep)
 
 
 def repr_join(x, sep):
@@ -25,7 +30,8 @@ def _with_neighbours(x):
 
 
 class TestFloatText:
-    """float_text is the join of float.__repr__, byte for byte."""
+    """The block writer's float column is the join of float.__repr__, byte
+    for byte."""
 
     @pytest.mark.parametrize("sep", SEPARATORS, ids=["comma", "json", "none"])
     @pytest.mark.parametrize(
@@ -74,3 +80,42 @@ _FINITE_BITS = st.integers(min_value=0, max_value=2**64 - 1).filter(
 def test_float_text_is_the_repr_join_on_raw_bit_patterns(patterns, sep):
     x = np.array(patterns, dtype=np.uint64).view(np.float64)
     assert float_text(x, sep) == repr_join(x, sep)
+
+
+#: Integers on both sides of every count of digits, and across all of uint64.
+_UINT64 = st.one_of(
+    st.sampled_from([10**k + d for k in range(20) for d in (-1, 0, 1) if 0 <= 10**k + d]),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_UINT64, min_size=1, max_size=40))
+def test_int_column_is_str_of_each_value(values):
+    x = np.array(values, dtype=np.uint64)
+    assert rows_text("%s", [x], ",") == ",".join(map(str, values))
+
+
+_WORDS = ["symmetric", '"r\\u00e9"', "", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_UINT64, _FINITE_BITS, _FINITE_BITS, st.integers(0, len(_WORDS) - 1)),
+        min_size=1,
+        max_size=30,
+    ),
+    sep=st.sampled_from(SEPARATORS),
+)
+def test_rows_text_is_the_percent_format_of_each_row(rows, sep):
+    # Each float column is float.__repr__ of its raw bit patterns.
+    index, first, second, codes = (np.array(column, dtype=np.uint64) for column in zip(*rows))
+    first, second = first.view(np.float64), second.view(np.float64)
+    template = '    {"i": %s, "a": [%s, %s], "w": %s}\n'
+    expected = sep.join(
+        template % (i, float.__repr__(a), float.__repr__(b), _WORDS[w])
+        for i, a, b, w in zip(index.tolist(), first.tolist(), second.tolist(), codes.tolist())
+    )
+    assert rows_text(template, [index, first, second, (codes, _WORDS)], sep) == expected
