@@ -15,8 +15,9 @@ observations or directly from Lorenz-curve points. The public API:
   ground truth), :func:`pairwise_gini`, and rank-preserving transfers
   (:class:`TransferSpec`, :func:`apply_transfer`);
 * seeded Monte-Carlo sweeps: :data:`FAMILIES`, :class:`ExperimentConfig`,
-  :func:`generate`, :func:`sensitivity_sweep` (a :class:`SweepResult` of
-  :class:`SweepRow`);
+  :func:`generate`, :func:`sensitivity_sweep` (a :class:`SweepResult`,
+  which holds the index columns and makes a :class:`SweepRow` per
+  replication on request);
 * errors: :class:`SaginiError`, the base of one typed error per kind of
   validation failure.
 

@@ -166,7 +166,8 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
       str, its fields ``words[code]``.
 
     There is at least one column, they are all as long, and ``template``
-    holds no other ``%``.
+    holds no other ``%``. A nan or an inf in a float column, which ``repr``
+    and :mod:`json` spell otherwise, raises :class:`ValueError`.
     """
     literals = template.split("%s")
     layout = bytearray()
@@ -179,8 +180,10 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
         elif column.dtype == np.uint64:
             top = int(column.max(initial=0))
             width, write = 8 * (1 + (top >= 10**8) + (top >= 10**16)), _write_digits
-        else:
+        elif np.isfinite(column).all():
             width, write = _REPR_BYTES, _write_floats
+        else:
+            raise ValueError("a float column holds a nan or an inf")
         fields.append((len(layout), width, write, column))
         layout += bytes(width)
     rows = len(column)

@@ -16,9 +16,9 @@ import click
 
 from . import __version__
 from .errors import ParseError, SaginiError
-from .generators import FAMILIES, ExperimentConfig, _sweep_columns
-from .io import _FORMATS, _column_blocks, _sweep_csv, _sweep_json
+from .generators import FAMILIES, ExperimentConfig, sensitivity_sweep
 from .io import (
+    _FORMATS,
     InputSpec,
     build_document,
     csv_pieces,
@@ -26,6 +26,8 @@ from .io import (
     json_pieces,
     read_lorenz_points,
     read_values,
+    sweep_csv_pieces,
+    sweep_json_pieces,
 )
 from .metrics import (
     build_dataset,
@@ -300,10 +302,8 @@ def simulate(
             params=params,
         )
     with _exit_on_error(EXIT_VALIDATION):
-        columns, skew, summary = _sweep_columns(config)
-    # The columns are written as they are, with no object per row.
-    blocks = _column_blocks(columns, skew)
-    pieces = _sweep_json(config, blocks, summary) if out_format == "json" else _sweep_csv(blocks, summary)
+        result = sensitivity_sweep(config)
+    pieces = sweep_json_pieces(result) if out_format == "json" else sweep_csv_pieces(result)
     _write_output(output, pieces)
 
 

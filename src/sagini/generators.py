@@ -12,8 +12,9 @@ counter is reset to ``rep_index * 2**128`` and the buffer emptied, which
 draws the same bits as a fresh generator for that replication. Blocks of
 about one kernel chunk of values get one batched validation and one kernel
 pass each (:func:`sagini.metrics._replication_scores`), into columns of
-arrays that the CLI writes as they are; :func:`sensitivity_sweep` makes its
-rows from them. Rows and summary are the same, bit for bit, as
+arrays. A :class:`SweepResult` holds those columns, which the sweep writers
+of :mod:`sagini.io` write as they are, and makes its rows only when they
+are asked for. Rows and summary are the same, bit for bit, as
 ``report(generate(config, rep))`` one replication at a time; :func:`generate`
 is the one-replication case of the same draw.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import get_args
 
 import numpy as np
@@ -34,6 +36,7 @@ from .metrics import (
     SKEW_TOLERANCE,
     Dataset,
     SkewDirection,
+    _readonly,
     _replication_scores,
     build_dataset,
 )
@@ -185,6 +188,10 @@ def generate(config: ExperimentConfig, rep_index: int) -> Dataset:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One replication of a sweep: its index, its four indices, ``sag -
+    gini`` and its skew call. The fields, in order, are the columns of the
+    sweep's JSON rows and CSV."""
+
     rep_index: int
     gini: float
     g_right: float
@@ -196,31 +203,46 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-replication index values plus summary statistics."""
+    """Per-replication index values plus summary statistics.
+
+    The values are kept as columns, replication ``i`` at index ``i``:
+    ``columns`` holds the five float fields of :class:`SweepRow` as float64
+    arrays by name, and ``skew`` the skew calls as codes into
+    ``get_args(SkewDirection)``. :attr:`rows` makes the rows from them.
+    """
 
     config: ExperimentConfig
-    rows: tuple[SweepRow, ...]
+    columns: dict[str, np.ndarray]
+    skew: np.ndarray
     summary: dict[str, dict[str, float]]
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        calls = np.array(get_args(SkewDirection), dtype=object)[self.skew].tolist()
+        values = zip(*(column.tolist() for column in self.columns.values()), calls)
+        return tuple(SweepRow(rep, *fields) for rep, fields in enumerate(values))
+
+    def __eq__(self, other) -> bool:
+        # Field-wise equality would compare the arrays with ==, whose truth
+        # value is ambiguous.
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return (
+            self.config == other.config
+            and self.columns.keys() == other.columns.keys()
+            and all(np.array_equal(self.columns[name], other.columns[name]) for name in self.columns)
+            and np.array_equal(self.skew, other.skew)
+            and self.summary == other.summary
+        )
 
 
 def sensitivity_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every replication and summarise the four indices.
 
-    Rows come back ordered by replication index, and the whole result is a
-    pure function of the config (seed included). The summary holds mean and
+    Replications come back ordered by index, and the whole result is a pure
+    function of the config (seed included). The summary holds mean and
     quantiles for each index and for the asymmetry premium ``sag - gini``.
     """
-    columns, (codes, calls), summary = _sweep_columns(config)
-    skew = np.array(calls, dtype=object)[codes].tolist()
-    values = zip(*(column.tolist() for column in columns.values()), skew)
-    rows = tuple(SweepRow(rep, *fields) for rep, fields in enumerate(values))
-    return SweepResult(config=config, rows=rows, summary=summary)
-
-
-def _sweep_columns(config: ExperimentConfig) -> tuple[dict, tuple, dict]:
-    """:func:`sensitivity_sweep` as columns: the five float index fields of
-    its rows, as float64 arrays by name; the skew calls, as a pair of codes
-    and the calls they index; and the summary."""
     reps = config.replications
     # Blocks of about one kernel chunk of values keep the working set small.
     block = max(1, _CHUNK // config.sample_size)
@@ -233,7 +255,7 @@ def _sweep_columns(config: ExperimentConfig) -> tuple[dict, tuple, dict]:
         axis=1,
     )
     columns = dict(gini=gini, g_right=g_right, g_left=g_left, sag=sag, sag_minus_gini=sag - gini)
-    # metrics._skew_call of each row.
+    # metrics._skew_call of each replication.
     d = g_right - g_left
     skew = (d > SKEW_TOLERANCE) + 2 * (d < -SKEW_TOLERANCE)
     summary = {}
@@ -241,4 +263,5 @@ def _sweep_columns(config: ExperimentConfig) -> tuple[dict, tuple, dict]:
         p25, median, p75 = np.quantile(col, [0.25, 0.5, 0.75]).tolist()
         mean, low, high = float(col.mean()), float(col.min()), float(col.max())
         summary[name] = dict(mean=mean, min=low, p25=p25, median=median, p75=p75, max=high)
-    return columns, (skew, get_args(SkewDirection)), summary
+    columns = {name: _readonly(col) for name, col in columns.items()}
+    return SweepResult(config=config, columns=columns, skew=_readonly(skew), summary=summary)

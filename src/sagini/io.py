@@ -37,13 +37,13 @@ path, beyond the parsed table. The writers yield the report in pieces of
 ``document_to_*`` and ``sweep_to_*`` functions join the same pieces. A
 block of rows of finite floats, JSON or CSV, is laid out as one byte matrix
 by :func:`sagini._repr.rows_text`, a column at a time, its floats by a
-shortest-repr formatter, not a ``float.__repr__`` call each; the CLI hands
-it the curve's float64 array and the sweep's columns, with no Python float
-or row object per value. On 1e6 rows of cents data, ``compute`` to JSON
-takes 0.64 s and peaks at 70 MB RSS, 36 MB above the interpreter with its
-imports, on a 2-core x86-64 host with Python 3.11 and numpy 2.4; with a
-list of shares and the ``float.__repr__`` join it took 0.95-1.02 s and
-98.7 MB there.
+shortest-repr formatter, not a ``float.__repr__`` call each; it is handed
+the CLI's float64 array of shares and a :class:`SweepResult`'s columns,
+with no Python float or row object per value. On 1e6 rows of cents data,
+``compute`` to JSON takes 0.64 s and peaks at 70 MB RSS, 36 MB above the
+interpreter with its imports, on a 2-core x86-64 host with Python 3.11 and
+numpy 2.4; with a list of shares and the ``float.__repr__`` join it took
+0.95-1.02 s and 98.7 MB there.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
@@ -61,15 +61,16 @@ import hashlib
 import json
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence, get_args
 
 import numpy as np
 
 from . import __version__
 from .errors import ParseError
-from .metrics import Dataset, InequalityReport, LorenzCurve
+from .generators import SweepResult, SweepRow
+from .metrics import Dataset, InequalityReport, LorenzCurve, SkewDirection
 
 SCHEMA_VERSION = "2"
 
@@ -544,93 +545,60 @@ def document_to_text(doc: dict) -> str:
 
 
 #: The fields of a sweep row, in order.
-_SWEEP_FIELDS = ("rep_index", "gini", "g_right", "g_left", "sag", "sag_minus_gini", "skew_direction")
+_SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 #: One sweep row as ``json.dumps(doc, indent=2)`` writes it inside ``rows``,
 #: with a ``%s`` for each field of the row in turn.
 _SWEEP_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in _SWEEP_FIELDS) + "\n    }"
 
 
-def sweep_to_json(result) -> str:
+def sweep_to_json(result: SweepResult) -> str:
     """Exactly ``json.dumps(doc, indent=2) + "\\n"`` for the sweep document:
     the join of :func:`sweep_json_pieces`."""
     return "".join(sweep_json_pieces(result))
 
 
-def sweep_json_pieces(result) -> Iterator[str]:
+def sweep_json_pieces(result: SweepResult) -> Iterator[str]:
     """``json.dumps(doc, indent=2) + "\\n"`` in pieces for the sweep document
-    ``{"config": ..., "rows": [...], "summary": ...}``; the rows are written
-    by :func:`_sweep_rows`, :data:`_WRITE_BLOCK` to a piece."""
-    return _sweep_json(result.config, _row_blocks(result.rows), result.summary)
-
-
-def _sweep_json(config, blocks: Iterable[tuple], summary: dict) -> Iterator[str]:
-    fields = {name: getattr(config, name) for name in ("family", "sample_size", "replications", "seed")}
+    ``{"config": ..., "rows": [...], "summary": ...}``, with
+    :data:`_WRITE_BLOCK` rows to a piece."""
+    config = result.config
+    plan = {name: getattr(config, name) for name in ("family", "sample_size", "replications", "seed")}
     params = dict(sorted(config.params.items()))
-    text = json.dumps({"config": {**fields, "params": params}, "rows": [], "summary": summary}, indent=2)
+    text = json.dumps({"config": {**plan, "params": params}, "rows": [], "summary": result.summary}, indent=2)
     head, tail = text.split('"rows": []', 1)
     opening = head + '"rows": [\n'
-    for block in blocks:
-        yield opening + _sweep_rows(block, _SWEEP_ROW, ",\n", json.dumps, json.encoder.encode_basestring_ascii)
+    for block in _sweep_blocks(result, json.dumps):
+        yield opening + _text(_SWEEP_ROW, block, ",\n")
         opening = ",\n"
     # With no rows, nothing has been written, and json's "[]" stands.
     yield ("\n  ]" + tail if opening == ",\n" else text) + "\n"
 
 
-def sweep_to_csv(result) -> str:
+def sweep_to_csv(result: SweepResult) -> str:
     """The join of :func:`sweep_csv_pieces`."""
     return "".join(sweep_csv_pieces(result))
 
 
-def sweep_csv_pieces(result) -> Iterator[str]:
-    """The sweep as CSV in pieces: a header, the rows by :func:`_sweep_rows`,
-    :data:`_WRITE_BLOCK` to a piece, and a line per summary value."""
-    return _sweep_csv(_row_blocks(result.rows), result.summary)
-
-
-def _sweep_csv(blocks: Iterable[tuple], summary: dict) -> Iterator[str]:
+def sweep_csv_pieces(result: SweepResult) -> Iterator[str]:
+    """The sweep as CSV in pieces: a header, the rows, :data:`_WRITE_BLOCK`
+    to a piece, floats as ``repr`` writes them, and a line per summary
+    value."""
     yield ",".join(_SWEEP_FIELDS) + "\n"
-    for block in blocks:
-        yield _sweep_rows(block, "%s,%s,%s,%s,%s,%s,%s\n", "", repr, str)
-    for metric, values in summary.items():
+    template = ",".join(["%s"] * len(_SWEEP_FIELDS)) + "\n"
+    for block in _sweep_blocks(result, str):
+        yield _text(template, block)
+    for metric, values in result.summary.items():
         yield "".join(f"summary,{metric},{stat},{value!r}\n" for stat, value in values.items())
 
 
-def _row_blocks(rows: Sequence) -> Iterator[tuple]:
-    """Blocks of sweep rows as :func:`_sweep_rows` takes them: arrays if the
-    fields have the types :func:`sagini.sensitivity_sweep` gives and the
-    floats are finite, else lists."""
-    for block in _write_blocks(rows):
-        rep, *floats, skew = ([getattr(row, name) for row in block] for name in _SWEEP_FIELDS)
-        types = [set(map(type, column)) for column in (rep, *floats, skew)]
-        typed = types == [{int}, *[{float}] * 5, {str}] and 0 <= min(rep) and max(rep) < 2**64
-        if typed and np.isfinite(array := np.array(floats)).all():
-            index = {call: code for code, call in enumerate(dict.fromkeys(skew))}
-            skew = np.array([index[call] for call in skew]), list(index)
-            rep, floats = np.array(rep, dtype=np.uint64), array
-        yield rep, floats, skew
-
-
-def _column_blocks(columns: dict, skew: tuple) -> Iterator[tuple]:
-    """Blocks of the columns of :func:`sagini.generators._sweep_columns`, as
-    :func:`_sweep_rows` takes them; the indices of valid data are finite."""
-    codes, calls = skew
-    rep = np.arange(len(codes), dtype=np.uint64)
-    for cut in (slice(start, start + _WRITE_BLOCK) for start in range(0, len(codes), _WRITE_BLOCK)):
-        yield rep[cut], [column[cut] for column in columns.values()], (codes[cut], calls)
-
-
-def _sweep_rows(block: tuple, template: str, sep: str, spell, quote) -> str:
-    """A block of sweep rows joined by ``sep``, each ``template`` with its
-    fields in the ``%s`` slots in turn: ``rep_index`` as ``%s`` writes it,
-    the floats as ``spell`` does and the skew call as ``quote`` does.
-
-    ``block`` is ``(rep_index, floats, skew)``: three lists, written a row
-    at a time, or the arrays and the ``(codes, calls)`` pair that
-    :func:`sagini._repr.rows_text` writes, finite floats as both :mod:`json`
-    and ``repr`` spell them."""
-    rep, floats, skew = block
-    if isinstance(rep, np.ndarray):
-        codes, calls = skew
-        return _text(template, [rep, *floats, (codes, [quote(call) for call in calls])], sep)
-    fields = zip(rep, *(map(spell, column) for column in floats), map(quote, skew))
-    return sep.join([template % row for row in fields])
+def _sweep_blocks(result: SweepResult, spell) -> Iterator[list]:
+    """The columns of each block of :data:`_WRITE_BLOCK` sweep rows, as
+    :func:`sagini._repr.rows_text` takes them for :data:`_SWEEP_FIELDS`:
+    the index, the float fields and the skew calls, spelled by ``spell``.
+    ``rows_text`` raises :class:`ValueError` on a nan or an inf."""
+    words = [spell(call) for call in get_args(SkewDirection)]
+    index = np.arange(len(result.skew), dtype=np.uint64)
+    for start in range(0, len(index), _WRITE_BLOCK):
+        cut = slice(start, start + _WRITE_BLOCK)
+        floats = [result.columns[name][cut] for name in _SWEEP_FIELDS[1:-1]]
+        yield [index[cut], *floats, (result.skew[cut], words)]

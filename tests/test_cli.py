@@ -609,7 +609,7 @@ class TestSimulate:
         def draw(*_):
             raise AssertionError("drew values for an invalid config")
 
-        monkeypatch.setattr(cli, "_sweep_columns", draw)
+        monkeypatch.setattr(cli, "sensitivity_sweep", draw)
         result = runner.invoke(
             main,
             ["simulate", "--dist", dist, "--n", "10", "--reps", "1", "--seed", "1", *options],
@@ -652,7 +652,6 @@ class TestSimulate:
     def test_stdout_is_the_public_sweep_document(
         self, runner, monkeypatch, out_format, dist, params, block
     ):
-        # The CLI writes the sweep's columns; the library builds rows first.
         if block:
             monkeypatch.setattr(sagini_io, "_WRITE_BLOCK", block)
         options = [arg for key, value in params.items() for arg in (f"--{key}", repr(value))]

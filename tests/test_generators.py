@@ -1,6 +1,8 @@
 """Unit tests for the seeded generators and the replication sweep."""
 
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,7 @@ from sagini import (
 )
 from sagini import generators
 from sagini.generators import SweepRow
-from sagini.io import sweep_to_json
+from sagini.io import sweep_to_csv, sweep_to_json
 from sagini.metrics import _CHUNK, _MAX_EXACT_N, SKEW_TOLERANCE, _skew_call
 
 
@@ -318,6 +320,21 @@ class TestBatchedSweep:
             col = np.array([getattr(row, name) for row in want])
             expected = [col.mean(), col.min(), *np.quantile(col, [0.25, 0.5, 0.75]), col.max()]
             assert list(map(repr, stats.values())) == [repr(float(v)) for v in expected]
+
+    def test_the_sweep_and_its_writers_build_no_rows(self, monkeypatch):
+        # A result holds columns, and makes its rows only when asked for.
+        cfg = config("lognormal", n=10, reps=20, seed=6)
+
+        def no_rows(*_):
+            raise AssertionError("built a SweepRow")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generators, "SweepRow", no_rows)
+            result = sensitivity_sweep(cfg)
+            text = sweep_to_json(result)
+            sweep_to_csv(result)
+        assert list(result.rows) == one_at_a_time(cfg)
+        assert json.loads(text)["rows"] == [asdict(row) for row in result.rows]
 
     def test_skew_calls_at_the_tolerance_are_report_calls(self, monkeypatch):
         # The sweep calls skew a column at a time; report one row at a time.

@@ -25,7 +25,6 @@ from sagini import (
 )
 from sagini import io as sagini_io
 from sagini.errors import ParseError
-from sagini.generators import SweepResult, SweepRow
 from sagini.io import (
     InputSpec,
     _has_line_over,
@@ -836,35 +835,19 @@ def sweep_document(result):
     }
 
 
-def sweep_csv(result):
-    """The sweep CSV, a row at a time: rep_index by str, floats by repr."""
-    lines = ["rep_index,gini,g_right,g_left,sag,sag_minus_gini,skew_direction"]
-    for row in result.rows:
-        lines.append(
-            f"{row.rep_index},{row.gini!r},{row.g_right!r},{row.g_left!r},"
-            f"{row.sag!r},{row.sag_minus_gini!r},{row.skew_direction}"
-        )
-    for metric, stats in result.summary.items():
-        for stat, value in stats.items():
-            lines.append(f"summary,{metric},{stat},{value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_golden(result):
-    """sweep_to_json is json.dumps of the document, which has no int64, so
-    an integer index is written as the int it holds; sweep_to_csv is
-    sweep_csv."""
-    doc = sweep_document(result)
-    for row in doc["rows"]:
-        if isinstance(row["rep_index"], np.integer):
-            row["rep_index"] = int(row["rep_index"])
-    assert sweep_to_json(result) == json.dumps(doc, indent=2) + "\n"
-    assert sweep_to_csv(result) == sweep_csv(result)
-
-
-def hand_built(*rows):
-    config = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {})).config
-    return SweepResult(config, tuple(rows), {"gini": {"mean": 0.25}})
+def check_writers_raise_at_the_last_block(result, name, value):
+    """With ``value``, a nan or an inf, last in column ``name``, both sweep
+    writers write the blocks before it as they were, then raise, writing no
+    NaN and no wrong digits."""
+    column = result.columns[name].copy()
+    column[-1] = value
+    odd = replace(result, columns={**result.columns, name: column})
+    for writer in (sweep_json_pieces, sweep_csv_pieces):
+        written = []
+        with pytest.raises(ValueError, match="nan or an inf"):
+            written.extend(writer(odd))
+        assert repr(result.rows[0].gini) in "".join(written)
+        assert written == list(writer(result))[: len(written)]
 
 
 class TestJsonGolden:
@@ -953,94 +936,14 @@ class TestJsonGolden:
         ]
         assert sweep_to_csv(result).splitlines()[1:] == lines
 
-    def test_sweep_non_finite_falls_back_to_json_spelling(self):
-        result = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {}))
-        nan, inf = float("nan"), float("inf")
-        odd = SweepRow(2, nan, inf, -inf, 0.5, -0.0, "symmetric")
-        result = SweepResult(result.config, (*result.rows, odd), result.summary)
-        text = sweep_to_json(result)
-        assert "NaN" in text and "-Infinity" in text
-        assert text == json.dumps(sweep_document(result), indent=2) + "\n"
-        assert "nan,inf,-inf" in sweep_to_csv(result)
-        sweep_golden(result)
-
-    @pytest.mark.parametrize(
-        "indices",
-        [
-            [0, 9, 10**8 - 1, 10**8, 10**16 - 1, 10**16, 2**63 - 1, 2**63, 2**64 - 1],
-            [3, -1, 10**8],
-            [2**64, 5],
-            [np.int64(7), 8, np.uint64(2**63)],
-        ],
-        ids=["uint64 range", "negative", "beyond uint64", "numpy"],
-    )
-    def test_sweep_rep_index_is_written_as_str_writes_it(self, indices):
-        rows = [SweepRow(i, 0.5, 0.75, 0.25, 0.75, 0.25, "right") for i in indices]
-        sweep_golden(hand_built(*rows))
-
-    def test_sweep_fields_of_other_types(self):
-        # A numpy float's repr is numpy's in the CSV and float.__repr__ in
-        # the JSON; an int is written as an int.
-        rows = [
-            SweepRow(0, np.float64(0.1), 1 / 3, 1e-7, 1e22, -0.0, "left"),
-            SweepRow(1, 1, 2.5, 0.5, 2.5, 1.5, "right"),
-            SweepRow(2, 0.5, 0.5, 0.5, 0.5, 0.0, "s\u00e9\"\n\x00"),
-            SweepRow(3, 0.25, 0.5, 0.0, 0.5, 0.25, ""),
-        ]
-        for row in rows:
-            sweep_golden(hand_built(row))
-        sweep_golden(hand_built(*rows))
-
-    def test_sweep_rows_of_numpy_scalars(self):
-        # A numpy float's repr is "np.float64(...)"; json writes
-        # float.__repr__. json has no int64, so the reference doc gets the
-        # same index as an int.
-        config = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {})).config
-        skew = 'le"ft\\\u00e9\n'
-        rows = tuple(
-            SweepRow(np.int64(i), *map(np.float64, (0.1 * i, 1 / 3, 2.5e-7, 1e22, -0.0)), skew)
-            for i in range(3)
-        )
-        result = SweepResult(config, rows, {})
-        doc = sweep_document(result)
-        for row in doc["rows"]:
-            row["rep_index"] = int(row["rep_index"])
-        text = sweep_to_json(result)
-        assert "np." not in text and '"le\\"ft\\\\\\u00e9\\n"' in text
-        assert text == json.dumps(doc, indent=2) + "\n"
-
-    def test_sweep_numpy_index_in_a_block_with_a_nan(self):
-        # The nan sends the block to json's spelling of floats; the index is
-        # written as on the fast path, not through json.dumps, which refuses
-        # an int64.
-        config = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {})).config
-        nan = float("nan")
-        result = SweepResult(config, (SweepRow(np.int64(0), nan, 0.25, nan, 0.5, -0.0, "left"),), {})
-        doc = sweep_document(result)
-        doc["rows"][0]["rep_index"] = 0
-        assert sweep_to_json(result) == json.dumps(doc, indent=2) + "\n"
-
     def test_sweep_nan_in_the_second_block_only(self):
         cfg = ExperimentConfig("lognormal", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
-        result = sensitivity_sweep(cfg)
-        odd = replace(result.rows[-1], g_left=float("nan"))
-        result = SweepResult(cfg, (*result.rows[:-1], odd), result.summary)
-        pieces = list(sweep_json_pieces(result))
-        assert ["NaN" in piece for piece in pieces] == [False, True, False]
-        assert "".join(pieces) == json.dumps(sweep_document(result), indent=2) + "\n"
+        check_writers_raise_at_the_last_block(sensitivity_sweep(cfg), "g_left", float("nan"))
 
     @pytest.mark.parametrize("special", [float("inf"), -float("inf")])
     def test_sweep_infinity_in_the_second_block_only(self, special):
         cfg = ExperimentConfig("pareto", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
-        result = sensitivity_sweep(cfg)
-        odd = replace(result.rows[-1], sag_minus_gini=special)
-        result = SweepResult(cfg, (*result.rows[:-1], odd), result.summary)
-        pieces = list(sweep_json_pieces(result))
-        assert [json.dumps(special) in piece for piece in pieces] == [False, True, False]
-        # The header, the two blocks of rows, then the summary.
-        pieces = list(sweep_csv_pieces(result))
-        assert [i for i, piece in enumerate(pieces) if f",{special!r}," in piece] == [2]
-        sweep_golden(result)
+        check_writers_raise_at_the_last_block(sensitivity_sweep(cfg), "sag_minus_gini", special)
 
     def test_specials_after_the_first_floats(self):
         nan, inf = float("nan"), float("inf")
@@ -1132,24 +1035,15 @@ class TestMemory:
         # time from the array.
         check_writer_peak(tmp_path, q_array=True)
 
-
-    @pytest.mark.parametrize("source", ["rows", "columns"])
-    def test_sweep_writer_peak_beyond_the_result_is_bounded(self, tmp_path, source):
-        # 5000 rows of about 230 bytes: the library's rows, or the columns
-        # the CLI writes. The formatter's tables are loaded ahead of the trace.
+    def test_sweep_writer_peak_beyond_the_result_is_bounded(self, tmp_path):
+        # 5000 rows of about 230 bytes. The formatter's tables are loaded
+        # ahead of the trace.
         import sagini._repr  # noqa: F401
         from sagini.cli import _write_output
-        from sagini.generators import _sweep_columns
 
-        config = ExperimentConfig("lognormal", 10, 5000, 1, {})
-        result = sensitivity_sweep(config)
-        if source == "rows":
-            pieces = sweep_json_pieces(result)
-        else:
-            columns, skew, summary = _sweep_columns(config)
-            pieces = sagini_io._sweep_json(config, sagini_io._column_blocks(columns, skew), summary)
+        result = sensitivity_sweep(ExperimentConfig("lognormal", 10, 5000, 1, {}))
         out = tmp_path / "sweep.json"
-        peak = traced_peak(lambda: _write_output(str(out), pieces))
+        peak = traced_peak(lambda: _write_output(str(out), sweep_json_pieces(result)))
         assert peak <= 4 * 2**20
         assert out.read_text() == sweep_to_json(result)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sagini._repr import rows_text
+from sagini._repr import _PART_BYTES, _REPR_BYTES, rows_text
 
 
 def float_text(x, sep):
@@ -58,6 +58,16 @@ class TestFloatText:
         v = np.sort(np.random.default_rng(3).lognormal(10.0, 1.0, 20_000))
         q = np.cumsum(v) / v.sum()
         assert float_text(q, ",\n      ") == repr_join(q, ",\n      ")
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_past_the_first_part_raises(self, special):
+        # A nan or an inf would be written as the digits of a finite double.
+        x = np.random.default_rng(5).random(3 * _PART_BYTES // _REPR_BYTES)
+        x[-1] = special
+        with pytest.raises(ValueError, match="nan or an inf"):
+            float_text(x, ",")
+        with pytest.raises(ValueError, match="nan or an inf"):
+            rows_text("%s,%s\n", [np.arange(len(x), dtype=np.uint64), x])
 
     def test_not_imported_with_the_cli(self):
         # The CLI imports io for every command, including those that write
