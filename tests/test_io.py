@@ -1035,16 +1035,22 @@ class TestMemory:
         # time from the array.
         check_writer_peak(tmp_path, q_array=True)
 
-    def test_sweep_writer_peak_beyond_the_result_is_bounded(self, tmp_path):
-        # 5000 rows of about 230 bytes. The formatter's tables are loaded
+    @pytest.mark.parametrize("source", ["rows", "columns"])
+    def test_sweep_writer_peak_beyond_the_result_is_bounded(self, tmp_path, source):
+        # 5000 rows of about 230 bytes, from a result whose rows a caller has
+        # already read, or from one that holds only the columns, which the
+        # writer must not turn into rows. The formatter's tables are loaded
         # ahead of the trace.
         import sagini._repr  # noqa: F401
         from sagini.cli import _write_output
 
         result = sensitivity_sweep(ExperimentConfig("lognormal", 10, 5000, 1, {}))
+        if source == "rows":
+            assert len(result.rows) == 5000
         out = tmp_path / "sweep.json"
         peak = traced_peak(lambda: _write_output(str(out), sweep_json_pieces(result)))
         assert peak <= 4 * 2**20
+        assert ("rows" in vars(result)) == (source == "rows")
         assert out.read_text() == sweep_to_json(result)
 
 
