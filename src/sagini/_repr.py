@@ -165,28 +165,46 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
     - or a pair ``(codes, words)`` of an integer array and a sequence of
       str, its fields ``words[code]``.
 
-    There is at least one column, they are all as long, and ``template``
-    holds no other ``%``. A nan or an inf in a float column, which ``repr``
-    and :mod:`json` spell otherwise, raises :class:`ValueError`.
+    ``template`` holds no other ``%``. A nan or an inf in a float column,
+    which ``repr`` and :mod:`json` spell otherwise, raises
+    :class:`ValueError`, as do no columns, a count of columns other than
+    the count of ``%s``, and columns that are not all 1-D and as long as
+    the first. A column of another dtype, or a pair whose codes are not
+    integers, raises :class:`TypeError`.
     """
     literals = template.split("%s")
+    if len(columns) != len(literals) - 1 or not columns:
+        raise ValueError(
+            f"the template has {len(literals) - 1} fields, got {len(columns)} columns"
+        )
     layout = bytearray()
     fields = []
     for literal, column in zip(literals, columns):
         layout += literal.encode()
         if isinstance(column, tuple):
             column, words = column[0], [word.encode() for word in column[1]]
+            if column.dtype.kind not in "iu":
+                raise TypeError(f"a pair's codes must be integers, got dtype {column.dtype}")
             width, write = max(map(len, words)), partial(_write_words, words)
         elif column.dtype == np.uint64:
             top = int(column.max(initial=0))
             width, write = 8 * (1 + (top >= 10**8) + (top >= 10**16)), _write_digits
+        elif column.dtype != np.float64:
+            raise TypeError(
+                "a column must be float64, uint64 or a (codes, words) pair, "
+                f"got dtype {column.dtype}"
+            )
         elif np.isfinite(column).all():
             width, write = _REPR_BYTES, _write_floats
         else:
             raise ValueError("a float column holds a nan or an inf")
         fields.append((len(layout), width, write, column))
         layout += bytes(width)
-    rows = len(column)
+    # A ragged column's fields would land in other rows' text.
+    shape = fields[0][3].shape
+    if len(shape) != 1 or any(column.shape != shape for *_, column in fields):
+        raise ValueError("the columns must all be 1-D and as long as the first")
+    (rows,) = shape
     layout += literals[-1].encode()
     end = len(layout)
     layout += sep.encode()

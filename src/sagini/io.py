@@ -595,10 +595,13 @@ def _sweep_blocks(result: SweepResult, spell) -> Iterator[list]:
     """The columns of each block of :data:`_WRITE_BLOCK` sweep rows, as
     :func:`sagini._repr.rows_text` takes them for :data:`_SWEEP_FIELDS`:
     the index, the float fields and the skew calls, spelled by ``spell``.
-    ``rows_text`` raises :class:`ValueError` on a nan or an inf."""
+    ``rows_text`` raises :class:`ValueError` on a nan or an inf, and so
+    does this on ragged columns, whose extra values no block would reach."""
+    floats = [result.columns[name] for name in _SWEEP_FIELDS[1:-1]]
+    if result.skew.ndim != 1 or any(column.shape != result.skew.shape for column in floats):
+        raise ValueError("a sweep's columns must all be 1-D and as long as its skew codes")
     words = [spell(call) for call in get_args(SkewDirection)]
     index = np.arange(len(result.skew), dtype=np.uint64)
     for start in range(0, len(index), _WRITE_BLOCK):
         cut = slice(start, start + _WRITE_BLOCK)
-        floats = [result.columns[name][cut] for name in _SWEEP_FIELDS[1:-1]]
-        yield [index[cut], *floats, (result.skew[cut], words)]
+        yield [index[cut], *(column[cut] for column in floats), (result.skew[cut], words)]

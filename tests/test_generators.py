@@ -12,6 +12,7 @@ from sagini import (
     BadParamsError,
     ExperimentConfig,
     SaginiError,
+    build_dataset,
     generate,
     report,
     sensitivity_sweep,
@@ -320,6 +321,48 @@ class TestBatchedSweep:
             col = np.array([getattr(row, name) for row in want])
             expected = [col.mean(), col.min(), *np.quantile(col, [0.25, 0.5, 0.75]), col.max()]
             assert list(map(repr, stats.values())) == [repr(float(v)) for v in expected]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("lognormal", {"sigma": 0.75}),
+            ("pareto", {"alpha": 1.5}),
+            ("uniform", {"low": -1.0, "high": 3.0}),
+            ("symmetric_triangular", {"low": 1.0, "high": 5.0}),
+        ],
+        ids=["lognormal", "pareto", "uniform", "triangular"],
+    )
+    def test_rows_follow_the_documented_stream(self, family, params, seed):
+        # Each row is the report of draws from a fresh Philox(key=seed,
+        # counter=rep << 128), drawn and transformed here, not by _draw,
+        # across three draw blocks of _CHUNK // n replications.
+        n = 50
+        reps = 2 * (_CHUNK // n) + 3
+        result = sensitivity_sweep(config(family, n=n, reps=reps, seed=seed, **params))
+        want = []
+        for rep in range(reps):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=rep << 128))
+            if family == "lognormal":
+                x = rng.lognormal(0.0, params["sigma"], n)
+            else:
+                u = rng.random(n)
+            if family == "pareto":
+                x = (1.0 - u) ** (-1.0 / params["alpha"])
+            elif family == "uniform":
+                x = params["low"] + (params["high"] - params["low"]) * u
+            elif family == "symmetric_triangular":
+                low, width = params["low"], params["high"] - params["low"]
+                x = np.where(
+                    u < 0.5,
+                    low + width * np.sqrt(u / 2.0),
+                    params["high"] - width * np.sqrt((1.0 - u) / 2.0),
+                )
+            r = report(build_dataset(x))
+            want.append(
+                SweepRow(rep, r.gini, r.g_right, r.g_left, r.sag, r.sag - r.gini, r.skew_direction)
+            )
+        assert list(map(repr, result.rows)) == list(map(repr, want))
 
     def test_the_sweep_and_its_writers_build_no_rows(self, monkeypatch):
         # A result holds columns, and makes its rows only when asked for.

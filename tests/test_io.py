@@ -945,6 +945,27 @@ class TestJsonGolden:
         cfg = ExperimentConfig("pareto", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
         check_writers_raise_at_the_last_block(sensitivity_sweep(cfg), "sag_minus_gini", special)
 
+    @pytest.mark.parametrize("cut", [slice(None, 1), slice(None, None)], ids=["short", "long"])
+    def test_sweep_ragged_column_raises(self, cut):
+        # A gini column of another length would put its values in other
+        # rows' fields, or leave one unwritten past the last block.
+        result = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {}))
+        gini = np.append(result.columns["gini"], 0.5)[cut]
+        odd = replace(result, columns={**result.columns, "gini": gini})
+        for writer in (sweep_to_json, sweep_to_csv):
+            with pytest.raises(ValueError, match="1-D and as long as"):
+                writer(odd)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_sweep_column_of_another_dtype_raises(self, dtype):
+        # Its bits would be written as a float64's digits.
+        result = sensitivity_sweep(ExperimentConfig("uniform", 3, 2, 1, {}))
+        sag = result.columns["sag"].astype(dtype)
+        odd = replace(result, columns={**result.columns, "sag": sag})
+        for writer in (sweep_to_json, sweep_to_csv):
+            with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}$"):
+                writer(odd)
+
     def test_specials_after_the_first_floats(self):
         nan, inf = float("nan"), float("inf")
         json_golden(curve_document([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0]))

@@ -80,6 +80,55 @@ class TestFloatText:
         assert out.stdout.split() == ["False"]
 
 
+class TestColumnChecks:
+    """A block whose columns do not fit the template raises, rather than
+    writing other rows' fields or a dtype's bits as float64 digits."""
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [np.array([0.5, 0.25, 0.125]), np.array([1.0, 2.0])],
+            [np.array([0.5, 0.25]), np.array([1.0, 2.0, 3.0])],
+            [np.array([1, 2], dtype=np.uint64), np.array([0.5])],
+            [np.array([0.5, 0.25]), (np.array([0, 1, 0]), ["a", "b"])],
+            [np.zeros((2, 2)), np.zeros(2)],
+            [np.zeros(2), np.zeros((2, 1))],
+            [np.float64(0.5), np.zeros(1)],
+        ],
+        ids=["longer first", "longer second", "short float", "long codes", "2-D first",
+             "2-D second", "0-D"],
+    )
+    def test_ragged_columns_raise(self, columns):
+        with pytest.raises(ValueError, match="1-D and as long as the first"):
+            rows_text("%s %s", columns, ";")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64, np.uint32, bool, object])
+    def test_a_column_of_another_dtype_raises(self, dtype):
+        column = np.array([3, 4], dtype=dtype)
+        with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}$"):
+            rows_text("%s", [column], ",")
+        with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}$"):
+            rows_text("%s,%s", [np.array([1, 2], dtype=np.uint64), column])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+    def test_pair_codes_may_be_any_integers(self, dtype):
+        codes = np.array([1, 0, 1], dtype=dtype)
+        assert rows_text("%s", [(codes, ["a", "bc"])], ",") == "bc,a,bc"
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_pair_codes_of_another_dtype_raise(self, dtype):
+        codes = np.array([1, 0], dtype=dtype)
+        with pytest.raises(TypeError, match="codes must be integers"):
+            rows_text("%s", [(codes, ["a", "b"])], ",")
+
+    @pytest.mark.parametrize(
+        "template, count", [("%s", 0), ("%s", 2), ("%s,%s", 1), ("", 0), ("x", 1)]
+    )
+    def test_a_count_of_columns_other_than_the_fields_raises(self, template, count):
+        with pytest.raises(ValueError, match="fields, got"):
+            rows_text(template, [np.zeros(2)] * count, ",")
+
+
 _FINITE_BITS = st.integers(min_value=0, max_value=2**64 - 1).filter(
     lambda bits: (bits >> 52) & 0x7FF != 0x7FF
 )
