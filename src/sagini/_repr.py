@@ -19,7 +19,12 @@ Two steps differ from Giulietti's Java code, which always writes at least
 two digits: a subnormal's significand is not scaled by 10, and the
 one-digit-shorter candidate is tried from ``s >= 10``, not ``s >= 100``,
 so ``5e-324`` and ``1e-322`` keep their single digit. The 64x64-bit high
-products are four 32x32-bit ones. Significands and digits stay in uint64
+products are four 32x32-bit ones, formed for the value alone: the rounding
+interval's bounds differ from the scaled value ``cp`` by a power of two
+``2**s``, so their 128-bit products with g's words are the value's plus or
+minus those words shifted by s. That is exact integer arithmetic, each
+carry or borrow read from the low word, so the bounds get the same words
+as multiplying them out would give. Significands and digits stay in uint64
 arrays and exponents in int64 ones, and no operation mixes the two: before
 numpy 2.0, uint64 meeting int64 gives float64. The text is gathered from a
 matrix of each value's 17 digits, constants and exponent digits, through a
@@ -150,7 +155,7 @@ _WORD2, _WORD3 = np.frombuffer(
     dtype="<u8",
 ).reshape(-1, 2).T.astype(np.uint64, order="C")
 _COLUMNS, _USED = _templates()
-for _table in (_G1, *_G_HALVES, _POW10, _BYTE_BOUNDS, _POSITION, _WORD2, _WORD3, _COLUMNS, _USED):
+for _table in (_G1, _G0, *_G_HALVES, _POW10, _BYTE_BOUNDS, _POSITION, _WORD2, _WORD3, _COLUMNS, _USED):
     _table.flags.writeable = False
 
 
@@ -280,20 +285,25 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # of two, in fixed point; shift = q + floor(log2(10**-k)) + 2.
     k = (q * 661_971_961_083 - 274_743_187_321 * below) >> 41
     shift = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
-    # The rounding interval's lower bound, the value and its upper bound,
-    # in quarter units of the last place, each scaled by 10**-k below.
+    # The value in quarter units of the last place, scaled by 2**shift: cp,
+    # whose products with g's two words are 128-bit (x1, x0) and (y1, y0).
     odd = c & 1
-    cb = c << 2
-    cp = np.stack([cb - 2 + closer_below, cb, cb + 2]) << shift
+    cp = c << (shift + 2)
     index = k - _K_MIN
+    g1, g0 = _G1[index], _G0[index]
     g1_lo, g1_hi, g0_lo, g0_hi = (half[index] for half in _G_HALVES)
     cp_lo, cp_hi = cp & _LOW32, cp >> 32
-    x1 = _high_product(g0_lo, g0_hi, cp_lo, cp_hi)
-    y1 = _high_product(g1_lo, g1_hi, cp_lo, cp_hi)
-    z = ((_G1[index] * cp) >> 1) + x1
-    # g * cp / 2**127 rounded to odd: the floor, with its low bit set when
-    # the dropped bits are not all zero.
-    vbl, vb, vbr = (y1 + (z >> 63)) | (((z & _LOW63) + _LOW63) >> 63)
+    x0, x1 = g0 * cp, _high_product(g0_lo, g0_hi, cp_lo, cp_hi)
+    y0, y1 = g1 * cp, _high_product(g1_lo, g1_hi, cp_lo, cp_hi)
+    # The rounding interval's bounds are cp + 2**s_up and cp - 2**s_down,
+    # with s_up = shift + 1 and s_down = shift for a power of two closer
+    # below, s_up otherwise: their products are those words plus or minus
+    # g's words shifted.
+    s_up = shift + 1
+    s_down = s_up - closer_below
+    upper = _shifted(x0, x1, g0, s_up, 1)[1], *_shifted(y0, y1, g1, s_up, 1)
+    lower = _shifted(x0, x1, g0, s_down, -1)[1], *_shifted(y0, y1, g1, s_down, -1)
+    vbl, vb, vbr = (_round_to_odd(*words) for words in (lower, (x1, y0, y1), upper))
     # Of s = floor(v * 10**-k) and s + 1, the one inside the interval, or
     # else the nearer, ties to even; but a multiple of 10 inside it is one
     # digit shorter. An odd significand's interval excludes its bounds.
@@ -350,6 +360,25 @@ def _write_floats(key: np.ndarray, source: np.ndarray, text: np.ndarray, keep: n
     gather += np.arange(0, source.size, _SOURCE_BYTES)[:, None]
     text[:] = source.reshape(-1)[gather]
     keep[:] = _USED[key]
+
+
+def _shifted(lo, hi, g, s, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high words of the 128-bit ``(hi, lo) + sign * g * 2**s``,
+    for uint64 ``g < 2**63``, ``0 < s < 64`` and a sum in range, the carry
+    or borrow read from the low word."""
+    if sign > 0:
+        low = lo + (g << s)
+        return low, hi + (g >> (64 - s)) + (low < lo)
+    low = lo - (g << s)
+    return low, hi - (g >> (64 - s)) - (low > lo)
+
+
+def _round_to_odd(x1, y0, y1) -> np.ndarray:
+    """``g * cp / 2**127`` rounded to odd, from the high word ``x1`` of
+    ``g0 * cp`` and the words ``(y1, y0)`` of ``g1 * cp``: the floor, with
+    its low bit set when the dropped bits are not all zero."""
+    z = (y0 >> 1) + x1
+    return (y1 + (z >> 63)) | (((z & _LOW63) + _LOW63) >> 63)
 
 
 def _high_product(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:

@@ -143,14 +143,18 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-def _load_curve(path, input_format, column, header, from_lorenz):
+def _load_curve(path, input_format, column, header, from_lorenz, digest=False):
     """Parse and validate one input into (curve, data, digest).
 
     ``data`` (the :class:`Dataset`) is None for Lorenz-point input, whose
     validated curve is all there is; :func:`read_lorenz_points` refuses a
-    ``--column`` with it before reading.
+    ``--column`` with it before reading. The input is hashed only when
+    ``digest`` asks for it, for the provenance block; the digest is None
+    otherwise.
     """
-    spec = InputSpec(path=path, format=input_format, column=column, header=header)
+    spec = InputSpec(
+        path=path, format=input_format, column=column, header=header, digest=digest
+    )
     if from_lorenz:
         points, digest = read_lorenz_points(spec)
         curve = lorenz_from_points(points)
@@ -202,9 +206,11 @@ def compute(
     input_path, input_format, column, header, from_lorenz, out_format, output, no_provenance
 ) -> None:
     """Compute gini, g_right, g_left, and sag for one input."""
+    # Only the JSON report writes the provenance block.
+    provenance = out_format == "json" and not no_provenance
     with _exit_on_error(EXIT_VALIDATION):
         curve, data, digest = _load_curve(
-            input_path, input_format, column, header, from_lorenz
+            input_path, input_format, column, header, from_lorenz, digest=provenance
         )
         result = metrics_from_lorenz(curve) if data is None else report(data)
     doc = build_document(
@@ -212,7 +218,7 @@ def compute(
         curve,
         data=data,
         digest=digest,
-        with_provenance=not no_provenance,
+        with_provenance=provenance,
         _q_array=True,
     )
     if out_format == "json":

@@ -13,12 +13,13 @@ naming their line.
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
 They share one read path, which takes the file or stdin one block of
-:data:`_READ_BLOCK` bytes of whole lines at a time. Each block is hashed,
-decoded and split with :meth:`str.splitlines`, so both parsers get the
-same lines, whatever their line breaks. The header's cells and the
-columns to read come from the first data row, in whichever block it
-falls. Input without data rows, with or without a header, is an empty
-table, which validation rejects.
+:data:`_READ_BLOCK` bytes of whole lines at a time. Each block is hashed
+only when :attr:`InputSpec.digest` is set, then decoded and split with
+:meth:`str.splitlines`, so both parsers get the same lines, whatever
+their line breaks. The header's cells and the columns to read come from
+the first data row, in whichever block it falls. Input without data
+rows, with or without a header, is an empty table, which validation
+rejects.
 
 The fast parser is numpy's C reader :func:`numpy.loadtxt`, which converts
 only the needed columns. Its float parser reads the same grammar and
@@ -93,12 +94,15 @@ class InputSpec:
 
     ``column`` is a 1-based index or a header name; None selects the first
     numeric column of the first data row. ``path`` of "-" reads stdin.
+    ``digest`` asks the reader for the sha256 of the raw bytes; without it
+    the input is not hashed and the reader returns None in its place.
     """
 
     path: str = "-"
     format: str = "csv"  # csv | tsv | whitespace
     column: int | str | None = None
     header: bool = False
+    digest: bool = True
 
 
 def _rows(
@@ -187,13 +191,15 @@ def _resolve_column(
     raise ParseError(f"line {lineno}: no numeric column found")
 
 
-def read_values(spec: InputSpec) -> tuple[np.ndarray, str]:
-    """Read one numeric column; returns (float64 values, sha256 hex of raw bytes)."""
+def read_values(spec: InputSpec) -> tuple[np.ndarray, str | None]:
+    """Read one numeric column; returns (float64 values, sha256 hex of raw
+    bytes), the digest None unless ``spec.digest``."""
     return _read_table(spec, points=False)
 
 
-def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
-    """Read two-column (p, q) points; returns (an (n, 2) float64 array, sha256 hex).
+def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str | None]:
+    """Read two-column (p, q) points; returns (an (n, 2) float64 array,
+    sha256 hex), the digest None unless ``spec.digest``.
 
     Points are always the first two columns, so a ``spec.column`` is a
     :class:`ParseError`, raised before anything is read.
@@ -206,7 +212,7 @@ def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str]:
     return _read_table(spec, points=True)
 
 
-def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str]:
+def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str | None]:
     """The one read path of :func:`read_values` and :func:`read_lorenz_points`."""
     if spec.path == "-":
         return _read_stream(sys.stdin.buffer, spec, points)
@@ -214,9 +220,11 @@ def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str]:
         return _read_stream(fh, spec, points)
 
 
-def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarray, str]:
-    """The table in ``fh`` and the sha256 hex of its bytes, read a block
-    of whole lines at a time.
+def _read_stream(
+    fh: BinaryIO, spec: InputSpec, points: bool
+) -> tuple[np.ndarray, str | None]:
+    """The table in ``fh`` and the sha256 hex of its bytes, or None unless
+    ``spec.digest``, read a block of whole lines at a time.
 
     The header's cells and the columns to read come from the first data
     row, in whichever block it falls; the lines up to the header are sliced
@@ -225,13 +233,14 @@ def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarra
     fmt = spec.format
     if fmt not in _FORMATS:
         raise ParseError(f"unknown input format {fmt!r}")
-    sha = hashlib.sha256()
+    sha = hashlib.sha256() if spec.digest else None
     # Each block's values are appended to one growing buffer, so the table
     # is held once, not as parts and their concatenation.
     table = array("d")
     header, names, usecols, before = spec.header, None, None, 0
     for index, block in enumerate(_blocks(fh)):
-        sha.update(block)
+        if sha is not None:
+            sha.update(block)
         lines = _decode(block.removeprefix(_BOM) if index == 0 else block, before).splitlines()
         start = 0
         if usecols is None:
@@ -253,7 +262,8 @@ def _read_stream(fh: BinaryIO, spec: InputSpec, points: bool) -> tuple[np.ndarra
             table.frombytes(memoryview(part).cast("B"))
         before += len(lines)
     values = np.frombuffer(table)
-    return values.reshape(-1, 2) if points else values, sha.hexdigest()
+    digest = None if sha is None else sha.hexdigest()
+    return values.reshape(-1, 2) if points else values, digest
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:

@@ -459,8 +459,9 @@ def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> Lo
         raise EmptyOrSingletonError("need at least 2 points beyond the origin")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected a sequence of (p, q) pairs")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
+    # One flat check; the row-wise pass runs only to name the first bad row.
+    if not np.isfinite(pts).all():
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
         raise NonFiniteValueError(
             f"non-finite Lorenz point at index {int(bad[0])}"
         )

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -352,6 +353,66 @@ class TestCompute:
             stderr = child.stderr.read().decode()
             assert child.wait(timeout=60) == 2
         assert stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """Count the reader's sha256 objects: each one hashes a whole input."""
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(sagini_io.hashlib, "sha256", counting)
+    return calls
+
+
+class TestInputDigest:
+    """The input is hashed only for the provenance block that writes it."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lorenz", "-i", SYMMETRIC],
+            ["lorenz", "-i", SYMMETRIC, "--style", "ascii"],
+            ["lorenz", "-i", RIGHT, "-i", LEFT, "--from-lorenz"],
+            ["lorenz", "-i", RIGHT, "--from-lorenz", "--style", "ascii"],
+            ["compute", "-i", SYMMETRIC, "--no-provenance"],
+            ["compute", "-i", RIGHT, "--from-lorenz", "--no-provenance", "-f", "csv"],
+            # CSV and text reports write no provenance block.
+            ["compute", "-i", SYMMETRIC, "-f", "csv"],
+            ["compute", "-i", RIGHT, "--from-lorenz", "-f", "text"],
+        ],
+        ids=" ".join,
+    )
+    def test_no_hash_without_a_digest(self, runner, sha256_calls, args):
+        assert run(runner, *args).exit_code == 0
+        assert sha256_calls == []
+
+    @pytest.mark.parametrize("from_lorenz", [False, True])
+    def test_provenance_digest_of_a_file(self, runner, sha256_calls, from_lorenz):
+        path = RIGHT if from_lorenz else SYMMETRIC
+        flags = ["--from-lorenz"] if from_lorenz else []
+        result = run(runner, "compute", "-i", path, *flags)
+        assert result.exit_code == 0
+        assert len(sha256_calls) == 1
+        raw = Path(path).read_bytes()
+        digest = json.loads(result.stdout)["provenance"]["input_digest"]
+        assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
+    def test_provenance_digest_of_stdin(self, runner, monkeypatch, sha256_calls, bom, block):
+        # With 3-byte blocks the bytes are hashed across many read blocks.
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", block)
+        raw = bom + b"id,income\r\n" + b"".join(b"%d,%d.5\n" % (i, i) for i in range(40))
+        result = run(runner, "compute", "--header", "-c", "income", input=raw)
+        assert result.exit_code == 0
+        assert len(sha256_calls) == 1
+        digest = json.loads(result.stdout)["provenance"]["input_digest"]
+        assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 class TestInputEdges:

@@ -187,6 +187,25 @@ class TestReadValues:
         assert a == b != c
 
 
+@pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
+@pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "line parser"])
+@pytest.mark.parametrize("points", [False, True], ids=["values", "points"])
+def test_no_digest_reads_the_same_table(tmp_path, monkeypatch, block, quoted, points):
+    monkeypatch.setattr(sagini_io, "_READ_BLOCK", block)
+    first = '"0.1"' if quoted else "0.1"
+    rows = [f"{first},0.05"] + [f"{i / 10!r},{i * i / 100!r}" for i in range(2, 11)]
+    raw = ("\ufeffp,q\r\n" + "\n".join(rows) + "\n").encode()
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+    reader = read_lorenz_points if points else read_values
+    spec = InputSpec(path=str(path), header=True, column=None if points else 2)
+    table, digest = reader(spec)
+    plain, none = reader(replace(spec, digest=False))
+    assert digest == hashlib.sha256(raw).hexdigest() and none is None
+    assert plain.dtype == table.dtype and plain.shape == table.shape
+    assert plain.tobytes() == table.tobytes()
+
+
 class TestReadLorenzPoints:
     def test_two_columns(self):
         points, _ = read_lorenz_points(InputSpec(path=str(DATA / "right_lorenz.csv")))

@@ -563,10 +563,22 @@ class TestMetricsFromLorenz:
         with pytest.raises(EmptyOrSingletonError):
             metrics_from_lorenz([])
 
-    def test_non_finite_points_rejected(self):
-        points = [(0.5, float("nan")), (1.0, 1.0)]
-        with pytest.raises(NonFiniteValueError, match="index 0"):
+    @pytest.mark.parametrize("origin", [False, True], ids=["without-origin", "with-origin"])
+    @pytest.mark.parametrize("row", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["p", "q"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_points_rejected(self, value, column, row, origin):
+        # The message names the first row holding a nan or an inf, counted
+        # in the input, so a leading origin row moves it by one.
+        points = [[i / 5, q] for i, q in enumerate([0.05, 0.2, 0.4, 0.7, 1.0], 1)]
+        points[row][column] = value
+        if row < 4:
+            points[4][1 - column] = value  # a later bad row is not named
+        if origin:
+            points.insert(0, [0.0, 0.0])
+        with pytest.raises(NonFiniteValueError) as raised:
             metrics_from_lorenz(points)
+        assert str(raised.value) == f"non-finite Lorenz point at index {row + origin}"
 
     def test_agrees_with_dataset_pipeline(self):
         curve = lorenz_curve(build_dataset(SYMMETRIC_VALUES))
