@@ -12,14 +12,14 @@ naming their line.
 
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
-They share one read path, which takes the file or stdin one block of
-:data:`_READ_BLOCK` bytes of whole lines at a time. Each block is hashed
-only when :attr:`InputSpec.digest` is set, then decoded and split with
-:meth:`str.splitlines`, so both parsers get the same lines, whatever
-their line breaks. The header's cells and the columns to read come from
-the first data row, in whichever block it falls. Input without data
-rows, with or without a header, is an empty table, which validation
-rejects.
+They share one read path with two routes. The block route takes stdin,
+or a file, one block of :data:`_READ_BLOCK` bytes of whole lines at a
+time. Each block is hashed only when :attr:`InputSpec.digest` is set,
+then decoded and split with :meth:`str.splitlines`, so both parsers get
+the same lines, whatever their line breaks. The header's cells and the
+columns to read come from the first data row, in whichever block it
+falls. Input without data rows, with or without a header, is an empty
+table, which validation rejects.
 
 The fast parser is numpy's C reader :func:`numpy.loadtxt`, which converts
 only the needed columns. Its float parser reads the same grammar and
@@ -30,21 +30,39 @@ longer than the csv module's field limit goes to the line-by-line parser
 instead, as does a block ``loadtxt`` rejects; the line parser gives the
 same values and names the line of a bad cell or row. Errors come in block
 order: an invalid byte is reported ahead of a bad row in its own block,
-but not ahead of one in an earlier block.
+but not ahead of one in an earlier block. The block route is the only
+source of :class:`ParseError` text.
+
+The whole-file route reads a regular file twice, and splits no line in
+Python. The first pass is the block loop without the split: it hashes
+the blocks, finds the header and the columns, and screens the bytes.
+Then one ``loadtxt`` call parses the path in numpy's C reader, which
+reads the file in chunks with no Python object per line. A file takes
+this route only if its name has no suffix numpy decompresses (``.gz``,
+``.bz2``, ``.xz``, ``.lzma``) and no ``://``; if every byte after the
+header is ASCII and passes the block screen; and if numpy and
+:meth:`str.splitlines` split it alike: no ``\\v``, ``\\f`` or
+``\\x1c``-``\\x1e`` anywhere, and no U+0085, U+2028 or U+2029 up to the
+header. Any other file, or one ``loadtxt`` rejects, is read again from
+its first byte by the block route. numpy opens the path afresh, so the
+file's device, inode, size and mtime are taken from the open handle
+before the screen and from the path after the parse; if they differ,
+numpy's table is dropped and the handle is read by the block route, so
+the table and the digest describe the same bytes.
 
 A read holds one block's bytes, text and lines, or its cells on the line
-path, beyond the parsed table. The writers yield the report in pieces of
-:data:`_WRITE_BLOCK` shares or rows, which the CLI writes in turn; the
-``document_to_*`` and ``sweep_to_*`` functions join the same pieces. A
-block of rows of finite floats, JSON or CSV, is laid out as one byte matrix
-by :func:`sagini._repr.rows_text`, a column at a time, its floats by a
-shortest-repr formatter, not a ``float.__repr__`` call each; it is handed
-the CLI's float64 array of shares and a :class:`SweepResult`'s columns,
-with no Python float or row object per value. On 1e6 rows of cents data,
-``compute`` to JSON takes 0.64 s and peaks at 70 MB RSS, 36 MB above the
-interpreter with its imports, on a 2-core x86-64 host with Python 3.11 and
-numpy 2.4; with a list of shares and the ``float.__repr__`` join it took
-0.95-1.02 s and 98.7 MB there.
+path, or numpy's chunk, beyond the parsed table. The writers yield the
+report in pieces of :data:`_WRITE_BLOCK` shares or rows, which the CLI
+writes in turn; the ``document_to_*`` and ``sweep_to_*`` functions join
+the same pieces. A block of rows of finite floats, JSON or CSV, is laid
+out as one byte matrix by :func:`sagini._repr.rows_text`, a column at a
+time, its floats by a shortest-repr formatter, not a ``float.__repr__``
+call each; it is handed the CLI's float64 array of shares and a
+:class:`SweepResult`'s columns, with no Python float or row object per
+value. On 1e6 rows of cents data, ``compute`` to JSON takes 0.64 s and
+peaks at 70 MB RSS, 36 MB above the interpreter with its imports, on a
+2-core x86-64 host with Python 3.11 and numpy 2.4; with a list of shares
+and the ``float.__repr__`` join it took 0.95-1.02 s and 98.7 MB there.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
@@ -60,6 +78,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import stat
 import sys
 from array import array
 from dataclasses import dataclass, fields
@@ -79,6 +99,15 @@ _FORMATS = ("csv", "tsv", "whitespace")
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
 _BOM = "\ufeff".encode()
+
+#: Suffixes of the files numpy's path reader decompresses.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+#: Line breaks of :meth:`str.splitlines` that numpy's reader does not break
+#: at: ASCII bytes, which no byte of a multi-byte UTF-8 character is, and
+#: the non-ASCII characters, which only the text up to the header may hold.
+_ODD_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_TEXT_BREAKS = ("\x85", "\u2028", "\u2029")
 
 #: Bytes of input read, decoded and parsed at a time, rounded up to whole
 #: lines: beyond the table, a read holds one block's bytes, text and lines.
@@ -213,11 +242,58 @@ def read_lorenz_points(spec: InputSpec) -> tuple[np.ndarray, str | None]:
 
 
 def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str | None]:
-    """The one read path of :func:`read_values` and :func:`read_lorenz_points`."""
+    """The one read path of :func:`read_values` and :func:`read_lorenz_points`:
+    a regular file numpy's reader can take whole by :func:`_read_whole`,
+    anything else, and any file it refuses, by :func:`_read_stream`."""
     if spec.path == "-":
         return _read_stream(sys.stdin.buffer, spec, points)
     with open(spec.path, "rb") as fh:
+        opened = os.fstat(fh.fileno())
+        # numpy's opener decompresses by suffix and fetches what parses as a
+        # URL; a pipe or a device could not be read twice. An unknown format
+        # is the block route's error.
+        path = spec.path
+        if (
+            stat.S_ISREG(opened.st_mode)
+            and not path.endswith(_COMPRESSED)
+            and "://" not in path
+            and spec.format in _FORMATS
+        ):
+            try:
+                read = _read_whole(fh, spec, points, opened)
+            except ParseError:
+                read = None
+            if read is not None:
+                return read
+            fh.seek(0)
         return _read_stream(fh, spec, points)
+
+
+class _Layout:
+    """The header's cells and line number and the columns to read, taken
+    from the lines up to the first data row, which may span blocks."""
+
+    def __init__(self, spec: InputSpec, points: bool):
+        self.spec, self.points = spec, points
+        self.header = spec.header  # a header row is still to come
+        self.names: list[str] | None = None
+        self.lineno = 0  # the header's line number; 0 without a header
+        self.usecols: tuple[int, ...] | None = None
+
+    def scan(self, lines: Iterable[str], before: int) -> int:
+        """Read ``lines``, which come after ``before`` lines of input and
+        hold no line breaks, up to the first data row; return how many of
+        them end with the header row, 0 if it is not among them."""
+        start = 0
+        for lineno, cells in _rows(lines, self.spec.format, before):
+            if self.header:
+                self.header, self.lineno, start = False, lineno, lineno - before
+                self.names = [cell.strip() for cell in cells]
+            else:
+                first = (lineno, cells)
+                self.usecols = (0, 1) if self.points else (_resolve_column(self.spec, self.names, first),)
+                break
+        return start
 
 
 def _read_stream(
@@ -237,33 +313,98 @@ def _read_stream(
     # Each block's values are appended to one growing buffer, so the table
     # is held once, not as parts and their concatenation.
     table = array("d")
-    header, names, usecols, before = spec.header, None, None, 0
+    layout, before = _Layout(spec, points), 0
     for index, block in enumerate(_blocks(fh)):
         if sha is not None:
             sha.update(block)
         lines = _decode(block.removeprefix(_BOM) if index == 0 else block, before).splitlines()
-        start = 0
-        if usecols is None:
-            for lineno, cells in _rows(lines, fmt, before):
-                if header:
-                    header, start = False, lineno - before
-                    names = [cell.strip() for cell in cells]
-                else:
-                    first = (lineno, cells)
-                    usecols = (0, 1) if points else (_resolve_column(spec, names, first),)
-                    break
+        start = layout.scan(lines, before) if layout.usecols is None else 0
         body = lines[start:]
         # Blank lines are not rows; loadtxt would warn on a block of them.
-        if usecols is not None and any(map(str.strip, body)):
+        if layout.usecols is not None and any(map(str.strip, body)):
             # Only the body is screened: a quoted header does not send the
             # rows after it to the line parser.
             data = "\n".join(body).encode() if start else block
-            part = _parse_block(data, body, before + start, fmt, usecols, points)
+            part = _parse_block(data, body, before + start, fmt, layout.usecols, points)
             table.frombytes(memoryview(part).cast("B"))
         before += len(lines)
     values = np.frombuffer(table)
     digest = None if sha is None else sha.hexdigest()
     return values.reshape(-1, 2) if points else values, digest
+
+
+def _read_whole(
+    fh: BinaryIO, spec: InputSpec, points: bool, opened: os.stat_result
+) -> tuple[np.ndarray, str | None] | None:
+    """What :func:`_read_stream` reads from ``fh``, the regular file at
+    ``spec.path`` whose status was ``opened``, parsed by one
+    :func:`numpy.loadtxt` call on the path; None if numpy's reader might
+    read it otherwise, or fails on it.
+
+    The file is read once a block at a time, hashed, and screened: the
+    header and columns are found as :func:`_read_stream` finds them, and
+    every byte after the header must be ASCII and pass :func:`_clean`.
+    Then numpy reads the path again in its C reader, with no Python string
+    per line. Its table is dropped unless the file's device, inode, size
+    and mtime are still ``opened``'s: both passes saw the same bytes. A
+    :class:`ParseError` raised here means the file takes the block route,
+    which raises it again in its own order.
+    """
+    fmt = spec.format
+    sha = hashlib.sha256() if spec.digest else None
+    layout, before = _Layout(spec, points), 0
+    for index, block in enumerate(_blocks(fh)):
+        if sha is not None:
+            sha.update(block)
+        if index == 0:
+            block = block.removeprefix(_BOM)
+        if any(brk in block for brk in _ODD_BREAKS):
+            return None
+        if layout.usecols is None:
+            lines = _decode(block, before).splitlines(keepends=True)
+            start = layout.scan((line.rstrip("\r\n") for line in lines), before)
+            # Until the header is read, every line is head, not body.
+            head = "".join(lines if layout.header else lines[:start])
+            if any(brk in head for brk in _TEXT_BREAKS):
+                return None
+            block = block[len(head.encode()) :]
+            before += len(lines)
+        if not (block.isascii() and _clean(block, fmt)):
+            return None
+    if layout.usecols is None:
+        return None
+    try:
+        table = np.loadtxt(
+            spec.path,
+            delimiter=_DELIMITERS.get(fmt),
+            usecols=layout.usecols,
+            comments=None,
+            dtype=float,
+            ndmin=len(layout.usecols),
+            skiprows=layout.lineno,
+            encoding="utf-8-sig",
+        )
+        after = os.stat(spec.path)
+    except (ValueError, OSError):
+        return None
+    if _identity(after) != _identity(opened):
+        return None
+    return table, None if sha is None else sha.hexdigest()
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _clean(data: bytes, fmt: str) -> bool:
+    """Whether ``data``, bytes of rows after the header, holds nothing
+    :func:`numpy.loadtxt` reads differently from :func:`_rows`: no quote,
+    no NUL and no line longer than the csv module's field limit."""
+    return (
+        b'"' not in data
+        and b"\x00" not in data
+        and not (fmt != "whitespace" and _has_line_over(data, csv.field_size_limit()))
+    )
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -303,11 +444,7 @@ def _parse_block(
     the line of an error. ``loadtxt`` skips blank lines and rejects a
     whitespace-only cell.
     """
-    if not (
-        b'"' in block
-        or b"\x00" in block
-        or (fmt != "whitespace" and _has_line_over(block, csv.field_size_limit()))
-    ):
+    if _clean(block, fmt):
         try:
             return np.loadtxt(
                 lines,
@@ -323,18 +460,20 @@ def _parse_block(
 
 
 def _has_line_over(data: bytes, limit: int) -> bool:
-    """Whether a line of ``data`` is longer than ``limit`` bytes.
+    """Whether a line of ``data``, ended by ``\\n`` or ``\\r``, is longer
+    than ``limit`` bytes.
 
     Such a line holds a whole window ``[k*step, (k+1)*step)`` with ``step =
-    limit // 2``, so only lines holding a window without a ``\\n`` are
+    limit // 2``, so only lines holding a window without a break are
     measured: a scan of ``len(data) / step`` short searches, with no copy.
     """
     step = max(limit // 2, 1)
     for start in range(0, len(data), step):
-        if data.find(b"\n", start, start + step) < 0:
-            begin = data.rfind(b"\n", 0, start) + 1
-            end = data.find(b"\n", start)
-            if (len(data) if end < 0 else end) - begin > limit:
+        stop = start + step
+        if data.find(b"\n", start, stop) < 0 and data.find(b"\r", start, stop) < 0:
+            begin = max(data.rfind(b"\n", 0, start), data.rfind(b"\r", 0, start)) + 1
+            ends = [end for end in (data.find(b"\n", start), data.find(b"\r", start)) if end >= 0]
+            if min(ends, default=len(data)) - begin > limit:
                 return True
     return False
 

@@ -4,10 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -484,11 +488,14 @@ class TestReaderDifferential:
 
     @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
     def test_values(self, tmp_path, text, kwargs):
+        # A file may take numpy's whole-file read, a stream never does.
+        raw = text.encode("utf-8")
         path = tmp_path / "in.txt"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(raw)
         spec = InputSpec(path=str(path), **kwargs)
-        expected = outcome(line_parse, text.encode("utf-8"), spec, False)
+        expected = outcome(line_parse, raw, spec, False)
         assert outcome(lambda: read_values(spec)[0]) == expected
+        assert outcome(read_bytes, raw, spec, False) == expected
 
     @pytest.mark.parametrize("text, kwargs", READER_CORPUS.values(), ids=READER_CORPUS.keys())
     def test_points(self, tmp_path, text, kwargs):
@@ -496,11 +503,13 @@ class TestReaderDifferential:
         # refuses a column (test_column_refused_before_reading), so the
         # corpus runs here without one.
         kwargs = {key: value for key, value in kwargs.items() if key != "column"}
+        raw = text.encode("utf-8")
         path = tmp_path / "in.txt"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(raw)
         spec = InputSpec(path=str(path), **kwargs)
-        expected = outcome(line_parse, text.encode("utf-8"), spec, True)
+        expected = outcome(line_parse, raw, spec, True)
         assert outcome(lambda: read_lorenz_points(spec)[0]) == expected
+        assert outcome(read_bytes, raw, spec, True) == expected
 
     def test_stdin(self, monkeypatch):
         class Stdin:
@@ -716,6 +725,175 @@ class TestReadBlockEdges:
         assert digest == file_digest == hashlib.sha256(raw).hexdigest()
 
 
+def read_outcome(spec, points):
+    """The reader's outcome as :func:`outcome` gives it, with the digest."""
+    try:
+        table, digest = (read_lorenz_points if points else read_values)(spec)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", table.dtype.str, table.shape, repr(table.tolist()), digest
+
+
+class TestFileRoutes:
+    """A regular file is read whole by numpy from its path when nothing in
+    it could read otherwise; every file reads as its bytes do from stdin."""
+
+    def read(self, monkeypatch, path, points=False, **kwargs):
+        """The outcome of reading ``path``, which must be stdin's on its
+        bytes; the paths numpy's reader was given; and whether the block
+        route and the line parser ran."""
+        spec = InputSpec(path=str(path), **kwargs)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, mock.patch.object(
+            sagini_io, "_read_stream", wraps=sagini_io._read_stream
+        ) as stream, mock.patch.object(sagini_io, "_line_table", wraps=sagini_io._line_table) as lines:
+            result = read_outcome(spec, points)
+        paths = [call.args[0] for call in loadtxt.call_args_list if isinstance(call.args[0], str)]
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(Path(path).read_bytes())))
+        assert read_outcome(replace(spec, path="-"), points) == result
+        return result, paths, stream.called, lines.called
+
+    @pytest.mark.parametrize(
+        "raw, points, kwargs",
+        [
+            (b"1\n2.5\n-3\n", False, {}),
+            (b"1,2\r\n3,4\r\n", False, {"column": 2}),
+            (b"1,2\r3,4\r", False, {"column": 2}),
+            (b"".join(b"%d\r" % i for i in range(30_000)), False, {}),
+            (b"\xef\xbb\xbf1\n\n2\n", False, {}),
+            (b"\n\nid,income\n1,10\n\n2,20.5", False, {"header": True, "column": "income"}),
+            (b'\xef\xbb\xbf"id","r\xc3\xa9gion"\r\n1,2\r\n3,4\r\n', False, {"header": True, "column": 2}),
+            (b"1\t2\n3\t4\n", False, {"format": "tsv", "column": 2}),
+            (b" 1  2\n\n3\t4 \n", False, {"format": "whitespace", "column": 2}),
+            (b"p,q\n0.5,0.25\n1,1\n", True, {"header": True}),
+            (b"0.5 0.25\r1 1\r", True, {"format": "whitespace"}),
+        ],
+        ids=["lf", "crlf", "lone cr", "lone cr past the field limit", "bom", "header after blank lines", "quoted header",
+             "tsv", "whitespace", "points header", "points whitespace lone cr"],
+    )
+    def test_clean_tables_are_read_whole_by_numpy(self, tmp_path, monkeypatch, raw, points, kwargs):
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        result, paths, stream, lines = self.read(monkeypatch, path, points, **kwargs)
+        assert result[0] == "ok" and result[-1] == hashlib.sha256(raw).hexdigest()
+        assert paths == [str(path)] and not stream and not lines
+
+    @pytest.mark.parametrize(
+        "raw, kwargs",
+        [
+            (b'1,"2"\n3,4\n', {"column": 2}),
+            (b"1\x00,2\n3,4\n", {"column": 2}),
+            (b"1,2\x0b3,4\n", {"column": 2}),
+            (b"id\x0c\nincome\n1\n", {"header": True}),
+            (b"id,income\n1,10\x1c2,20\n", {"header": True, "column": "income"}),
+            ("a\u2028b,income\n1,10\n".encode(), {"header": True}),
+            ("\x85id,income\n1,10\n".encode(), {"header": True, "column": "income"}),
+            ("1\n\u30002\n".encode(), {}),
+        ],
+        ids=["quote", "nul", "vertical tab", "form feed in header", "file separator",
+             "line separator in header", "next line in header", "non-ascii body"],
+    )
+    def test_screened_files_take_the_block_route(self, tmp_path, monkeypatch, raw, kwargs):
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        result, paths, stream, lines = self.read(monkeypatch, path, **kwargs)
+        assert paths == [] and stream
+
+    @pytest.mark.parametrize(
+        "raw, kwargs",
+        [
+            (b"1\n   \n2\n", {}),
+            (b"1\n\t\n2\n", {"format": "tsv"}),
+            (b"1,2\n3\n", {"column": 2}),
+            (b"1\n2\nx\n", {}),
+        ],
+        ids=["whitespace-only line", "tab-only tsv line", "short row", "bad cell"],
+    )
+    def test_files_numpy_refuses_take_the_block_route(self, tmp_path, monkeypatch, raw, kwargs):
+        # The block route then names the line, or reads what numpy refused.
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        result, paths, stream, lines = self.read(monkeypatch, path, **kwargs)
+        assert paths == [str(path)] and stream and lines
+
+    def test_bad_cell_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", 4)
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"".join(b"%d\n" % i for i in range(40)) + b"4x\n5\n")
+        result, paths, stream, lines = self.read(monkeypatch, path)
+        assert result == ("error", "line 41, column 1: '4x' is not a number")
+        assert paths == [str(path)] and stream and lines
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_names_are_read_as_text(self, tmp_path, monkeypatch, suffix):
+        # numpy would decompress the file by its name, and fail on text.
+        path = tmp_path / f"rows.csv{suffix}"
+        path.write_bytes(b"1\n2\n")
+        result, paths, stream, lines = self.read(monkeypatch, path)
+        assert result[:4] == ("ok", "<f8", (2,), "[1.0, 2.0]")
+        assert paths == [] and stream
+
+    def test_compressed_suffixes_cover_numpys(self):
+        openers = set(np.lib._datasource._file_openers.keys()) - {None}
+        assert openers <= set(sagini_io._COMPRESSED)
+
+    def test_url_like_path_is_read_by_the_block_route(self, tmp_path, monkeypatch):
+        # numpy would fetch a path that parses as a URL, though it exists here.
+        (tmp_path / "x:").mkdir()
+        (tmp_path / "x:" / "rows.csv").write_bytes(b"1\n2\n")
+        monkeypatch.chdir(tmp_path)
+        result, paths, stream, lines = self.read(monkeypatch, "x://rows.csv")
+        assert result[:4] == ("ok", "<f8", (2,), "[1.0, 2.0]")
+        assert paths == [] and stream
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_once_by_the_block_route(self, tmp_path):
+        raw = b"id,income\n1,10\n2,20\n"
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        loadtxt = np.loadtxt
+
+        def no_path(fname, *args, **kwargs):
+            # Opening the pipe again would wait for a writer that has gone.
+            assert not isinstance(fname, str)
+            return loadtxt(fname, *args, **kwargs)
+
+        try:
+            with mock.patch.object(np, "loadtxt", side_effect=no_path):
+                values, digest = read_values(InputSpec(path=str(path), header=True, column="income"))
+        finally:
+            writer.join(timeout=10)
+        assert values.tolist() == [10.0, 20.0] and digest == hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("how", ["in place", "replaced"])
+    def test_file_rewritten_before_numpy_reads_it(self, tmp_path, how):
+        # The screen hashes the open file; numpy opens the path afresh. A
+        # rewrite in place is read again from the handle, so both describe
+        # the new bytes; a replaced file leaves the handle on the old ones.
+        old, new = b"1\n2\n3\n", b"10\n20\n30\n40\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(old)
+        loadtxt = np.loadtxt
+
+        def rewrite_then_load(fname, *args, **kwargs):
+            if isinstance(fname, str):
+                if how == "in place":
+                    path.write_bytes(new)
+                else:
+                    (tmp_path / "new.csv").write_bytes(new)
+                    os.replace(tmp_path / "new.csv", path)
+            return loadtxt(fname, *args, **kwargs)
+
+        spec = InputSpec(path=str(path))
+        with mock.patch.object(np, "loadtxt", side_effect=rewrite_then_load) as spy:
+            table, digest = read_values(spec)
+        assert spy.call_args_list[0].args[0] == str(path)
+        read = new if how == "in place" else old
+        assert digest == hashlib.sha256(read).hexdigest()
+        assert table.tolist() == read_bytes(read, spec, False).tolist()
+
+
 # Cells for the reader differential: numbers in every spelling ``float``
 # takes, with and without Unicode padding, and cells the grammar rejects.
 _CELL_ALPHABET = "0123456789.-+eE_ \t\x1f\xa0\u3000\u0663\uff11naifINF"
@@ -762,7 +940,9 @@ def reader_inputs(draw):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     ends = [newline] * len(rows)
     if rows and draw(st.integers(0, 3)) == 2:
-        ends[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(["\r", "\x85", "\u2028"]))
+        ends[draw(st.integers(0, len(rows) - 1))] = draw(
+            st.sampled_from(["\r", "\x85", "\u2028", "\x0b", "\x0c", "\x1c"])
+        )
     if rows and draw(st.booleans()):
         ends[-1] = ""
     text = "".join(sep.join(row) + end for row, end in zip(rows, ends))
@@ -813,14 +993,38 @@ def test_byte_reader_agrees_with_the_line_parser(block, table, points):
         assert result == outcome(line_parse, before, spec, points)
 
 
+@settings(max_examples=300, deadline=None)
+@given(table=reader_inputs(), points=st.booleans())
+def test_file_reader_agrees_with_the_stream_reader(table, points):
+    """A file, which numpy's reader may take whole from its path, reads as
+    its bytes do from a stream: the same table, digest or error."""
+    raw, spec = table
+    if points:
+        spec = replace(spec, column=None)
+    try:
+        table, digest = _read_stream(io.BytesIO(raw), spec, points)
+        expected = "ok", table.dtype.str, table.shape, repr(table.tolist()), digest
+    except ParseError as exc:
+        expected = "error", str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        assert read_outcome(replace(spec, path=path), points) == expected
+
+
 @given(
     lines=st.lists(st.integers(0, 12), max_size=8),
+    breaks=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n"]), min_size=8, max_size=8),
     final_break=st.booleans(),
     limit=st.integers(1, 10),
 )
-def test_has_line_over_measures_the_longest_line(lines, final_break, limit):
-    data = b"\n".join(b"x" * length for length in lines) + (b"\n" if final_break else b"")
-    longest = max(map(len, data.split(b"\n")))
+def test_has_line_over_measures_the_longest_line(lines, breaks, final_break, limit):
+    # A lone "\r" ends a line for str.splitlines and numpy's reader alike.
+    data = b"".join(b"x" * length + brk for length, brk in zip(lines, breaks))
+    if lines and not final_break:
+        data = data.rstrip(b"\r\n")
+    longest = max(map(len, data.splitlines()), default=0)
     assert _has_line_over(data, limit) == (longest > limit)
 
 
@@ -1050,7 +1254,7 @@ class TestMemory:
     """Beyond the table it returns and the document it writes, I/O holds a
     block's worth of memory, not one object per row."""
 
-    @pytest.mark.parametrize(
+    encodings = pytest.mark.parametrize(
         "encode",
         [
             str.encode,
@@ -1061,10 +1265,23 @@ class TestMemory:
         ],
         ids=["ascii-lf", "bom", "non-ascii-header", "crlf", "quoted-header"],
     )
+
+    @encodings
     def test_read_peaks_below_twice_the_input(self, tmp_path, encode):
+        # Each of these files is read whole by numpy's reader.
         path = income_table(tmp_path, 200_000, encode)
         spec = InputSpec(path=str(path), header=True, column="income")
         peak = traced_peak(lambda: read_values(spec))
+        assert peak <= 2 * path.stat().st_size
+
+    @encodings
+    def test_stdin_read_peaks_below_twice_the_input(self, tmp_path, monkeypatch, encode):
+        # The same bytes from stdin, which are read a block at a time.
+        path = income_table(tmp_path, 200_000, encode)
+        spec = InputSpec(path="-", header=True, column="income")
+        with open(path, "rb") as fh:
+            monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=fh))
+            peak = traced_peak(lambda: read_values(spec))
         assert peak <= 2 * path.stat().st_size
 
     def test_writer_peak_beyond_the_document_is_bounded(self, tmp_path):
