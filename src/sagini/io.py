@@ -13,8 +13,8 @@ naming their line.
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
 They share one read path with two routes. The block route takes stdin,
-or a file, one block of :data:`_READ_BLOCK` bytes of whole lines at a
-time. Each block is hashed only when :attr:`InputSpec.digest` is set,
+or a file, one block of about :data:`_READ_BLOCK` bytes of whole lines at
+a time. Each block is hashed only when :attr:`InputSpec.digest` is set,
 then decoded and split with :meth:`str.splitlines`, so both parsers get
 the same lines, whatever their line breaks. The header's cells and the
 columns to read come from the first data row, in whichever block it
@@ -68,9 +68,11 @@ The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
 ``p_i = i/n`` is implied by ``input.n`` and not written; CSV output
 writes it as ``i / n``. JSON output uses shortest round-trip float
-formatting (15+ significant digits) and is byte-identical to
-``json.dumps(doc, indent=2)``; text output is fixed to 6 decimals and
-says so.
+formatting (15+ significant digits). The JSON writers match
+``json.dumps(doc, indent=2)`` byte for byte on report and sweep documents
+of finite floats, and every writer but the text one raises
+:class:`ValueError` on a nan or an inf, which JSON cannot hold; text
+output is fixed to 6 decimals and says so.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ import sys
 from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterable, Iterator, Sequence, get_args
+from typing import BinaryIO, Iterable, Iterator, get_args
 
 import numpy as np
 
@@ -109,8 +111,9 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _ODD_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _TEXT_BREAKS = ("\x85", "\u2028", "\u2029")
 
-#: Bytes of input read, decoded and parsed at a time, rounded up to whole
-#: lines: beyond the table, a read holds one block's bytes, text and lines.
+#: Bytes of input read at a time. Each read is cut after its last line
+#: break, the rest carried into the next block: beyond the table, a read
+#: holds about one block's bytes, text and lines.
 _READ_BLOCK = 1 << 18
 
 #: List items, Lorenz shares or sweep rows, that a writer puts in one piece.
@@ -408,12 +411,28 @@ def _clean(data: bytes, fmt: str) -> bool:
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """``fh`` in blocks of :data:`_READ_BLOCK` bytes or more, each ending
-    after a ``\\n`` but the last, so no line or ``\\r\\n`` is split."""
-    while block := fh.read(_READ_BLOCK):
-        if not block.endswith(b"\n"):
-            block += fh.readline()
-        yield block
+    """``fh`` in blocks of about :data:`_READ_BLOCK` bytes, each but the last
+    ending after a ``\\n`` or a ``\\r``, so no line or ``\\r\\n`` is split.
+
+    A read that another follows is cut after its last line break, and the
+    bytes after it are carried into the next block, a ``\\r`` that ends the
+    read with them when the next read starts with ``\\n``. So a block holds
+    one read beside part of one line. The last read is not cut, so input
+    of one read is one block.
+    """
+    carried: list[bytes] = []
+    chunk = fh.read(_READ_BLOCK)
+    while chunk:
+        following = fh.read(_READ_BLOCK)
+        cut = len(chunk)
+        if following:
+            end = cut - (chunk.endswith(b"\r") and following.startswith(b"\n"))
+            cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
+        if cut:
+            yield b"".join([*carried, chunk[:cut]])
+            carried = []
+        carried.append(chunk[cut:])
+        chunk = following
 
 
 def _decode(block: bytes, before: int) -> str:
@@ -552,57 +571,51 @@ def build_document(
 
 
 def document_to_json(doc: dict) -> str:
-    """Exactly ``json.dumps(doc, indent=2) + "\\n"``: the join of
-    :func:`json_pieces`."""
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"`` for a report document:
+    the join of :func:`json_pieces`."""
     return "".join(json_pieces(doc))
 
 
-def json_pieces(value) -> Iterator[str]:
-    """``json.dumps(value, indent=2) + "\\n"`` in pieces, built faster; a
-    list is written :data:`_WRITE_BLOCK` items to a piece.
+def json_pieces(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, indent=2) + "\\n"`` in pieces for a report document
+    from :func:`build_document`, :data:`_WRITE_BLOCK` shares to a piece.
 
     Before Python 3.13, :mod:`json` falls back to its pure-Python encoder
-    when ``indent`` is set, and spends nearly all its time on the Lorenz
-    array ``q``. A block of finite floats, from a list or a 1-D float64
-    array such as the CLI's ``q``, is written here by
-    :func:`sagini._repr.rows_text`, as :mod:`json` spells it; anything
-    else, an array as its list, goes through :func:`json.dumps`.
+    when ``indent`` is set, and would spend nearly all its time on the
+    Lorenz shares ``q``. So json writes the document with ``q`` empty, and
+    the shares, a list or the CLI's float64 array, are spliced in a block
+    at a time by :func:`sagini._repr.rows_text`, as :mod:`json` spells
+    them. A nan or an inf raises :class:`ValueError`.
     """
-    yield from _json_at(value, 0)
-    yield "\n"
+    q = doc["lorenz"]["q"]
+    skeleton = {**doc, "lorenz": {**doc["lorenz"], "q": []}}
+    # A list is converted a block at a time, never as a whole.
+    blocks = (
+        _text("      %s", [np.asarray(q[start : start + _WRITE_BLOCK])], ",\n")
+        for start in range(0, len(q), _WRITE_BLOCK)
+    )
+    yield from _spliced(skeleton, "q", blocks)
 
 
-def _json_at(value, level: int) -> Iterator[str]:
-    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep."""
-    close = "\n" + "  " * level
-    indent = close + "  "
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        opening = "{" + indent
-        for key, item in value.items():
-            yield f"{opening}{json.dumps(key)}: "
-            yield from _json_at(item, level + 1)
-            opening = "," + indent
-        yield close + "}"
-    elif isinstance(value, (list, np.ndarray)) and len(value):
-        opening, sep = "[" + indent, "," + indent
-        for block in _write_blocks(value):
-            if (floats := _finite_floats(block)) is not None:
-                body = _text("%s", [floats], sep)
-            else:
-                items = block.tolist() if isinstance(block, np.ndarray) else block
-                body = sep.join("".join(_json_at(item, level + 1)) for item in items)
-            yield opening + body
-            opening = sep
-        yield close + "]"
-    else:
-        # A JSON string never holds a raw line break, so every "\n" in the
-        # encoding starts an indented line.
-        yield json.dumps(value, indent=2).replace("\n", close)
+def _spliced(skeleton: dict, key: str, blocks: Iterable[str]) -> Iterator[str]:
+    """``json.dumps(skeleton, indent=2) + "\\n"`` in pieces, with the empty
+    list of the first ``key`` in ``skeleton`` filled by ``blocks``: each the
+    text of a run of the list's items, indented as json indents them and
+    joined by ``",\\n"``.
 
-
-def _write_blocks(items: Sequence) -> Iterator[Sequence]:
-    for start in range(0, len(items), _WRITE_BLOCK):
-        yield items[start : start + _WRITE_BLOCK]
+    The first piece holds the text ahead of the list and the first block.
+    A nan or an inf in ``skeleton`` raises :class:`ValueError`.
+    """
+    text = json.dumps(skeleton, indent=2, allow_nan=False)
+    head, tail = text.split(f'"{key}": []', 1)
+    opening = head + f'"{key}": [\n'
+    for block in blocks:
+        yield opening + block
+        opening = ",\n"
+    # With no items, nothing has been written, and json's "[]" stands. The
+    # list closes at the indent of its key's line.
+    closing = "\n" + head[head.rfind("\n") + 1 :] + "]"
+    yield (closing + tail if opening == ",\n" else text) + "\n"
 
 
 def _text(template: str, columns: list, sep: str = "") -> str:
@@ -613,17 +626,6 @@ def _text(template: str, columns: list, sep: str = "") -> str:
     return rows_text(template, columns, sep)
 
 
-def _finite_floats(block: Sequence) -> np.ndarray | None:
-    """``block``, a 1-D float64 array or a list of floats, as an array; None
-    if it is neither or holds a nan or an inf, which json and repr spell
-    otherwise."""
-    if isinstance(block, list) and set(map(type, block)) == {float}:
-        block = np.array(block)
-    if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.ndim == 1:
-        return block if np.isfinite(block).all() else None
-    return None
-
-
 def document_to_csv(doc: dict) -> str:
     """The join of :func:`csv_pieces`."""
     return "".join(csv_pieces(doc))
@@ -631,7 +633,8 @@ def document_to_csv(doc: dict) -> str:
 
 def csv_pieces(doc: dict) -> Iterator[str]:
     """The CSV report: a ``key,value`` table, then ``i,p,q`` rows,
-    :data:`_WRITE_BLOCK` of them to a piece."""
+    :data:`_WRITE_BLOCK` of them to a piece, floats as ``repr`` writes
+    them. A nan or an inf raises :class:`ValueError`."""
     flat = {
         "schema_version": doc["schema_version"],
         "n": doc["input"]["n"],
@@ -643,20 +646,14 @@ def csv_pieces(doc: dict) -> Iterator[str]:
     }
     lines = ["key,value", *(f"{key},{_csv_value(value)}" for key, value in flat.items()), "i,p,q"]
     yield "\n".join(lines) + "\n"
-    # i / n is the correctly rounded quotient, as LorenzCurve.p is; so is
-    # the quotient of the float64 i and n below 2**53.
+    # i / n is the correctly rounded quotient, as LorenzCurve.p is: a report
+    # has n below 2**53, where the float64 i and n are exact.
     n = doc["input"]["n"]
     q = doc["lorenz"]["q"]
     for start in range(0, len(q), _WRITE_BLOCK):
-        block = q[start : start + _WRITE_BLOCK]
-        floats, stop = _finite_floats(block), start + len(block)
-        if floats is not None and isinstance(n, int) and 0 < n < 2**53:
-            i = np.arange(start + 1, stop + 1, dtype=np.uint64)
-            yield _text("%s,%s,%s\n", [i, i / n, floats])
-        else:
-            # An array's items' repr is numpy's.
-            items = block.tolist() if isinstance(block, np.ndarray) else block
-            yield "".join([f"{i},{i / n!r},{x!r}\n" for i, x in enumerate(items, start + 1)])
+        block = np.asarray(q[start : start + _WRITE_BLOCK])
+        i = np.arange(start + 1, start + len(block) + 1, dtype=np.uint64)
+        yield _text("%s,%s,%s\n", [i, i / n, block])
 
 
 def _csv_value(value) -> str:
@@ -665,6 +662,8 @@ def _csv_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ValueError(f"a float field holds a nan or an inf: {value!r}")
         return repr(value)
     return str(value)
 
@@ -709,18 +708,14 @@ def sweep_to_json(result: SweepResult) -> str:
 def sweep_json_pieces(result: SweepResult) -> Iterator[str]:
     """``json.dumps(doc, indent=2) + "\\n"`` in pieces for the sweep document
     ``{"config": ..., "rows": [...], "summary": ...}``, with
-    :data:`_WRITE_BLOCK` rows to a piece."""
+    :data:`_WRITE_BLOCK` rows to a piece. A nan or an inf raises
+    :class:`ValueError`."""
     config = result.config
     plan = {name: getattr(config, name) for name in ("family", "sample_size", "replications", "seed")}
     params = dict(sorted(config.params.items()))
-    text = json.dumps({"config": {**plan, "params": params}, "rows": [], "summary": result.summary}, indent=2)
-    head, tail = text.split('"rows": []', 1)
-    opening = head + '"rows": [\n'
-    for block in _sweep_blocks(result, json.dumps):
-        yield opening + _text(_SWEEP_ROW, block, ",\n")
-        opening = ",\n"
-    # With no rows, nothing has been written, and json's "[]" stands.
-    yield ("\n  ]" + tail if opening == ",\n" else text) + "\n"
+    skeleton = {"config": {**plan, "params": params}, "rows": [], "summary": result.summary}
+    blocks = (_text(_SWEEP_ROW, block, ",\n") for block in _sweep_blocks(result, json.dumps))
+    yield from _spliced(skeleton, "rows", blocks)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -731,13 +726,13 @@ def sweep_to_csv(result: SweepResult) -> str:
 def sweep_csv_pieces(result: SweepResult) -> Iterator[str]:
     """The sweep as CSV in pieces: a header, the rows, :data:`_WRITE_BLOCK`
     to a piece, floats as ``repr`` writes them, and a line per summary
-    value."""
+    value. A nan or an inf raises :class:`ValueError`."""
     yield ",".join(_SWEEP_FIELDS) + "\n"
     template = ",".join(["%s"] * len(_SWEEP_FIELDS)) + "\n"
     for block in _sweep_blocks(result, str):
         yield _text(template, block)
     for metric, values in result.summary.items():
-        yield "".join(f"summary,{metric},{stat},{value!r}\n" for stat, value in values.items())
+        yield "".join(f"summary,{metric},{stat},{_csv_value(value)}\n" for stat, value in values.items())
 
 
 def _sweep_blocks(result: SweepResult, spell) -> Iterator[list]:

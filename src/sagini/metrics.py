@@ -385,14 +385,36 @@ def _reject_non_numbers(raw: Iterable[float]) -> None:
 def lorenz_curve(data: Dataset) -> LorenzCurve:
     """Sort ascending and accumulate shares ``q_i = s_i/T``.
 
-    ``T`` is the dataset's compensated total, not the running float sum,
-    which can cancel to zero or below on mixed-sign data whose exact total
-    is positive. The endpoint ``q_n`` is forced to exactly 1.0 so
-    cumulative-sum drift cannot leak into the last interior gap. Sorted
-    data always gives a convex curve, so the curve is marked convex
-    without looking at float noise in ``q``.
+    The running sums ``s_i`` are of the sorted values scaled by the
+    kernel's ``2**-e``, and ``T`` is the scaled total of the dataset's own
+    kernel pass (see module doc). Scaling by a power of two is exact
+    barring underflow, so the shares are those of the unscaled sums, and
+    no running sum overflows. ``T`` is not the running float sum, which can
+    cancel to zero or below on mixed-sign data whose exact total is
+    positive, nor the ``total`` given to a dataset built by hand, whose
+    values are validated here as :func:`report` validates them. A share
+    beyond the float64 range, possible only where the negative values far
+    outweigh the total, raises :class:`NonFiniteValueError`. The endpoint
+    ``q_n`` is forced to exactly 1.0 so cumulative-sum drift cannot leak
+    into the last interior gap. Sorted data always gives a convex curve, so
+    the curve is marked convex without looking at float noise in ``q``.
     """
-    q = np.cumsum(data.sorted_values) / data.total
+    total = data._sums[0, -1]
+    x = data.sorted_values
+    scale, rest = _scale_factors(_exponents(x[:1], x[-1:]))
+    q = np.multiply(x, scale[0])
+    if rest is not None:
+        q *= rest[0]
+    np.cumsum(q, out=q)
+    with np.errstate(over="ignore"):
+        q /= total
+    # The running sums fall while the values are negative, then rise to T,
+    # so only a negative share can overflow.
+    if x[0] < 0.0 and math.isinf(q.min()):
+        raise NonFiniteValueError(
+            "a Lorenz share is beyond the float64 range: a running sum of the "
+            "sorted values exceeds their total by more than the largest float"
+        )
     q[-1] = 1.0
     return LorenzCurve(q=_readonly(q), convex=True)
 
@@ -415,7 +437,9 @@ def report(data: Dataset) -> InequalityReport:
     """All four indices and the skew call, scored from the sums of the
     kernel pass :func:`build_dataset` made over the sorted values.
 
-    Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module doc).
+    Raises :class:`InvalidNError` above ``_MAX_EXACT_N`` values (see module
+    doc), and :class:`NonFiniteValueError` where an index is beyond the
+    float64 range.
     """
     _check_exact(data.n)
     scores = _sorted_scores(data.sorted_values[np.newaxis], data._sums)
@@ -427,7 +451,8 @@ def _replication_scores(x: np.ndarray) -> np.ndarray:
     ``(4, b)`` array of gini, g_right, g_left and sag.
 
     The block is sorted, and one kernel pass gives every row's total and
-    weighted sums. If a row is not finite or its total is not valid,
+    weighted sums. If a row is not finite, its total is not valid or an
+    index of it is beyond the float64 range, :func:`report` of
     :func:`build_dataset` is run on the first such row, so the error is the
     one a row-by-row loop would raise.
     """
@@ -438,9 +463,11 @@ def _replication_scores(x: np.ndarray) -> np.ndarray:
     s[~finite] = 0.0
     sums, total = _sorted_sums(s)
     valid = finite & (np.abs(sums[:, -1]) >= _TINY) & (total > 0.0) & (total < math.inf)
+    scores = _sorted_scores(s, sums)
+    valid &= np.isfinite(scores).all(axis=0)
     if not valid.all():
-        build_dataset(x[np.argmin(valid)])  # raises that row's error
-    return _sorted_scores(s, sums)
+        report(build_dataset(x[np.argmin(valid)]))  # raises that row's error
+    return scores
 
 
 def lorenz_from_points(points: Sequence[tuple[float, float]] | np.ndarray) -> LorenzCurve:
@@ -520,8 +547,17 @@ def _make_report(
     n: int, mean: float | None, scores: np.ndarray, convex: bool
 ) -> InequalityReport:
     """The report of a batch of one: ``scores`` is a ``(4, 1)`` array from
-    :func:`_scores`."""
-    g, gr, gl, sag = scores[:, 0].tolist()
+    :func:`_scores`. An index beyond the float64 range raises
+    :class:`NonFiniteValueError`; the indices are of order ``max|x| / |T|``
+    there, and their exact values are above the largest float."""
+    values = scores[:, 0].tolist()
+    for name, value in zip(("gini", "g_right", "g_left", "sag"), values):
+        if not math.isfinite(value):
+            raise NonFiniteValueError(
+                f"{name} is beyond the float64 range: the values are too "
+                "large beside their total"
+            )
+    g, gr, gl, sag = values
     return InequalityReport(
         n=n,
         mean=mean,
@@ -567,10 +603,13 @@ def _scores(n: int, sums: np.ndarray) -> np.ndarray:
     """gini, g_right, g_left and sag as the rows of a ``(4, b)`` array: the
     weighted sums ``D1``, ``D2`` and ``D3`` of each of the ``b`` rows of
     ``sums`` divided by their normalisers and by the row's ``T``, all four
-    scaled alike by one pass (see module doc)."""
-    scores = sums[:, :3].T * _ONE_TWO_TWO / np.multiply.outer([n, 3 * n * n, 3 * n * n], sums[:, 3])
-    g, gr, gl = scores
-    return np.concatenate((scores, (g + abs(gr - gl) / 2.0)[np.newaxis]))
+    scaled alike by one pass (see module doc). A score beyond the float64
+    range is left an inf or a nan, without a warning, for the caller to
+    refuse."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scores = sums[:, :3].T * _ONE_TWO_TWO / np.multiply.outer([n, 3 * n * n, 3 * n * n], sums[:, 3])
+        g, gr, gl = scores
+        return np.concatenate((scores, (g + abs(gr - gl) / 2.0)[np.newaxis]))
 
 
 def _check_exact(n: int) -> None:
@@ -666,14 +705,7 @@ def _rank_sums(
     """
     b, n = x.shape
     coef, last = rows(n)
-    # Multiplying by 2**-e is exact scaling up and one correctly rounded
-    # multiply scaling down, as np.ldexp(x, -e) is. Where the largest |x|
-    # is subnormal, 2**-e can exceed the largest float: such rows are
-    # multiplied by 2**1023 and then by the rest.
-    scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, np.newaxis]
-    rest = None
-    if e.min() < -1023:
-        rest = np.ldexp(1.0, np.maximum(-e - 1023, 0))[:, np.newaxis]
+    scale, rest = _scale_factors(e)
 
     def scaled(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         v = np.multiply(x[:, start:stop], scale, out=out)
@@ -742,6 +774,22 @@ def _rank_sums(
             pieces += [p, _two_product(a, last[i], p)]
         sums[:, i] = _rounded_sums(np.concatenate(pieces, axis=-1))
     return sums
+
+
+def _scale_factors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Column vectors whose product is ``2**-e`` for each row, the second
+    None where one suffices.
+
+    Multiplying by 2**-e is exact scaling up and one correctly rounded
+    multiply scaling down, as np.ldexp(x, -e) is. Where the largest |x|
+    is subnormal, 2**-e can exceed the largest float: such rows are
+    multiplied by 2**1023 and then by the rest.
+    """
+    scale = np.ldexp(1.0, np.minimum(-e, 1023))[:, np.newaxis]
+    rest = None
+    if e.min() < -1023:
+        rest = np.ldexp(1.0, np.maximum(-e - 1023, 0))[:, np.newaxis]
+    return scale, rest
 
 
 def _rounded_sums(p: np.ndarray) -> np.ndarray:

@@ -42,6 +42,11 @@ def run(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
 
 
+def refuse_constant(name):
+    """A ``json.loads`` ``parse_constant`` that makes it read strict JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -338,9 +343,13 @@ class TestCompute:
     def test_stdout_closed_after_the_first_piece_exit_2(self, tmp_path):
         # A report of many pieces, several times a pipe's buffer: the reader
         # takes the first piece and leaves, so a later piece fails to write.
+        values = [i % 97 + 1.25 for i in range(50_000)]
         path = tmp_path / "many.csv"
-        path.write_text("".join(f"{i % 97 + 1}.25\n" for i in range(50_000)))
-        first = next(json_pieces({"schema_version": "2"}))
+        path.write_text("".join(f"{v}\n" for v in values))
+        data = build_dataset(values)
+        doc = build_document(report(data), lorenz_curve(data), data=data, digest=None, with_provenance=False)
+        first = next(json_pieces(doc))
+        assert first.count(",") > sagini_io._WRITE_BLOCK
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         with subprocess.Popen(
             [sys.executable, "-m", "sagini.cli", "compute", "-i", str(path)],
@@ -426,6 +435,30 @@ class TestInputEdges:
         expected = report(build_dataset([float(r) for r in rows]))
         assert doc["indices"]["gini"] == expected.gini
         assert doc["lorenz"]["q"][-1] == 1.0
+
+    def test_shares_of_huge_values_are_finite(self, runner, tmp_path):
+        # The running sums of the sorted values overflow float64, their
+        # shares of the total 1e300 do not: JSON (parsed strictly), CSV
+        # and the ASCII plot all get the finite shares.
+        values = [-1e308, -1e308, 1e300, 1e308, 1e308]
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        result = run(runner, "compute", "-i", str(path), "--no-provenance")
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout, parse_constant=refuse_constant)
+        assert doc["lorenz"]["q"] == lorenz_curve(build_dataset(values)).q.tolist()
+        assert doc["lorenz"]["q"][:2] == [-1e8, -2e8]
+        table = run(runner, "compute", "-i", str(path), "-f", "csv")
+        assert table.exit_code == 0 and "inf" not in table.stdout
+        assert run(runner, "lorenz", "-i", str(path), "--style", "ascii").exit_code == 0
+
+    def test_indices_beyond_float64_exit_3(self, runner):
+        # A valid total of 4 beside values of 1e308: the exact gini is above
+        # the largest float, and no Infinity or NaN is written.
+        result = runner.invoke(main, ["compute"], input="-1e308\n" * 50 + "1e308\n" * 50 + "4\n")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: NonFiniteValueError: ")
 
     @pytest.mark.parametrize("command", ["compute", "lorenz"])
     def test_raw_values_never_warn_non_convex(self, runner, command):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -994,6 +995,26 @@ def test_byte_reader_agrees_with_the_line_parser(block, table, points):
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(st.sampled_from([b"a", b"bc", b"\r", b"\n", b"\r\n"]), max_size=40).map(b"".join),
+    block=st.integers(1, 6),
+)
+def test_blocks_end_at_line_breaks(raw, block):
+    """The read blocks join to the input. Each but the last ends in a line
+    break, never between a "\\r" and its "\\n", and holds one read beyond
+    the rest of a line carried from the read before: lone "\\r" breaks too
+    cut the input into blocks."""
+    with mock.patch.object(sagini_io, "_READ_BLOCK", block):
+        blocks = list(sagini_io._blocks(io.BytesIO(raw)))
+    assert b"".join(blocks) == raw and all(blocks)
+    for this, following in zip(blocks, blocks[1:]):
+        assert this.endswith((b"\r", b"\n"))
+        assert not (this.endswith(b"\r") and following.startswith(b"\n"))
+    longest = max(map(len, raw.splitlines(keepends=True)), default=0)
+    assert all(len(b) <= longest + block for b in blocks)
+
+
+@settings(max_examples=300, deadline=None)
 @given(table=reader_inputs(), points=st.booleans())
 def test_file_reader_agrees_with_the_stream_reader(table, points):
     """A file, which numpy's reader may take whole from its path, reads as
@@ -1073,9 +1094,52 @@ def check_writers_raise_at_the_last_block(result, name, value):
         assert written == list(writer(result))[: len(written)]
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def non_finite_case(where, special):
+    """A report document or a sweep result holding ``special`` at
+    ``where``, with every writer of its kind."""
+    if where.startswith("sweep"):
+        result = sensitivity_sweep(ExperimentConfig("lognormal", 3, 5, 1, {}))
+        if where == "sweep column":
+            sag = result.columns["sag"].copy()
+            sag[2] = special
+            result = replace(result, columns={**result.columns, "sag": sag})
+        else:
+            gini = {**result.summary["gini"], "p75": special}
+            result = replace(result, summary={**result.summary, "gini": gini})
+        return result, (sweep_json_pieces, sweep_csv_pieces, sweep_to_json, sweep_to_csv)
+    q = [0.1, 0.2, 0.3, 0.4, 0.5, 1.0]
+    if where in ("shares", "share array"):
+        q[4] = special
+    doc = curve_document(q, _q_array=where == "share array")
+    if where == "index":
+        doc["indices"]["g_left"] = special
+    elif where == "input":
+        doc["input"]["min"] = special
+    return doc, (json_pieces, csv_pieces, document_to_json, document_to_csv)
+
+
+def check_writers_raise_at_the_first_special(q, q_array):
+    """With a nan or an inf among the shares ``q``, both report writers
+    write the blocks of shares ahead of the first as a document of finite
+    shares has them, then raise."""
+    doc = curve_document(q, with_provenance=False, _q_array=q_array)
+    finite = curve_document(np.nan_to_num(q, posinf=0.75, neginf=0.25), with_provenance=False)
+    first = int(np.flatnonzero(~np.isfinite(q))[0])
+    for writer in (json_pieces, csv_pieces):
+        written = []
+        with pytest.raises(ValueError, match="nan or an inf"):
+            written.extend(writer(doc))
+        # The CSV report's first piece is its key,value table.
+        assert len(written) == first // sagini_io._WRITE_BLOCK + (writer is csv_pieces)
+        assert written == list(writer(finite))[: len(written)]
+
+
 class TestJsonGolden:
     """document_to_json and sweep_to_json are exactly json.dumps(doc, indent=2)
-    plus a newline."""
+    plus a newline, and they and the CSV writers raise on a nan or an inf."""
 
     @pytest.mark.parametrize("with_provenance", [True, False])
     def test_values_document(self, with_provenance):
@@ -1105,10 +1169,19 @@ class TestJsonGolden:
             )
         )
 
-    def test_non_finite_falls_back_to_json_spelling(self):
-        doc = curve_document([float("nan"), float("inf"), -float("inf"), 1.0])
-        assert "NaN" in document_to_json(doc)
-        json_golden(doc)
+    @pytest.mark.parametrize("special", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "where", ["shares", "share array", "index", "input", "sweep column", "sweep summary"]
+    )
+    def test_writers_raise_on_non_finite_floats(self, where, special):
+        # JSON holds no nan or inf: every report and sweep writer raises,
+        # and what a piece writer puts out first spells neither.
+        value, writers = non_finite_case(where, special)
+        for writer in writers:
+            written = []
+            with pytest.raises(ValueError):
+                written.extend(writer(value))
+            assert not re.search(r"\b(nan|inf|infinity)\b", "".join(written), re.I)
 
     def test_array_document_is_written_as_the_list_document(self):
         # The CLI's document holds q as the curve's array.
@@ -1120,12 +1193,10 @@ class TestJsonGolden:
         assert document_to_json(array) == document_to_json(listed)
         assert document_to_csv(array) == document_to_csv(listed)
 
-    def test_array_blocks_with_specials_fall_back_to_json_spelling(self):
+    def test_array_blocks_with_specials_raise(self):
+        # The CLI's document, whose shares are an array.
         nan, inf = float("nan"), float("inf")
-        q = [0.5, 1e-05, nan, 0.25, inf, -inf, -0.0, 1.0]
-        text = "".join(json_pieces({"lorenz": {"q": np.array(q)}}))
-        assert "NaN" in text and "-Infinity" in text and "1e-05" in text
-        assert text == json.dumps({"lorenz": {"q": q}}, indent=2) + "\n"
+        check_writers_raise_at_the_first_special([0.5, 1e-05, nan, 0.25, inf, -inf, -0.0, 1.0], q_array=True)
 
     @pytest.mark.parametrize(
         "family, params",
@@ -1191,23 +1262,15 @@ class TestJsonGolden:
 
     def test_specials_after_the_first_floats(self):
         nan, inf = float("nan"), float("inf")
-        json_golden(curve_document([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0]))
-        json_golden({"a": [0.5, 1.5, 2.5, 3.5, "x", None, True, (1, 2.5), [0.5], {"b": 2.0}]})
+        check_writers_raise_at_the_first_special([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0], q_array=False)
 
     def test_csv_rows_are_the_lorenz_shares(self):
-        doc = curve_document([0.1, 0.2, 0.3, 0.4, 0.5, float("nan"), -0.0, 1.0])
+        doc = curve_document([0.1, 0.2, 0.3, 0.4, 0.5, -0.0, 1.0])
         lines = document_to_csv(doc).splitlines()
         n = doc["input"]["n"]
         assert lines[lines.index("i,p,q") + 1 :] == [
             f"{i},{i / n!r},{q!r}" for i, q in enumerate(doc["lorenz"]["q"], start=1)
         ]
-
-    def test_other_shapes(self):
-        json_golden({})
-        json_golden({"a": [], "b": {}, "c": [1, 2.5, True, None, "x\ny"]})
-        json_golden({"a": {"b": [1.5, 2]}, "c": [[0.5]], "d": ("t", 1)})
-        json_golden({"numpy": {"v": [np.float64(0.1), 1e-07]}, 1: "int key"})
-        json_golden({"text": "\u00e9\u2028\n", "lorenz": {"p": [0.5, 1.0]}})
 
 
 class TestJsonGoldenSmallBlocks(TestJsonGolden):
@@ -1219,7 +1282,11 @@ class TestJsonGoldenSmallBlocks(TestJsonGolden):
 
     def test_pieces_hold_a_block_each(self):
         doc = curve_document([0.1, 0.2, 0.3, 0.4, 1.0], with_provenance=False)
-        assert [piece.count(",") for piece in json_pieces(doc) if "0.1" in piece] == [1]
+        pieces = list(json_pieces(doc))
+        # The first piece holds the text ahead of the shares and their first
+        # block; the last closes the document.
+        assert pieces[0].endswith('"q": [\n      0.1,\n      0.2')
+        assert pieces[1:] == [",\n      0.3,\n      0.4", ",\n      1.0", "\n    ]\n  }\n}\n"]
         assert len(list(csv_pieces(doc))) == 1 + 3
 
 
@@ -1261,9 +1328,10 @@ class TestMemory:
             lambda text: "\ufeff".encode() + text.encode(),
             lambda text: text.replace("region", "r\xe9gion", 1).encode(),
             lambda text: text.replace("\n", "\r\n").encode(),
+            lambda text: text.replace("\n", "\r").encode(),
             lambda text: text.replace("id,region,income", '"id","region","income"', 1).encode(),
         ],
-        ids=["ascii-lf", "bom", "non-ascii-header", "crlf", "quoted-header"],
+        ids=["ascii-lf", "bom", "non-ascii-header", "crlf", "cr", "quoted-header"],
     )
 
     @encodings

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import operator
+import sys
 import warnings
 from fractions import Fraction
 
@@ -56,6 +57,11 @@ from fixtures import (
     points_from_gaps,
     points_from_q,
 )
+
+
+#: Fifty -1e308, fifty 1e308 and 4: a valid total, but indices and Lorenz
+#: shares beyond the float64 range.
+HUGE_INDICES = [-1e308] * 50 + [1e308] * 50 + [4.0]
 
 
 def gaps_of(values):
@@ -129,6 +135,22 @@ class TestBuildDataset:
             block = np.array([np.arange(1.0, len(values) + 1), values])
             with pytest.raises(NonFiniteValueError, match="dynamic range"):
                 _replication_scores(block)
+
+    def test_sweep_raises_the_first_bad_rows_error(self):
+        # A row whose indices are beyond float64 and a nan row, in both
+        # orders: the block raises what a row-by-row loop raises first.
+        good = np.arange(1.0, 102.0)
+        nan_row = good.copy()
+        nan_row[7] = np.nan
+        for rows in ([good, HUGE_INDICES, nan_row], [good, nan_row, HUGE_INDICES]):
+            with pytest.raises(NonFiniteValueError) as by_row:
+                for row in rows:
+                    report(build_dataset(row))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteValueError) as by_block:
+                    _replication_scores(np.array(rows))
+            assert str(by_block.value) == str(by_row.value)
 
     def test_cancelled_total_that_is_zero_stays_non_positive(self):
         with pytest.raises(NonPositiveTotalError, match="got 0.0"):
@@ -329,6 +351,27 @@ class TestLorenzCurve:
         assert curve.q.tolist() == [-1e20, -1e20, 1.0]
         assert curve.convex
 
+    def test_shares_of_huge_values_are_finite(self):
+        # The running sums overflow float64; scaled by the kernel's power of
+        # two they do not, and the shares are the exact ones, rounded.
+        values = [-1e308, -1e308, 1e300, 1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = lorenz_curve(build_dataset(values)).q
+        exact = [sum(map(Fraction, values[:i])) / sum(map(Fraction, values)) for i in range(1, 6)]
+        assert q.tolist() == pytest.approx([float(share) for share in exact], rel=1e-15)
+
+    def test_share_beyond_float64_raises(self):
+        with pytest.raises(NonFiniteValueError, match="Lorenz share is beyond the float64 range"):
+            lorenz_curve(build_dataset(HUGE_INDICES))
+
+    def test_shares_are_of_the_pass_total_not_a_given_one(self):
+        # A dataset built by hand: its total gives only the mean, and its
+        # values are validated as report validates them.
+        assert lorenz_curve(Dataset(values=np.array([1.0, 2.0]), total=100.0)).q.tolist() == [1 / 3, 1.0]
+        with pytest.raises(NonFiniteValueError, match="non-finite value nan at index 1"):
+            lorenz_curve(Dataset(values=np.array([1.0, np.nan]), total=3.0))
+
     def test_float_noise_does_not_flag_sorted_data(self):
         curve = lorenz_curve(build_dataset([-1e16, 2.0, 2.0, 2.0, 1e16]))
         assert curve.convex
@@ -486,6 +529,16 @@ class TestReport:
         assert result.g_left == pytest.approx(0.5926, abs=5e-5)
         assert result.sag == pytest.approx(0.7407, abs=5e-5)
         assert result.skew_direction == "right"
+
+    def test_indices_beyond_float64_raise(self):
+        # The total 4 is valid, and the exact gini is above the largest float.
+        exact = rational_report([Fraction(v) for v in HUGE_INDICES])
+        assert exact.gini > Fraction(sys.float_info.max)
+        data = build_dataset(HUGE_INDICES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="gini is beyond the float64 range"):
+                report(data)
 
     def test_sag_is_max(self):
         result = report(build_dataset([0.0, 0.0, 3.0]))
