@@ -36,11 +36,11 @@ from .errors import BadParamsError
 from .metrics import (
     _CHUNK,
     _MAX_EXACT_N,
-    SKEW_TOLERANCE,
     Dataset,
     SkewDirection,
     _readonly,
     _replication_scores,
+    _skew_codes,
     build_dataset,
 )
 
@@ -269,9 +269,7 @@ def sensitivity_sweep(config: ExperimentConfig) -> SweepResult:
         axis=1,
     )
     columns = dict(gini=gini, g_right=g_right, g_left=g_left, sag=sag, sag_minus_gini=sag - gini)
-    # metrics._skew_call of each replication.
-    d = g_right - g_left
-    skew = (d > SKEW_TOLERANCE) + 2 * (d < -SKEW_TOLERANCE)
+    skew = _skew_codes(g_right, g_left)
     summary = {}
     for name, col in columns.items():
         p25, median, p75 = np.quantile(col, [0.25, 0.5, 0.75]).tolist()

@@ -1,50 +1,52 @@
 """Input parsing and report-document serialization for the CLI.
 
-A number is what Python's ``float`` reads from the cell with surrounding
-whitespace (any Unicode whitespace) stripped, restricted to ASCII and
-without underscores: an optional sign, decimal digits with an optional
-point and exponent, or ``inf``, ``infinity`` or ``nan`` in any case.
-``1_000`` and non-ASCII digits such as ``"\u0663"`` are not numbers.
-Comma decimals are a hard error, as are missing cells -- silently
-dropping a row would change n and with it every index. Input is UTF-8 (a
-leading byte-order mark is ignored); undecodable bytes are a parse error
-naming their line.
+A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as numpy's reader and
+the csv module end it; every other character, ``\\v``, ``\\f``, U+2028 and
+NUL among them, belongs to its line. The cells of a line are
+``line.split(delimiter)``, or ``line.split()`` for whitespace input, as
+numpy splits them; only a line holding a quote goes through
+:func:`csv.reader`. A number is what Python's ``float`` reads from the
+cell with surrounding whitespace (any Unicode whitespace) stripped,
+restricted to ASCII and without underscores: an optional sign, decimal
+digits with an optional point and exponent, or ``inf``, ``infinity`` or
+``nan`` in any case. ``1_000`` and non-ASCII digits such as ``"\u0663"``
+are not numbers. Comma decimals are a hard error, as are missing cells --
+silently dropping a row would change n and with it every index. Input is
+UTF-8 (a leading byte-order mark is ignored); undecodable bytes are a
+parse error naming their line.
 
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
 They share one read path with two routes. The block route takes stdin,
 or a file, one block of about :data:`_READ_BLOCK` bytes of whole lines at
 a time. Each block is hashed only when :attr:`InputSpec.digest` is set,
-then decoded and split with :meth:`str.splitlines`, so both parsers get
-the same lines, whatever their line breaks. The header's cells and the
+then decoded and split by :func:`_lines`. The header's cells and the
 columns to read come from the first data row, in whichever block it
 falls. Input without data rows, with or without a header, is an empty
 table, which validation rejects.
 
 The fast parser is numpy's C reader :func:`numpy.loadtxt`, which converts
-only the needed columns. Its float parser reads the same grammar and
-gives the same values: it strips Unicode whitespace padding, so padded
-cells stay on the fast path, and rejects underscores and non-ASCII
-digits. A block whose rows after the header hold a quote, a NUL or a line
-longer than the csv module's field limit goes to the line-by-line parser
-instead, as does a block ``loadtxt`` rejects; the line parser gives the
-same values and names the line of a bad cell or row. Errors come in block
-order: an invalid byte is reported ahead of a bad row in its own block,
-but not ahead of one in an earlier block. The block route is the only
-source of :class:`ParseError` text.
+only the needed columns. It splits lines and cells by the grammar above,
+and its float parser reads the same numbers: it strips Unicode whitespace
+padding, so padded cells stay on the fast path, and rejects underscores
+and non-ASCII digits. The one screen is for quotes, which numpy's reader
+does not honour: a block whose rows after the header hold one goes to the
+line-by-line parser instead, as does a block ``loadtxt`` rejects; the
+line parser gives the same values and names the line of a bad cell or
+row. Errors come in block order: an invalid byte is reported ahead of a
+bad row in its own block, but not ahead of one in an earlier block. The
+block route is the only source of :class:`ParseError` text.
 
 The whole-file route reads a regular file twice, and splits no line in
-Python. The first pass is the block loop without the split: it hashes
-the blocks, finds the header and the columns, and screens the bytes.
-Then one ``loadtxt`` call parses the path in numpy's C reader, which
-reads the file in chunks with no Python object per line. A file takes
-this route only if its name has no suffix numpy decompresses (``.gz``,
-``.bz2``, ``.xz``, ``.lzma``) and no ``://``; if every byte after the
-header is ASCII and passes the block screen; and if numpy and
-:meth:`str.splitlines` split it alike: no ``\\v``, ``\\f`` or
-``\\x1c``-``\\x1e`` anywhere, and no U+0085, U+2028 or U+2029 up to the
-header. Any other file, or one ``loadtxt`` rejects, is read again from
-its first byte by the block route. numpy opens the path afresh, so the
+Python past the first data row. The first pass is the block loop without
+the split: it hashes the blocks, finds the header and the columns, and
+screens the bytes after the header for a quote. Then one ``loadtxt``
+call parses the path in numpy's C reader, which reads the file in chunks
+with no Python object per line. A file takes this route only if its name
+has no suffix numpy decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``)
+and no ``://``, and if no quote follows its header. Any other file, or one
+``loadtxt`` rejects (an invalid byte among them), is read again from its
+first byte by the block route. numpy opens the path afresh, so the
 file's device, inode, size and mtime are taken from the open handle
 before the screen and from the path after the parse; if they differ,
 numpy's table is dropped and the handle is read by the block route, so
@@ -105,12 +107,6 @@ _BOM = "\ufeff".encode()
 #: Suffixes of the files numpy's path reader decompresses.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
-#: Line breaks of :meth:`str.splitlines` that numpy's reader does not break
-#: at: ASCII bytes, which no byte of a multi-byte UTF-8 character is, and
-#: the non-ASCII characters, which only the text up to the header may hold.
-_ODD_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-_TEXT_BREAKS = ("\x85", "\u2028", "\u2029")
-
 #: Bytes of input read at a time. Each read is cut after its last line
 #: break, the rest carried into the next block: beyond the table, a read
 #: holds about one block's bytes, text and lines.
@@ -125,7 +121,9 @@ class InputSpec:
     """Where and how to read one column of numbers.
 
     ``column`` is a 1-based index or a header name; None selects the first
-    numeric column of the first data row. ``path`` of "-" reads stdin.
+    numeric column of the first data row. An integer of another type, a
+    numpy one say, is made an ``int``; a bool, a float, bytes or any other
+    type raises :class:`TypeError`. ``path`` of "-" reads stdin.
     ``digest`` asks the reader for the sha256 of the raw bytes; without it
     the input is not hashed and the reader returns None in its place.
     """
@@ -136,17 +134,28 @@ class InputSpec:
     header: bool = False
     digest: bool = True
 
+    def __post_init__(self) -> None:
+        # The reader would take a column of any other type for None.
+        column = self.column
+        if isinstance(column, (int, np.integer)) and not isinstance(column, bool):
+            object.__setattr__(self, "column", int(column))
+        elif not (column is None or isinstance(column, str)):
+            raise TypeError(f"column must be an int, a str or None, not {type(column).__name__}")
+
 
 def _rows(
     lines: Iterable[str], fmt: str, before: int
 ) -> Iterator[tuple[int, list[str]]]:
     """Split lazily into (1-based line number, cells), counting ``before``
-    lines ahead of ``lines``; blank lines are dropped."""
+    lines ahead of ``lines``; blank lines are dropped. A line is split at
+    its delimiters as numpy splits it, unless it holds a quote."""
     for lineno, line in enumerate(lines, start=before + 1):
         if not line.strip():
             continue
         if fmt == "whitespace":
             cells = line.split()
+        elif '"' not in line:
+            cells = line.split(_DELIMITERS[fmt])
         else:
             try:
                 cells = next(csv.reader([line], delimiter=_DELIMITERS[fmt]))
@@ -320,15 +329,14 @@ def _read_stream(
     for index, block in enumerate(_blocks(fh)):
         if sha is not None:
             sha.update(block)
-        lines = _decode(block.removeprefix(_BOM) if index == 0 else block, before).splitlines()
+        text = _decode(block.removeprefix(_BOM) if index == 0 else block, before)
+        lines = _lines(text)
         start = layout.scan(lines, before) if layout.usecols is None else 0
         body = lines[start:]
         # Blank lines are not rows; loadtxt would warn on a block of them.
         if layout.usecols is not None and any(map(str.strip, body)):
-            # Only the body is screened: a quoted header does not send the
-            # rows after it to the line parser.
-            data = "\n".join(body).encode() if start else block
-            part = _parse_block(data, body, before + start, fmt, layout.usecols, points)
+            quoted = _quoted(text, lines, start)
+            part = _parse_block(body, before + start, fmt, layout.usecols, points, quoted)
             table.frombytes(memoryview(part).cast("B"))
         before += len(lines)
     values = np.frombuffer(table)
@@ -346,12 +354,12 @@ def _read_whole(
 
     The file is read once a block at a time, hashed, and screened: the
     header and columns are found as :func:`_read_stream` finds them, and
-    every byte after the header must be ASCII and pass :func:`_clean`.
-    Then numpy reads the path again in its C reader, with no Python string
-    per line. Its table is dropped unless the file's device, inode, size
-    and mtime are still ``opened``'s: both passes saw the same bytes. A
-    :class:`ParseError` raised here means the file takes the block route,
-    which raises it again in its own order.
+    no byte after the header may be a quote. Then numpy reads the path
+    again in its C reader, with no Python string per line. Its table is
+    dropped unless the file's device, inode, size and mtime are still
+    ``opened``'s: both passes saw the same bytes. A :class:`ParseError`
+    raised here means the file takes the block route, which raises it
+    again in its own order.
     """
     fmt = spec.format
     sha = hashlib.sha256() if spec.digest else None
@@ -359,20 +367,15 @@ def _read_whole(
     for index, block in enumerate(_blocks(fh)):
         if sha is not None:
             sha.update(block)
-        if index == 0:
-            block = block.removeprefix(_BOM)
-        if any(brk in block for brk in _ODD_BREAKS):
-            return None
-        if layout.usecols is None:
-            lines = _decode(block, before).splitlines(keepends=True)
-            start = layout.scan((line.rstrip("\r\n") for line in lines), before)
-            # Until the header is read, every line is head, not body.
-            head = "".join(lines if layout.header else lines[:start])
-            if any(brk in head for brk in _TEXT_BREAKS):
-                return None
-            block = block[len(head.encode()) :]
+        if layout.usecols is not None:
+            quoted = b'"' in block
+        else:
+            text = _decode(block.removeprefix(_BOM) if index == 0 else block, before)
+            lines = _lines(text)
+            start = layout.scan(lines, before)
+            quoted = _quoted(text, lines, start)
             before += len(lines)
-        if not (block.isascii() and _clean(block, fmt)):
+        if quoted:
             return None
     if layout.usecols is None:
         return None
@@ -397,17 +400,6 @@ def _read_whole(
 
 def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _clean(data: bytes, fmt: str) -> bool:
-    """Whether ``data``, bytes of rows after the header, holds nothing
-    :func:`numpy.loadtxt` reads differently from :func:`_rows`: no quote,
-    no NUL and no line longer than the csv module's field limit."""
-    return (
-        b'"' not in data
-        and b"\x00" not in data
-        and not (fmt != "whitespace" and _has_line_over(data, csv.field_size_limit()))
-    )
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -443,27 +435,43 @@ def _decode(block: bytes, before: int) -> str:
     except UnicodeDecodeError as exc:
         # Everything before the bad byte decoded; the sentinel character
         # makes a trailing line break start the line the byte is on.
-        lineno = before + len((block[: exc.start].decode() + "x").splitlines())
+        lineno = before + len(_lines(block[: exc.start].decode() + "x"))
         raise ParseError(
             f"line {lineno}: byte {block[exc.start]:#04x} is not valid UTF-8"
         ) from None
 
 
-def _parse_block(
-    block: bytes, lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool
-) -> np.ndarray:
-    """The ``usecols`` of ``lines``, whose bytes ``block`` holds, which
-    come after ``before`` lines of input and hold at least one data row.
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and lone ``\\r``, as numpy's
+    reader splits it; a break at the end starts no line."""
+    # Without the test, the two replacements scan every block for nothing.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
-    :func:`numpy.loadtxt` reads them unless the block holds what it reads
-    differently from :func:`_rows`: a quote, a NUL or a line beyond the
-    csv module's field limit. The screen runs on the bytes, which UTF-8
-    makes exact: no byte of a multi-byte character is ASCII. Those blocks,
-    and any that ``loadtxt`` rejects, go to the line parser, which names
-    the line of an error. ``loadtxt`` skips blank lines and rejects a
-    whitespace-only cell.
+
+def _quoted(text: str, lines: list[str], start: int) -> bool:
+    """Whether a quote follows the first ``start`` of ``lines``, the lines
+    of ``text``: a quoted header does not send the rows after it to the
+    line parser."""
+    return '"' in ("\n".join(lines[start:]) if start else text)
+
+
+def _parse_block(
+    lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool, quoted: bool
+) -> np.ndarray:
+    """The ``usecols`` of ``lines``, which come after ``before`` lines of
+    input and hold at least one data row.
+
+    :func:`numpy.loadtxt` reads them unless they are ``quoted``: numpy's
+    reader does not honour quotes. Quoted lines, and any that ``loadtxt``
+    rejects, go to the line parser, which names the line of an error.
+    ``loadtxt`` skips blank lines and rejects a whitespace-only cell.
     """
-    if _clean(block, fmt):
+    if not quoted:
         try:
             return np.loadtxt(
                 lines,
@@ -476,25 +484,6 @@ def _parse_block(
         except ValueError:
             pass
     return _line_table(lines, before, fmt, usecols, points)
-
-
-def _has_line_over(data: bytes, limit: int) -> bool:
-    """Whether a line of ``data``, ended by ``\\n`` or ``\\r``, is longer
-    than ``limit`` bytes.
-
-    Such a line holds a whole window ``[k*step, (k+1)*step)`` with ``step =
-    limit // 2``, so only lines holding a window without a break are
-    measured: a scan of ``len(data) / step`` short searches, with no copy.
-    """
-    step = max(limit // 2, 1)
-    for start in range(0, len(data), step):
-        stop = start + step
-        if data.find(b"\n", start, stop) < 0 and data.find(b"\r", start, stop) < 0:
-            begin = max(data.rfind(b"\n", 0, start), data.rfind(b"\r", 0, start)) + 1
-            ends = [end for end in (data.find(b"\n", start), data.find(b"\r", start)) if end >= 0]
-            if min(ends, default=len(data)) - begin > limit:
-                return True
-    return False
 
 
 def _line_table(

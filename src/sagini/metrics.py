@@ -112,7 +112,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Literal, NoReturn, Sequence
+from typing import Callable, Iterable, Literal, NoReturn, Sequence, get_args
 
 import numpy as np
 
@@ -424,13 +424,22 @@ def _is_convex(q: np.ndarray) -> bool:
     return bool(np.all(np.diff(inc) >= -_CONVEXITY_SLACK))
 
 
+def _skew_codes(g_right, g_left) -> np.ndarray:
+    """The skew call of each pair of ``g_right`` and ``g_left``, as its index
+    into ``get_args(SkewDirection)``: "right" where g_right exceeds g_left
+    by more than :data:`SKEW_TOLERANCE`, "left" where g_left exceeds
+    g_right so, and "symmetric" otherwise, a nan difference too."""
+    calls = get_args(SkewDirection)
+    d = np.subtract(g_right, g_left)
+    return np.where(
+        d > SKEW_TOLERANCE,
+        calls.index("right"),
+        np.where(d < -SKEW_TOLERANCE, calls.index("left"), calls.index("symmetric")),
+    )
+
+
 def _skew_call(gr: float, gl: float) -> SkewDirection:
-    d = gr - gl
-    if d > SKEW_TOLERANCE:
-        return "right"
-    if d < -SKEW_TOLERANCE:
-        return "left"
-    return "symmetric"
+    return get_args(SkewDirection)[_skew_codes(gr, gl)]
 
 
 def report(data: Dataset) -> InequalityReport:

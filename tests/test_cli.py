@@ -488,12 +488,31 @@ class TestInputEdges:
         assert "ParseError: line 2: byte 0xff is not valid UTF-8" in result.stderr
 
     def test_cell_over_csv_field_limit_exit_2_with_line(self, runner):
-        cell = "7" * 140_000
+        # Only a quoted cell is read by the csv module, which limits its size;
+        # an unquoted one is read as numpy's reader reads it.
+        cell = "1." + "0" * 140_000
         result = run(
-            runner, "compute", "-i", "-", "-c", "2", input=f"a,1\nb,2\nc,{cell}\n"
+            runner, "compute", "-i", "-", "-c", "2", "--no-provenance", input=f"a,1\nb,2\nc,{cell}\n"
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["input"] == {"n": 3, "mean": 4 / 3, "min": 1.0, "max": 2.0, "total": 4.0}
+        result = run(
+            runner, "compute", "-i", "-", "-c", "2", input=f'a,1\nb,2\nc,"{cell}"\n'
         )
         assert result.exit_code == 2
         assert "ParseError: line 3: field larger than field limit" in result.stderr
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_vertical_tab_inside_a_whitespace_row(self, runner, tmp_path, source):
+        # "\v" ends no line: it separates the row's cells, as a space does.
+        text = "1\v10 100\n2 20\v200\n3 30 300\n"
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        where = ["-i", str(path)] if source == "file" else ["-i", "-"]
+        args = ["compute", *where, "--input-format", "whitespace", "-c", "2", "--no-provenance"]
+        result = run(runner, *args, input=text if source == "stdin" else None)
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["input"] == {"n": 3, "mean": 20.0, "min": 10.0, "max": 30.0, "total": 60.0}
 
     def test_header_only_points_exit_3_with_one_error_line(self, runner, tmp_path):
         path = tmp_path / "points.csv"

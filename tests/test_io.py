@@ -32,7 +32,6 @@ from sagini import io as sagini_io
 from sagini.errors import ParseError
 from sagini.io import (
     InputSpec,
-    _has_line_over,
     _read_stream,
     build_document,
     csv_pieces,
@@ -136,6 +135,20 @@ class TestReadValues:
         assert read_values(InputSpec(path=path, column=spec, header=True))[0].tolist() == [5, 7]
         with pytest.raises(ParseError, match="selected by name"):
             read_values(InputSpec(path=write(tmp_path, "1\n2\n", "b.csv"), column=spec))
+
+    @pytest.mark.parametrize(
+        "column", [np.int64(3), np.uint8(3), 3.0, b"3", True], ids=["int64", "uint8", "float", "bytes", "bool"]
+    )
+    def test_column_of_another_type(self, tmp_path, column):
+        # Any other type would be taken for no column: the first numeric one.
+        path = write(tmp_path, "1,10,100\n2,20,200\n")
+        if isinstance(column, np.integer):
+            spec = InputSpec(path=path, column=column)
+            assert type(spec.column) is int and spec.column == 3
+            assert read_values(spec)[0].tolist() == [100.0, 200.0]
+        else:
+            with pytest.raises(TypeError, match=f"not {type(column).__name__}$"):
+                InputSpec(path=path, column=column)
 
     def test_unknown_header_name(self):
         spec = InputSpec(path=str(DATA / "labeled.csv"), column="wealth", header=True)
@@ -392,8 +405,9 @@ READER_CORPUS = {
     "crlf no final break": ("1,2\r\n3,4", {"column": 2}),
     "mixed lf crlf": ("1,2\n3,4\r\n5,6\n", {"column": 2}),
     "cr only": ("1,2\r3,4\r", {"column": 2}),
-    "form feed break": ("1,2\x0c3,4\n", {"column": 2}),
-    "line separator": ("1,2\u20283,4\n", {"column": 2}),
+    # A form feed and U+2028 are characters of their line, in its second cell.
+    "form feed break": ("1,2\x0c3,4\n", {"column": 3}),
+    "line separator": ("1,2\u20283,4\n", {"column": 3}),
     "blank line": ("1,2\n\n3,4\n", {"column": 2}),
     "trailing blank lines": ("1\n2\n\n\n", {}),
     "leading blank line": ("\n1\n2\n", {}),
@@ -430,7 +444,8 @@ READER_CORPUS = {
     "not a number": ("1\npotato\n4\n", {}),
     "first numeric column": ("alpha,4.5,x\nbeta,2.5,y\n", {}),
     "no numeric column": ("a,b\nc,d\n", {}),
-    "nul": ("1\x00,2\n3,4\n", {"column": 2}),
+    "nul": ("1,2\x00\n3,4\n", {"column": 2}),
+    "nul in an unused cell": ("1\x00,2\n3,4\n", {"column": 2}),
     "tsv": ("1\t2\n3\t4\n", {"format": "tsv", "column": 2}),
     "tsv with commas": ("1,5\t2\n3\t4\n", {"format": "tsv", "column": 1}),
     "whitespace": ("1  2\t3\n4 5 6\n", {"format": "whitespace", "column": 2}),
@@ -528,11 +543,9 @@ class TestReaderDifferential:
          "balanced ragged two", "long row then short",
          "short rows between full ones", "leading blank line",
          "blank line before header", "cr only", "form feed break",
-         "line separator"],
+         "line separator", "nul in an unused cell"],
     )
     def test_regular_values_take_the_table_path(self, name):
-        # Odd line breaks ("cr only" and the two after it) are split before
-        # either parser sees a line.
         text, kwargs = READER_CORPUS[name]
         assert takes_table_path(text.encode(), InputSpec(**kwargs), points=False)
 
@@ -589,9 +602,20 @@ class TestReaderDifferential:
             read_values(InputSpec(path=path, column=3))
 
     def test_oversized_field_is_left_to_the_line_parser(self):
-        raw = b"1," + b"9" * (csv.field_size_limit() + 1) + b"\n2,3\n"
-        assert not takes_table_path(raw, InputSpec(), points=False)
-        assert not takes_table_path(raw, InputSpec(), points=True)
+        # Only a quoted cell is read by the csv module, which limits its size.
+        raw = b'1,"1.' + b"0" * csv.field_size_limit() + b'"\n2,3\n'
+        for points in (False, True):
+            assert not takes_table_path(raw, InputSpec(), points)
+            assert outcome(read_bytes, raw, InputSpec(), points) == outcome(line_parse, raw, InputSpec(), points)
+        with pytest.raises(ParseError, match="^line 1: field larger than field limit"):
+            read_bytes(raw, InputSpec(), True)
+
+    def test_oversized_unquoted_field_takes_the_table_path(self):
+        raw = b"1,1." + b"0" * csv.field_size_limit() + b"\n2,3\n"
+        for points in (False, True):
+            assert takes_table_path(raw, InputSpec(), points)
+            assert outcome(read_bytes, raw, InputSpec(), points) == outcome(line_parse, raw, InputSpec(), points)
+        assert read_bytes(raw, InputSpec(), True).tolist() == [[1.0, 1.0], [2.0, 3.0]]
 
 
 class TestReaderDifferentialSmallBlocks(TestReaderDifferential):
@@ -681,11 +705,24 @@ class TestReadBlockEdges:
         result = self.read_both_ways(tmp_path, raw, fast=False, header=True, column="income")
         assert result == expected
 
-    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\r"], ids=["nel", "line separator", "lone cr"])
+    @pytest.mark.parametrize("brk", ["\r"], ids=["lone cr"])
     def test_odd_breaks_in_an_early_block_count_as_lines(self, tmp_path, brk):
         raw = f"1{brk}2{brk}3\n4\n5\n6\nx\n7\n".encode()
         result = self.read_both_ways(tmp_path, raw, fast=False)
         assert result == ("error", "line 7, column 1: 'x' is not a number")
+
+    @pytest.mark.parametrize(
+        "char", ["\x85", "\u2028", "\v", "\f", "\x1c"],
+        ids=["nel", "line separator", "vertical tab", "form feed", "file separator"],
+    )
+    def test_other_breaks_are_characters_of_their_line(self, tmp_path, char):
+        # str.splitlines breaks at these; numpy's reader and this one do
+        # not, and whitespace input splits its cells at them.
+        raw = f"1{char}2{char}3\n4\n5\n6\nx\n7\n".encode()
+        result = self.read_both_ways(tmp_path, raw, fast=False, column=1)
+        assert result == ("error", f"line 1, column 1: {f'1{char}2{char}3'!r} is not a number")
+        result = self.read_both_ways(tmp_path, raw, fast=False, format="whitespace", column=1)
+        assert result == ("error", "line 5, column 1: 'x' is not a number")
 
     def test_errors_come_in_block_order(self, tmp_path):
         # Line 1 is a block of its own, read before the block holding the
@@ -767,9 +804,16 @@ class TestFileRoutes:
             (b" 1  2\n\n3\t4 \n", False, {"format": "whitespace", "column": 2}),
             (b"p,q\n0.5,0.25\n1,1\n", True, {"header": True}),
             (b"0.5 0.25\r1 1\r", True, {"format": "whitespace"}),
+            (b"1\x00,2\n3,4\n", False, {"column": 2}),
+            (b"1,2\x0b3,4\n", False, {"column": 3}),
+            (b"id,income\n1,10\x1c2,20\n", False, {"header": True, "column": "id"}),
+            ("a\u2028b,income\n1,10\n".encode(), False, {"header": True}),
+            ("\x85id,income\n1,10\n".encode(), False, {"header": True, "column": "income"}),
+            ("1\n\u30002\n".encode(), False, {}),
         ],
         ids=["lf", "crlf", "lone cr", "lone cr past the field limit", "bom", "header after blank lines", "quoted header",
-             "tsv", "whitespace", "points header", "points whitespace lone cr"],
+             "tsv", "whitespace", "points header", "points whitespace lone cr", "nul", "vertical tab",
+             "file separator", "line separator in header", "next line in header", "non-ascii body"],
     )
     def test_clean_tables_are_read_whole_by_numpy(self, tmp_path, monkeypatch, raw, points, kwargs):
         path = tmp_path / "in.csv"
@@ -782,16 +826,9 @@ class TestFileRoutes:
         "raw, kwargs",
         [
             (b'1,"2"\n3,4\n', {"column": 2}),
-            (b"1\x00,2\n3,4\n", {"column": 2}),
-            (b"1,2\x0b3,4\n", {"column": 2}),
             (b"id\x0c\nincome\n1\n", {"header": True}),
-            (b"id,income\n1,10\x1c2,20\n", {"header": True, "column": "income"}),
-            ("a\u2028b,income\n1,10\n".encode(), {"header": True}),
-            ("\x85id,income\n1,10\n".encode(), {"header": True, "column": "income"}),
-            ("1\n\u30002\n".encode(), {}),
         ],
-        ids=["quote", "nul", "vertical tab", "form feed in header", "file separator",
-             "line separator in header", "next line in header", "non-ascii body"],
+        ids=["quote", "form feed in header"],
     )
     def test_screened_files_take_the_block_route(self, tmp_path, monkeypatch, raw, kwargs):
         path = tmp_path / "in.csv"
@@ -823,6 +860,20 @@ class TestFileRoutes:
         result, paths, stream, lines = self.read(monkeypatch, path)
         assert result == ("error", "line 41, column 1: '4x' is not a number")
         assert paths == [str(path)] and stream and lines
+
+    @pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
+    def test_invalid_utf8_after_the_header(self, tmp_path, monkeypatch, block):
+        # The first pass decodes only up to the first data row; numpy's
+        # reader meets the byte, and the block route names its line.
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", block)
+        rows = 2 * block // 5 + 2
+        raw = b"id,income\n" + b"".join(b"%d,%d\n" % (i, i % 10) for i in range(rows)) + b"7,\xff7\n8,8\n"
+        assert len(raw) > 2 * block
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        result, paths, stream, lines = self.read(monkeypatch, path, header=True, column="income")
+        assert result == ("error", f"line {rows + 2}: byte 0xff is not valid UTF-8")
+        assert paths == [str(path)] and stream
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_names_are_read_as_text(self, tmp_path, monkeypatch, suffix):
@@ -897,7 +948,7 @@ class TestFileRoutes:
 
 # Cells for the reader differential: numbers in every spelling ``float``
 # takes, with and without Unicode padding, and cells the grammar rejects.
-_CELL_ALPHABET = "0123456789.-+eE_ \t\x1f\xa0\u3000\u0663\uff11naifINF"
+_CELL_ALPHABET = "0123456789.-+eE_ \t\x00\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u0663\uff11naifINF"
 _reader_cells = st.one_of(
     st.floats().map(repr),
     st.integers(-(10**20), 10**20).map(str),
@@ -930,7 +981,8 @@ def reader_tables(draw):
 def reader_inputs(draw):
     """(raw bytes, InputSpec): a table as it arrives, with or without a
     byte-order mark, its lines ended by ``\n`` or ``\r\n``; perhaps one
-    other line break, and perhaps one byte that is not valid UTF-8."""
+    lone ``\r`` or a character only :meth:`str.splitlines` breaks at in
+    place of a break, and perhaps one byte that is not valid UTF-8."""
     fmt, sep = draw(st.sampled_from(
         [("csv", ","), ("tsv", "\t"), ("whitespace", " "), ("whitespace", "\t"), ("whitespace", "  ")]
     ))
@@ -967,12 +1019,13 @@ def test_loadtxt_agrees_with_the_line_parser(table, points):
 
 def lines_before_the_invalid_byte(raw):
     """The whole lines of ``raw`` before the line of its first byte that is
-    not valid UTF-8, or None if every byte is valid."""
+    not valid UTF-8, or None if every byte is valid. Lines end at ``\n``,
+    ``\r\n`` or a lone ``\r``, as the reader ends them."""
     try:
         raw.decode()
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start].decode() + "x"
-        return "".join(head.splitlines(keepends=True)[:-1]).encode()
+        head = raw[: exc.start]
+        return head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
     return None
 
 
@@ -992,6 +1045,14 @@ def test_byte_reader_agrees_with_the_line_parser(block, table, points):
         before = lines_before_the_invalid_byte(raw)
         assert before is not None and result[0] == "error"
         assert result == outcome(line_parse, before, spec, points)
+
+
+@given(text=st.text(st.sampled_from(["a", "\xe9", "\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\x00"])))
+def test_lines_end_where_universal_newlines_end_them(text):
+    """A line ends at "\\n", "\\r\\n" or a lone "\\r", as Python's text files
+    and numpy's reader end it, and at nothing else."""
+    expected = [line.rstrip("\r\n") for line in io.StringIO(text, newline="").readlines()]
+    assert sagini_io._lines(text) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -1032,21 +1093,6 @@ def test_file_reader_agrees_with_the_stream_reader(table, points):
         with open(path, "wb") as fh:
             fh.write(raw)
         assert read_outcome(replace(spec, path=path), points) == expected
-
-
-@given(
-    lines=st.lists(st.integers(0, 12), max_size=8),
-    breaks=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n"]), min_size=8, max_size=8),
-    final_break=st.booleans(),
-    limit=st.integers(1, 10),
-)
-def test_has_line_over_measures_the_longest_line(lines, breaks, final_break, limit):
-    # A lone "\r" ends a line for str.splitlines and numpy's reader alike.
-    data = b"".join(b"x" * length + brk for length, brk in zip(lines, breaks))
-    if lines and not final_break:
-        data = data.rstrip(b"\r\n")
-    longest = max(map(len, data.splitlines()), default=0)
-    assert _has_line_over(data, limit) == (longest > limit)
 
 
 def json_golden(doc):
