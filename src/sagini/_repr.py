@@ -26,14 +26,20 @@ minus those words shifted by s. That is exact integer arithmetic, each
 carry or borrow read from the low word, so the bounds get the same words
 as multiplying them out would give. Significands and digits stay in uint64
 arrays and exponents in int64 ones, and no operation mixes the two: before
-numpy 2.0, uint64 meeting int64 gives float64. The text is gathered from a
-matrix of each value's 17 digits, constants and exponent digits, through a
-template of columns chosen by its sign, count of significant digits and
-decimal point position.
+numpy 2.0, uint64 meeting int64 gives float64.
 
-The tables are built when the module loads, in a few milliseconds;
-:mod:`sagini.io` imports it on first use, so that commands writing no
-float pay for neither.
+A repr is spelled in three little-endian uint64 words, its 24 bytes, and
+a length, which picks its mask from a table of prefixes. The digits,
+padded to 17, are a byte each in the words. With the decimal point
+position D, ``0.d1d2... * 10**D``, fixed notation (D from -3 to 16) keeps
+the digits ahead of the point in place and shifts the rest up past what
+goes between: "0." and -D zeros, or ".". Exponent notation is laid out as
+D = 1, "d.ddd", then cut after its significant digits, and its suffix
+"e±XX" shifted in after them. A negative repr is shifted up one byte more,
+behind its "-". No shift is by 64 bits or more, which C leaves undefined.
+The tables, per D, are built when the module loads, in a few
+milliseconds; :mod:`sagini.io` imports it on first use, so that commands
+writing no float pay for neither.
 """
 
 from __future__ import annotations
@@ -51,24 +57,12 @@ _D_MIN, _D_MAX = -323, 309
 _LOW32 = 0xFFFF_FFFF
 _LOW63 = (1 << 63) - 1
 _ASCII_ZEROS = 0x3030_3030_3030_3030
-
-# A row of the source byte matrix is four little-endian uint64 words:
-# digits 2-9 of the 17-digit significand, digits 10-17, then the first
-# digit, the constants "-.0e+-" and the three digits of the decimal
-# exponent.
-_LEAD, _MINUS, _DOT, _ZERO, _E, _PLUS, _NEG, _EXP = range(16, 24)
-_SOURCE_BYTES = 32
-#: Source columns of digits 1 to 17.
-_DIGITS = (_LEAD, *range(16))
 #: The longest repr, "-1.2345678901234567e-308".
 _REPR_BYTES = 24
 #: Bytes of the row matrix :func:`rows_text` lays out at a time: a block of
 #: 8192 JSON shares in one part, while a sweep's part, its mask and the
 #: float formatter's temporaries stay below a megabyte.
 _PART_BYTES = 1 << 18
-#: Template positions: 0-19 for fixed notation, ``D + 3`` for D from -3 to
-#: 16, then 20 + exponent notation's class, 2 * (e > 0) + (|e| >= 100).
-_POSITIONS = 24
 
 
 def _schubfach_g(k: int) -> int:
@@ -88,47 +82,27 @@ def _floor_log2_pow10(e: int) -> int:
     return (10**e).bit_length() - 1 if e >= 0 else -((10**-e).bit_length())
 
 
-def _position(decpt: int) -> int:
-    if -3 <= decpt <= 16:
-        return decpt + 3
-    e = decpt - 1
-    return 20 + 2 * (e > 0) + (abs(e) >= 100)
+def _words(text: bytes) -> list[int]:
+    """``text`` padded to :data:`_REPR_BYTES`, as three little-endian words."""
+    return [int.from_bytes(text.ljust(_REPR_BYTES, b"\0")[i : i + 8], "little") for i in (0, 8, 16)]
 
 
-def _repr_columns(sign: int, n: int, position: int) -> list[int]:
-    """Source columns that spell a repr with ``n`` significant digits (a zero
-    for n = 0) at template ``position``, as ``float.__repr__`` does: fixed
-    notation for D from -3 to 16, else ``d.ddde±XX`` with at least two
-    exponent digits."""
-    cols = [_MINUS] if sign else []
-    if n == 0:
-        return cols + [_ZERO, _DOT, _ZERO]
-    digits = list(_DIGITS[:n])
-    if position < 20:
-        decpt = position - 3
-        if decpt <= 0:
-            return cols + [_ZERO, _DOT] + [_ZERO] * -decpt + digits
-        if decpt < n:
-            return cols + digits[:decpt] + [_DOT] + digits[decpt:]
-        return cols + digits + [_ZERO] * (decpt - n) + [_DOT, _ZERO]
-    kind = position - 20
-    cols += digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
-    cols += [_E, _PLUS if kind >= 2 else _NEG]
-    return cols + [_EXP, _EXP + 1, _EXP + 2][1 - kind % 2 :]
-
-
-def _templates() -> tuple[np.ndarray, np.ndarray]:
-    """Source columns, and the mask of those used, of the repr of each
-    template key ``(sign * 18 + n) * _POSITIONS + position``, with n the
-    count of significant digits, 0 for a zero."""
-    columns = np.zeros((2 * 18 * _POSITIONS, _REPR_BYTES), dtype=np.intp)
-    used = np.zeros(columns.shape, dtype=bool)
-    for key in range(len(columns)):
-        sign, rest = divmod(key, 18 * _POSITIONS)
-        cols = _repr_columns(sign, *divmod(rest, _POSITIONS))
-        columns[key, : len(cols)] = cols
-        used[key, : len(cols)] = True
-    return columns, used
+def _layouts() -> tuple[np.ndarray, ...]:
+    """Per ``D - _D_MIN``: the words of fixed notation's layout, which keeps
+    the digits ahead of the point in place, their mask, moves the rest by a
+    shift in bits, and puts bytes between, "0." and zeros or "."; and
+    exponent notation's suffix "e±XX" as a word, and its length. Exponent
+    notation lays out its mantissa as D = 1 does, "d.ddd"."""
+    rows, suffix_bytes = [], []
+    for decpt in range(_D_MIN, _D_MAX + 1):
+        suffix = b"e%+03d" % (decpt - 1)
+        point = decpt if -3 <= decpt <= 16 else 1
+        kept = max(point, 0)
+        between = b"0." + b"0" * -point if point <= 0 else bytes(point) + b"."
+        shift = 8 * (len(between) - kept)
+        rows.append([*_words(b"\xff" * kept)[:2], shift, *_words(between), _words(suffix)[0]])
+        suffix_bytes.append(len(suffix))
+    return (*np.array(rows, dtype=np.uint64).T.copy(), np.array(suffix_bytes))
 
 
 def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
@@ -142,20 +116,15 @@ def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _G1, _G0 = _schubfach_table()
-#: The low and high 32 bits of g's high and low 63 bits.
-_G_HALVES = (_G1 & _LOW32, _G1 >> 32, _G0 & _LOW32, _G0 >> 32)
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
-#: A word is below ``2**(8 * i)`` when all but its low i bytes are zero.
-_BYTE_BOUNDS = np.array([1 << (8 * i) for i in range(8)], dtype=np.uint64)
-#: Per ``D - _D_MIN``: the template position, and source words 2 and 3 but
-#: for the first digit: "0-.0e+-" and the exponent's three digits.
-_POSITION = np.array([_position(d) for d in range(_D_MIN, _D_MAX + 1)], dtype=np.intp)
-_WORD2, _WORD3 = np.frombuffer(
-    b"".join(b"0-.0e+-%03d" % abs(d - 1) + bytes(6) for d in range(_D_MIN, _D_MAX + 1)),
-    dtype="<u8",
-).reshape(-1, 2).T.astype(np.uint64, order="C")
-_COLUMNS, _USED = _templates()
-for _table in (_G1, _G0, *_G_HALVES, _POW10, _BYTE_BOUNDS, _POSITION, _WORD2, _WORD3, _COLUMNS, _USED):
+_MASK0, _MASK1, _SHIFT, _BETWEEN0, _BETWEEN1, _BETWEEN2, _SUFFIX, _SUFFIX_BYTES = _layouts()
+#: Row L: the mask of a field's first L bytes, as bools and as three words.
+_KEEP = np.arange(_REPR_BYTES) < np.arange(_REPR_BYTES + 1)[:, None]
+_KEEP_WORDS = np.array(
+    [_words(b"\xff" * i) for i in range(_REPR_BYTES + 1)], dtype=np.uint64
+).T.copy()
+for _table in (_G1, _G0, _POW10, _MASK0, _MASK1, _SHIFT, _BETWEEN0, _BETWEEN1, _BETWEEN2,
+               _SUFFIX, _SUFFIX_BYTES, _KEEP, _KEEP_WORDS):
     _table.flags.writeable = False
 
 
@@ -172,10 +141,11 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
 
     ``template`` holds no other ``%``. A nan or an inf in a float column,
     which ``repr`` and :mod:`json` spell otherwise, raises
-    :class:`ValueError`, as do no columns, a count of columns other than
-    the count of ``%s``, and columns that are not all 1-D and as long as
-    the first. A column of another dtype, or a pair whose codes are not
-    integers, raises :class:`TypeError`.
+    :class:`ValueError`, as do a code outside ``range(len(words))``, which
+    numpy would read from the end or fail on untyped, no columns, a count
+    of columns other than the count of ``%s``, and columns that are not all
+    1-D and as long as the first. A column of another dtype, or a pair
+    whose codes are not integers, raises :class:`TypeError`.
     """
     literals = template.split("%s")
     if len(columns) != len(literals) - 1 or not columns:
@@ -190,6 +160,9 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
             column, words = column[0], [word.encode() for word in column[1]]
             if column.dtype.kind not in "iu":
                 raise TypeError(f"a pair's codes must be integers, got dtype {column.dtype}")
+            bad = np.flatnonzero((column < 0) | (column >= len(words)))
+            if bad.size:
+                raise ValueError(f"code {column.flat[bad[0]]} is not in range({len(words)})")
             width, write = max(map(len, words)), partial(_write_words, words)
         elif column.dtype == np.uint64:
             top = int(column.max(initial=0))
@@ -227,13 +200,13 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
         # a fifth of the numpy calls for the five of a sweep row.
         floats = [column[part] for _, _, write, column in fields if write is _write_floats]
         if floats:
-            key, source = _float_sources(np.concatenate(floats))
+            words, length = _float_words(np.concatenate(floats))
         count = len(matrix)
         for start, width, write, column in fields:
             cells = np.s_[:, start : start + width]
             if write is _write_floats:
-                write(key[:count], source[:count], matrix[cells], keep[cells])
-                key, source = key[count:], source[count:]
+                write(words[:count], length[:count], matrix[cells], keep[cells])
+                words, length = words[count:], length[count:]
             else:
                 write(column[part], matrix[cells], keep[cells])
         if first + step >= rows:
@@ -271,7 +244,7 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schubfach's ``(f, k)`` of each finite double in ``bits``: the digits
     ``f`` (uint64, up to 17 of them, trailing zeros kept) and the exponent
     ``k`` (int64) of ``f * 10**k``. A zero gives digits that
-    :func:`_float_sources` does not use."""
+    :func:`_float_words` does not use."""
     # The double is c * 2**q, with c the significand and q the exponent.
     fraction = bits & ((1 << 52) - 1)
     biased = ((bits >> 52) & 0x7FF).astype(np.int64)
@@ -290,11 +263,10 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     odd = c & 1
     cp = c << (shift + 2)
     index = k - _K_MIN
-    g1, g0 = _G1[index], _G0[index]
-    g1_lo, g1_hi, g0_lo, g0_hi = (half[index] for half in _G_HALVES)
+    g1, g0 = _G1.take(index), _G0.take(index)
     cp_lo, cp_hi = cp & _LOW32, cp >> 32
-    x0, x1 = g0 * cp, _high_product(g0_lo, g0_hi, cp_lo, cp_hi)
-    y0, y1 = g1 * cp, _high_product(g1_lo, g1_hi, cp_lo, cp_hi)
+    x0, x1 = g0 * cp, _high_product(g0 & _LOW32, g0 >> 32, cp_lo, cp_hi)
+    y0, y1 = g1 * cp, _high_product(g1 & _LOW32, g1 >> 32, cp_lo, cp_hi)
     # The rounding interval's bounds are cp + 2**s_up and cp - 2**s_down,
     # with s_up = shift + 1 and s_down = shift for a power of two closer
     # below, s_up otherwise: their products are those words plus or minus
@@ -307,59 +279,110 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Of s = floor(v * 10**-k) and s + 1, the one inside the interval, or
     # else the nearer, ties to even; but a multiple of 10 inside it is one
     # digit shorter. An odd significand's interval excludes its bounds.
+    vbl += odd
+    vbr -= odd
     s = vb >> 2
-    inside_s = vbl + odd <= s << 2
-    inside_t = ((s + 1) << 2) + odd <= vbr
+    inside_s = vbl <= s << 2
+    inside_t = (s + 1) << 2 <= vbr
     mid = (s << 2) + 2
     nearer_s = (vb < mid) | ((vb == mid) & ((s & 1) == 0))
     f = np.where(np.where(inside_s != inside_t, inside_s, nearer_s), s, s + 1)
     sp10 = s // 10 * 10
     tp10 = sp10 + 10
-    inside_sp10 = vbl + odd <= sp10 << 2
-    inside_tp10 = (tp10 << 2) + odd <= vbr
+    inside_sp10 = vbl <= sp10 << 2
+    inside_tp10 = tp10 << 2 <= vbr
     shorter = (s >= 10) & (inside_sp10 != inside_tp10)
     f = np.where(shorter, np.where(inside_sp10, sp10, tp10), f)
     return f, k
 
 
-def _float_sources(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The template key and the source bytes, a row of
-    :data:`_SOURCE_BYTES` each, of the repr of each finite double."""
+def _float_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repr of each finite double in ``values`` as a row of
+    :data:`_REPR_BYTES` bytes, three little-endian words, and its length."""
     bits = np.ascontiguousarray(values).view(np.uint64)
     f, k = _shortest_decimal(bits)
-    # f's digits padded to 17, split 1 + 8 + 8.
     ndigits = np.searchsorted(_POW10, f, side="right")
-    decpt = k + ndigits - _D_MIN
-    f = f * _POW10[17 - ndigits]
-    lead = f // 10**16
-    f = f - lead * 10**16
-    high = f // 10**8
-    high, low = _digit_bytes(high), _digit_bytes(f - high * 10**8)
-    # Significant digits: 17 less the trailing zeros, which are the high
-    # zero bytes of the digit words.
-    n = np.where(
-        low != 0,
-        9 + np.searchsorted(_BYTE_BOUNDS, low, side="right"),
-        1 + np.searchsorted(_BYTE_BOUNDS, high, side="right"),
-    )
-    n[(bits << 1) == 0] = 0
-    key = ((bits >> 63).astype(np.intp) * 18 + n) * _POSITIONS + _POSITION[decpt]
+    d = k + ndigits - _D_MIN
+    f = f * _POW10.take(17 - ndigits)
+    zero = (bits << 1) == 0
+    if zero.any():
+        # "0.0" is the digit 0 ahead of the point.
+        f[zero] = 0
+        d[zero] = 1 - _D_MIN
+    # f's digits padded to 17, a byte each: d1-d8 and d9-d16 in two words,
+    # and d17.
+    rest = f // 10
+    high = rest // 10**8
+    low = _digit_bytes(rest - high * 10**8)
+    high = _digit_bytes(high)
+    last = f - rest * 10
+    # The significant digits end at the top nonzero byte of the three words,
+    # read off the exponent of their sum as a float: a top byte below 10
+    # rounds to below 16 times its place, never into the next byte.
+    n = np.frexp(last * 2.0**128 + low * 2.0**64 + high)[1] + 7 >> 3
+    np.maximum(n, 1, out=n)
+    # Fixed notation keeps the digits ahead of the point in place and moves
+    # the rest past the bytes put between them, "0." and zeros or ".".
+    # Exponent notation starts as D = 1's "d.ddd".
+    high += _ASCII_ZEROS
+    low += _ASCII_ZEROS
+    kept = high & _MASK0.take(d), low & _MASK1.take(d)
+    high ^= kept[0]
+    low ^= kept[1]
+    shift = _SHIFT.take(d)
+    back = 64 - shift
+    words = [
+        kept[0] | high << shift | _BETWEEN0.take(d),
+        kept[1] | low << shift | high >> back | _BETWEEN1.take(d),
+        (last + ord("0")) << shift | low >> back | _BETWEEN2.take(d),
+    ]
+    decpt = d + _D_MIN
+    length = np.maximum(n + np.maximum(2 - decpt, 1), decpt + 2)
+    rows = np.flatnonzero((decpt < -3) | (decpt > 16))
+    if rows.size == len(bits):
+        length = _exponent(words, n, d)
+    elif rows.size:
+        part = [word.take(rows) for word in words]
+        length[rows] = _exponent(part, n.take(rows), d.take(rows))
+        for word, cut in zip(words, part):
+            word[rows] = cut
+    # A "-" ahead of each negative repr, the words moved up a byte.
+    minus = bits >> 63
+    if minus.any():
+        up = minus << 3
+        down = 63 - up
+        words = [
+            words[0] << up | minus * ord("-"),
+            words[1] << up | words[0] >> 1 >> down,
+            words[2] << up | words[1] >> 1 >> down,
+        ]
+        length += minus.astype(bool)
+    return np.stack(words, axis=1).astype("<u8", copy=False).view(np.uint8), length
 
-    source = np.empty((bits.size, 4), dtype=np.uint64)
-    source[:, 0] = high + _ASCII_ZEROS
-    source[:, 1] = low + _ASCII_ZEROS
-    source[:, 2] = _WORD2[decpt] + lead
-    source[:, 3] = _WORD3[decpt]
-    return key, source.astype("<u8", copy=False).view(np.uint8)
+
+def _exponent(words: list, n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cut the words of "d.ddd", with n digits, to the mantissa "d.dd..."
+    or "d", follow it by the suffix "e±XX" of each ``D - _D_MIN``, and
+    return their length."""
+    mantissa = n + (n > 1)
+    suffix = _SUFFIX.take(d)
+    at = mantissa >> 3
+    place = ((mantissa & 7) << 3).astype(np.uint64)
+    spill = suffix >> 1 >> (63 - place)
+    suffix <<= place
+    for i, (word, keep) in enumerate(zip(words, _KEEP_WORDS)):
+        word &= keep.take(mantissa)
+        word |= np.where(at == i, suffix, 0)
+        if i:
+            word |= np.where(at == i - 1, spill, 0)
+    return mantissa + _SUFFIX_BYTES.take(d)
 
 
-def _write_floats(key: np.ndarray, source: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
-    """Write the reprs of :func:`_float_sources` into ``text``, padded to
-    :data:`_REPR_BYTES`, and the mask of their bytes into ``keep``."""
-    gather = _COLUMNS[key]
-    gather += np.arange(0, source.size, _SOURCE_BYTES)[:, None]
-    text[:] = source.reshape(-1)[gather]
-    keep[:] = _USED[key]
+def _write_floats(words: np.ndarray, length: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Write the reprs of :func:`_float_words` into ``text``, and the mask
+    of their bytes into ``keep``."""
+    text[:] = words
+    keep[:] = _KEEP.take(length, axis=0)
 
 
 def _shifted(lo, hi, g, s, sign: int) -> tuple[np.ndarray, np.ndarray]:

@@ -232,7 +232,13 @@ class SweepResult:
 
     @cached_property
     def rows(self) -> tuple[SweepRow, ...]:
-        calls = np.array(get_args(SkewDirection), dtype=object)[self.skew].tolist()
+        """The rows; a skew code outside ``range(3)`` raises
+        :class:`ValueError`."""
+        names = get_args(SkewDirection)
+        bad = np.flatnonzero((self.skew < 0) | (self.skew >= len(names)))
+        if bad.size:
+            raise ValueError(f"code {self.skew.flat[bad[0]]} is not in range({len(names)})")
+        calls = np.array(names, dtype=object)[self.skew].tolist()
         values = zip(*(column.tolist() for column in self.columns.values()), calls)
         return tuple(SweepRow(rep, *fields) for rep, fields in enumerate(values))
 

@@ -61,10 +61,11 @@ out as one byte matrix by :func:`sagini._repr.rows_text`, a column at a
 time, its floats by a shortest-repr formatter, not a ``float.__repr__``
 call each; it is handed the CLI's float64 array of shares and a
 :class:`SweepResult`'s columns, with no Python float or row object per
-value. On 1e6 rows of cents data, ``compute`` to JSON takes 0.64 s and
-peaks at 70 MB RSS, 36 MB above the interpreter with its imports, on a
-2-core x86-64 host with Python 3.11 and numpy 2.4; with a list of shares
-and the ``float.__repr__`` join it took 0.95-1.02 s and 98.7 MB there.
+value. On 1e6 rows of cents data, ``compute`` to JSON takes 0.53-0.73 s
+(median 0.55 s) and to CSV 0.79-0.86 s, and both peak at 68 MB RSS, 34 MB
+above the interpreter with its imports, on a 2-core x86-64 host with
+Python 3.11 and numpy 2.4; with a list of shares and the
+``float.__repr__`` join JSON took 0.95-1.02 s and 98.7 MB there.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
 ``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid

@@ -391,6 +391,15 @@ class TestBatchedSweep:
         assert calls == ["symmetric", "symmetric", "right", "left", "symmetric", "symmetric"]
         assert [row.skew_direction for row in result.rows] == calls
 
+    @pytest.mark.parametrize("codes, bad", [([-1, 0], -1), ([0, 3, -1], 3)])
+    def test_skew_codes_outside_the_calls_raise(self, codes, bad):
+        # A negative code would read a call from the end; 3 indexes past them.
+        result = sensitivity_sweep(config("lognormal", n=10, reps=len(codes)))
+        made = generators.SweepResult(result.config, result.columns, np.array(codes), result.summary)
+        for write in (lambda r: r.rows, sweep_to_csv, sweep_to_json):
+            with pytest.raises(ValueError, match=rf"^code {bad} is not in range\(3\)$"):
+                write(made)
+
     @pytest.mark.parametrize(
         "cfg, first_bad",
         [

@@ -80,6 +80,89 @@ class TestFloatText:
         assert out.stdout.split() == ["False"]
 
 
+#: One value of each layout of a repr: zero, "0." and zeros ahead of the
+#: digits (D from -3 to 0, for ``0.d1d2... * 10**D``), a "." inside or after
+#: them (D from 1 to 16), and exponent notation with two and three exponent
+#: digits, its exponent of either sign, with one digit and with many, and
+#: its suffix within a word and across two.
+_LAYOUTS = {
+    "zero": 0.0,
+    **{f"D={d}": float(f"1.2345e{d - 1}") for d in range(-3, 1)},
+    **{f"D={d}": float(np.nextafter(float(f"1.2345e{d - 1}"), np.inf)) for d in range(1, 17)},
+    "e-05": 1e-05,
+    "e+16": 1.2345e16,
+    "e+17": 2.5e17,
+    "e-100": 1.234567890123e-100,
+    "e-123": 1 / 3 * 1e-122,
+    "e+300": 4e300,
+    "e-324": 5e-324,
+}
+#: Rows of a one-column part: far more than 8191, so a part of 8191 is one.
+_PART_ROWS = _PART_BYTES // (_REPR_BYTES + 1)
+
+
+class TestWordLayout:
+    """Each layout is spelled on its own rows among others: at the first,
+    middle and last row of a part of another, of either sign, in one part
+    and over several."""
+
+    def test_the_classes_are_as_named(self):
+        for name, value in _LAYOUTS.items():
+            text = repr(value)
+            if name.startswith("D="):
+                decpt = int(name[2:])
+                assert text.startswith("0.") if decpt <= 0 else text.index(".") == decpt
+                assert "e" not in text
+            elif name.startswith("e"):
+                assert text.endswith(name)
+
+    @pytest.mark.parametrize("first", list(_LAYOUTS))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_each_layout_among_each_other_in_a_part(self, first, sign):
+        rows = 8191
+        assert rows <= _PART_ROWS
+        part = np.full(rows, sign * _LAYOUTS[first])
+        base = [repr(part.item(0))] * rows
+        for value in _LAYOUTS.values():
+            x, want = part.copy(), list(base)
+            for row in (0, rows // 2, rows - 1):
+                x[row] = sign * value
+                want[row] = repr(x.item(row))
+            assert float_text(x, ",") == ",".join(want)
+
+    @pytest.mark.parametrize("first", list(_LAYOUTS))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_each_layout_among_each_other_over_three_parts(self, first, sign):
+        # Every layout of both signs in a run from the first row of each
+        # part, from its middle and to its last row, rotated so that each
+        # run starts with another.
+        values = np.array(list(_LAYOUTS.values()))
+        others = np.concatenate([values, -values])
+        x = np.full(3 * _PART_ROWS, sign * _LAYOUTS[first])
+        for start in range(0, len(x), _PART_ROWS):
+            for at in (start, start + _PART_ROWS // 2, start + _PART_ROWS - len(others)):
+                x[at : at + len(others)] = np.roll(others, at)
+        assert float_text(x, ",\n") == repr_join(x, ",\n")
+
+    @pytest.mark.parametrize("value", list(_LAYOUTS.values()), ids=list(_LAYOUTS))
+    def test_a_one_row_part(self, value):
+        for signed in (value, -value):
+            assert float_text(np.array([signed]), ",") == repr(signed)
+            x = np.resize(np.array(list(_LAYOUTS.values())), _PART_ROWS + 1)
+            x[-1] = signed
+            assert float_text(x, ",") == repr_join(x, ",")
+
+    def test_a_part_of_negative_zeros(self):
+        for rows in (1, 8191, 2 * _PART_ROWS + 3):
+            x = np.full(rows, -0.0)
+            assert float_text(x, ", ") == ", ".join(["-0.0"] * rows)
+
+    def test_an_all_negative_part(self):
+        values = -np.abs(np.array(list(_LAYOUTS.values())))
+        for x in (values, np.resize(values, 8191), np.resize(values, 2 * _PART_ROWS + 7)):
+            assert float_text(x, ",") == repr_join(x, ",")
+
+
 class TestColumnChecks:
     """A block whose columns do not fit the template raises, rather than
     writing other rows' fields or a dtype's bits as float64 digits."""
@@ -114,6 +197,17 @@ class TestColumnChecks:
     def test_pair_codes_may_be_any_integers(self, dtype):
         codes = np.array([1, 0, 1], dtype=dtype)
         assert rows_text("%s", [(codes, ["a", "bc"])], ",") == "bc,a,bc"
+
+    @pytest.mark.parametrize(
+        "codes, bad", [([-1, 0], -1), ([0, 2], 2), ([1, 5, -3], 5), ([2**63], 2**63)]
+    )
+    def test_pair_codes_outside_the_words_raise(self, codes, bad):
+        # A negative code would read a word from the end.
+        codes = np.array(codes, dtype=np.uint64 if bad >= 2**63 else np.int64)
+        with pytest.raises(ValueError, match=rf"^code {bad} is not in range\(2\)$"):
+            rows_text("%s", [(codes, ["a", "b"])], ",")
+        with pytest.raises(ValueError, match=rf"^code {bad} is not in range\(2\)$"):
+            rows_text("%s,%s", [np.zeros(len(codes)), (codes, ["a", "b"])])
 
     @pytest.mark.parametrize("dtype", [np.float64, bool])
     def test_pair_codes_of_another_dtype_raise(self, dtype):
