@@ -15,8 +15,9 @@ setter, about 0.5 µs, where numpy uint64 arrays cost 1–2 µs; at n = 10 a
 replication's ``lognormal`` or ``random`` call takes about another 0.7–2
 µs (2-core x86-64, numpy 2.4). Blocks of about one kernel chunk of values
 get one batched validation and one kernel pass each
-(:func:`sagini.metrics._replication_scores`), into columns of arrays. A :class:`SweepResult` holds those columns, which the sweep writers
-of :mod:`sagini.io` write as they are, and makes its rows only when they
+(:func:`sagini.metrics._replication_scores`), into columns of arrays. A
+:class:`SweepResult` holds those columns, which the sweep writers of
+:mod:`sagini.io` write as they are, and makes its rows only when they
 are asked for. Rows and summary are the same, bit for bit, as
 ``report(generate(config, rep))`` one replication at a time; :func:`generate`
 is the one-replication case of the same draw.

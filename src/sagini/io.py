@@ -17,40 +17,40 @@ parse error naming their line.
 
 Both readers return float64 arrays: :func:`read_values` one value per
 row, :func:`read_lorenz_points` an ``(n, 2)`` array of ``(p, q)`` rows.
-They share one read path with two routes. The block route takes stdin,
-or a file, one block of about :data:`_READ_BLOCK` bytes of whole lines at
-a time. Each block is hashed only when :attr:`InputSpec.digest` is set,
-then decoded and split by :func:`_lines`. The header's cells and the
-columns to read come from the first data row, in whichever block it
-falls. Input without data rows, with or without a header, is an empty
-table, which validation rejects.
+Input is read in blocks of about :data:`_READ_BLOCK` bytes of whole
+lines, each hashed only when :attr:`InputSpec.digest` is set. One header
+pass, :func:`_head`, decodes and splits the blocks up to the one holding
+the first data row, whose cells, with the header's, give the columns to
+read. Input without data rows, with or without a header, is an empty
+table, which validation rejects. The rest is read one of two ways.
 
 The fast parser is numpy's C reader :func:`numpy.loadtxt`, which converts
 only the needed columns. It splits lines and cells by the grammar above,
 and its float parser reads the same numbers: it strips Unicode whitespace
 padding, so padded cells stay on the fast path, and rejects underscores
-and non-ASCII digits. The one screen is for quotes, which numpy's reader
-does not honour: a block whose rows after the header hold one goes to the
-line-by-line parser instead, as does a block ``loadtxt`` rejects; the
-line parser gives the same values and names the line of a bad cell or
-row. Errors come in block order: an invalid byte is reported ahead of a
-bad row in its own block, but not ahead of one in an earlier block. The
-block route is the only source of :class:`ParseError` text.
+and non-ASCII digits. It does not honour quotes, the one screen between
+it and the line-by-line parser, which gives the same values and names
+the line of a bad cell or row. A quoted header, read in the header pass,
+screens nothing.
 
-The whole-file route reads a regular file twice, and splits no line in
-Python past the first data row. The first pass is the block loop without
-the split: it hashes the blocks, finds the header and the columns, and
-screens the bytes after the header for a quote. Then one ``loadtxt``
-call parses the path in numpy's C reader, which reads the file in chunks
-with no Python object per line. A file takes this route only if its name
-has no suffix numpy decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``)
-and no ``://``, and if no quote follows its header. Any other file, or one
-``loadtxt`` rejects (an invalid byte among them), is read again from its
-first byte by the block route. numpy opens the path afresh, so the
-file's device, inode, size and mtime are taken from the open handle
-before the screen and from the path after the parse; if they differ,
-numpy's table is dropped and the handle is read by the block route, so
-the table and the digest describe the same bytes.
+The block route, for stdin and any file the other refuses, parses the
+lines the header pass left, then decodes and splits each later block; a
+block whose lines hold a quote, or that ``loadtxt`` rejects, goes to the
+line parser. Errors come in block order: an invalid byte is reported
+ahead of a bad row in its own block, but not ahead of one in an earlier
+block. This route is the only source of :class:`ParseError` text.
+
+The whole-file route takes a regular file whose name has no suffix numpy
+decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) and no ``://``. It
+screens the raw bytes after the header pass for a quote, with no decode
+or split, then parses the path in one ``loadtxt`` call, which reads the
+file in chunks with no Python object per line. A file with a quote after
+its header, or one ``loadtxt`` rejects (an invalid byte among them), is
+read again from its first byte by the block route. numpy opens the path
+afresh, so the file's device, inode, size and mtime are taken from the
+open handle before the header pass and from the path after the parse; if
+they differ, numpy's table is dropped and the handle is read by the block
+route, so the table and the digest describe the same bytes.
 
 A read holds one block's bytes, text and lines, or its cells on the line
 path, or numpy's chunk, beyond the parsed table. The writers yield the
@@ -263,15 +263,9 @@ def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str | None]:
     with open(spec.path, "rb") as fh:
         opened = os.fstat(fh.fileno())
         # numpy's opener decompresses by suffix and fetches what parses as a
-        # URL; a pipe or a device could not be read twice. An unknown format
-        # is the block route's error.
+        # URL; a pipe or a device could not be read twice.
         path = spec.path
-        if (
-            stat.S_ISREG(opened.st_mode)
-            and not path.endswith(_COMPRESSED)
-            and "://" not in path
-            and spec.format in _FORMATS
-        ):
+        if stat.S_ISREG(opened.st_mode) and not path.endswith(_COMPRESSED) and "://" not in path:
             try:
                 read = _read_whole(fh, spec, points, opened)
             except ParseError:
@@ -282,64 +276,52 @@ def _read_table(spec: InputSpec, points: bool) -> tuple[np.ndarray, str | None]:
         return _read_stream(fh, spec, points)
 
 
-class _Layout:
-    """The header's cells and line number and the columns to read, taken
-    from the lines up to the first data row, which may span blocks."""
-
-    def __init__(self, spec: InputSpec, points: bool):
-        self.spec, self.points = spec, points
-        self.header = spec.header  # a header row is still to come
-        self.names: list[str] | None = None
-        self.lineno = 0  # the header's line number; 0 without a header
-        self.usecols: tuple[int, ...] | None = None
-
-    def scan(self, lines: Iterable[str], before: int) -> int:
-        """Read ``lines``, which come after ``before`` lines of input and
-        hold no line breaks, up to the first data row; return how many of
-        them end with the header row, 0 if it is not among them."""
-        start = 0
-        for lineno, cells in _rows(lines, self.spec.format, before):
-            if self.header:
-                self.header, self.lineno, start = False, lineno, lineno - before
-                self.names = [cell.strip() for cell in cells]
+def _head(
+    blocks: Iterator[bytes], spec: InputSpec, points: bool
+) -> tuple[tuple[int, ...] | None, int, list[str], int]:
+    """Read ``blocks`` up to the one holding the first data row, and return
+    the columns to read, None if no row holds data; the header's line
+    number, 0 without a header; that block's lines after the header; and
+    the count of lines ahead of them."""
+    fmt = spec.format
+    if fmt not in _FORMATS:
+        raise ParseError(f"unknown input format {fmt!r}")
+    header, names, lineno, before = spec.header, None, 0, 0
+    for index, block in enumerate(blocks):
+        lines = _lines(_decode(block.removeprefix(_BOM) if index == 0 else block, before))
+        for number, cells in _rows(lines, fmt, before):
+            if header:
+                header, lineno, names = False, number, [cell.strip() for cell in cells]
             else:
-                first = (lineno, cells)
-                self.usecols = (0, 1) if self.points else (_resolve_column(self.spec, self.names, first),)
-                break
-        return start
+                usecols = (0, 1) if points else (_resolve_column(spec, names, (number, cells)),)
+                start = max(lineno - before, 0)
+                return usecols, lineno, lines[start:], before + start
+        before += len(lines)
+    return None, lineno, [], before
 
 
 def _read_stream(
     fh: BinaryIO, spec: InputSpec, points: bool
 ) -> tuple[np.ndarray, str | None]:
     """The table in ``fh`` and the sha256 hex of its bytes, or None unless
-    ``spec.digest``, read a block of whole lines at a time.
-
-    The header's cells and the columns to read come from the first data
-    row, in whichever block it falls; the lines up to the header are sliced
-    off the block that holds it.
-    """
-    fmt = spec.format
-    if fmt not in _FORMATS:
-        raise ParseError(f"unknown input format {fmt!r}")
+    ``spec.digest``, read a block of whole lines at a time: the lines after
+    the header in the block :func:`_head` stops at, then each later block."""
     sha = hashlib.sha256() if spec.digest else None
+    blocks = _blocks(fh, sha)
+    usecols, _, lines, before = _head(blocks, spec, points)
+    text = "\n".join(lines)
     # Each block's values are appended to one growing buffer, so the table
     # is held once, not as parts and their concatenation.
     table = array("d")
-    layout, before = _Layout(spec, points), 0
-    for index, block in enumerate(_blocks(fh)):
-        if sha is not None:
-            sha.update(block)
-        text = _decode(block.removeprefix(_BOM) if index == 0 else block, before)
-        lines = _lines(text)
-        start = layout.scan(lines, before) if layout.usecols is None else 0
-        body = lines[start:]
+    # Every block holds a line, so no lines mark the end of the input.
+    while lines:
         # Blank lines are not rows; loadtxt would warn on a block of them.
-        if layout.usecols is not None and any(map(str.strip, body)):
-            quoted = _quoted(text, lines, start)
-            part = _parse_block(body, before + start, fmt, layout.usecols, points, quoted)
+        if any(map(str.strip, lines)):
+            part = _parse_block(lines, before, spec.format, usecols, '"' in text)
             table.frombytes(memoryview(part).cast("B"))
         before += len(lines)
+        text = _decode(next(blocks, b""), before)
+        lines = _lines(text)
     values = np.frombuffer(table)
     digest = None if sha is None else sha.hexdigest()
     return values.reshape(-1, 2) if points else values, digest
@@ -353,42 +335,28 @@ def _read_whole(
     :func:`numpy.loadtxt` call on the path; None if numpy's reader might
     read it otherwise, or fails on it.
 
-    The file is read once a block at a time, hashed, and screened: the
-    header and columns are found as :func:`_read_stream` finds them, and
-    no byte after the header may be a quote. Then numpy reads the path
-    again in its C reader, with no Python string per line. Its table is
-    dropped unless the file's device, inode, size and mtime are still
-    ``opened``'s: both passes saw the same bytes. A :class:`ParseError`
-    raised here means the file takes the block route, which raises it
-    again in its own order.
+    :func:`_head` finds the header and columns; the rest of the file is
+    hashed and screened for a quote, with no decode or split. Then numpy
+    reads the path again in its C reader, with no Python string per line.
+    Its table is dropped unless the file's device, inode, size and mtime
+    are still ``opened``'s: both passes saw the same bytes. A
+    :class:`ParseError` raised here means the file takes the block route,
+    which raises it again in its own order.
     """
-    fmt = spec.format
     sha = hashlib.sha256() if spec.digest else None
-    layout, before = _Layout(spec, points), 0
-    for index, block in enumerate(_blocks(fh)):
-        if sha is not None:
-            sha.update(block)
-        if layout.usecols is not None:
-            quoted = b'"' in block
-        else:
-            text = _decode(block.removeprefix(_BOM) if index == 0 else block, before)
-            lines = _lines(text)
-            start = layout.scan(lines, before)
-            quoted = _quoted(text, lines, start)
-            before += len(lines)
-        if quoted:
-            return None
-    if layout.usecols is None:
+    blocks = _blocks(fh, sha)
+    usecols, lineno, lines, _ = _head(blocks, spec, points)
+    if usecols is None or '"' in "\n".join(lines) or any(b'"' in block for block in blocks):
         return None
     try:
         table = np.loadtxt(
             spec.path,
-            delimiter=_DELIMITERS.get(fmt),
-            usecols=layout.usecols,
+            delimiter=_DELIMITERS.get(spec.format),
+            usecols=usecols,
             comments=None,
             dtype=float,
-            ndmin=len(layout.usecols),
-            skiprows=layout.lineno,
+            ndmin=len(usecols),
+            skiprows=lineno,
             encoding="utf-8-sig",
         )
         after = os.stat(spec.path)
@@ -403,15 +371,15 @@ def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _blocks(fh: BinaryIO) -> Iterator[bytes]:
+def _blocks(fh: BinaryIO, sha=None) -> Iterator[bytes]:
     """``fh`` in blocks of about :data:`_READ_BLOCK` bytes, each but the last
-    ending after a ``\\n`` or a ``\\r``, so no line or ``\\r\\n`` is split.
+    ending after a ``\\n`` or a ``\\r``, so no line or ``\\r\\n`` is split,
+    and each hashed by ``sha`` if given.
 
-    A read that another follows is cut after its last line break, and the
-    bytes after it are carried into the next block, a ``\\r`` that ends the
-    read with them when the next read starts with ``\\n``. So a block holds
-    one read beside part of one line. The last read is not cut, so input
-    of one read is one block.
+    A read that another follows is cut after its last line break, the bytes
+    after it, and a ``\\r`` ending it when the next read starts with ``\\n``,
+    carried into the next block. So a block holds one read beside part of
+    one line, and input of one read is one block.
     """
     carried: list[bytes] = []
     chunk = fh.read(_READ_BLOCK)
@@ -422,7 +390,10 @@ def _blocks(fh: BinaryIO) -> Iterator[bytes]:
             end = cut - (chunk.endswith(b"\r") and following.startswith(b"\n"))
             cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
         if cut:
-            yield b"".join([*carried, chunk[:cut]])
+            block = b"".join([*carried, chunk[:cut]])
+            if sha is not None:
+                sha.update(block)
+            yield block
             carried = []
         carried.append(chunk[cut:])
         chunk = following
@@ -454,15 +425,8 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _quoted(text: str, lines: list[str], start: int) -> bool:
-    """Whether a quote follows the first ``start`` of ``lines``, the lines
-    of ``text``: a quoted header does not send the rows after it to the
-    line parser."""
-    return '"' in ("\n".join(lines[start:]) if start else text)
-
-
 def _parse_block(
-    lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool, quoted: bool
+    lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], quoted: bool
 ) -> np.ndarray:
     """The ``usecols`` of ``lines``, which come after ``before`` lines of
     input and hold at least one data row.
@@ -484,26 +448,23 @@ def _parse_block(
             )
         except ValueError:
             pass
-    return _line_table(lines, before, fmt, usecols, points)
+    return _line_table(lines, before, fmt, usecols)
 
 
-def _line_table(
-    lines: list[str], before: int, fmt: str, usecols: tuple[int, ...], points: bool
-) -> np.ndarray:
-    """What :func:`numpy.loadtxt` reads from ``lines``, parsed line by line;
-    errors name their line, counting ``before`` lines ahead of ``lines``."""
+def _line_table(lines: list[str], before: int, fmt: str, usecols: tuple[int, ...]) -> np.ndarray:
+    """What :func:`numpy.loadtxt` reads from ``lines``, flattened, parsed line
+    by line; errors name their line, counting ``before`` lines ahead."""
     width = max(usecols) + 1
     values = []
     for lineno, cells in _rows(lines, fmt, before):
         if len(cells) < width:
             raise ParseError(
                 f"line {lineno}: need two columns (p, q), got {len(cells)}"
-                if points
+                if usecols == (0, 1)
                 else f"line {lineno}: only {len(cells)} column(s), need column {width}"
             )
         values.extend(_parse_cell(cells[col], lineno, col + 1) for col in usecols)
-    table = np.array(values, dtype=float)
-    return table.reshape(-1, 2) if points else table
+    return np.array(values, dtype=float)
 
 
 def build_document(

@@ -383,10 +383,10 @@ def _reject_non_numbers(raw: Iterable[float]) -> None:
 
 
 def lorenz_curve(data: Dataset) -> LorenzCurve:
-    """Sort ascending and accumulate shares ``q_i = s_i/T``.
+    """Accumulate shares ``q_i = s_i/T`` of ``data.sorted_values``.
 
-    The running sums ``s_i`` are of the sorted values scaled by the
-    kernel's ``2**-e``, and ``T`` is the scaled total of the dataset's own
+    The running sums ``s_i`` are of those values scaled by the kernel's
+    ``2**-e``, and ``T`` is the scaled total of the dataset's own
     kernel pass (see module doc). Scaling by a power of two is exact
     barring underflow, so the shares are those of the unscaled sums, and
     no running sum overflows. ``T`` is not the running float sum, which can
@@ -397,7 +397,7 @@ def lorenz_curve(data: Dataset) -> LorenzCurve:
     outweigh the total, raises :class:`NonFiniteValueError`. The endpoint
     ``q_n`` is forced to exactly 1.0 so cumulative-sum drift cannot leak
     into the last interior gap. Sorted data always gives a convex curve, so
-    the curve is marked convex without looking at float noise in ``q``.
+    it is marked convex without looking at float noise in ``q``.
     """
     total = data._sums[0, -1]
     x = data.sorted_values

@@ -162,22 +162,6 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _interp(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Piecewise-linear y at each ``x`` through ascending ``xs``, such as
-    :func:`_with_origin` gives.
-
-    Each ``x`` takes the first segment whose right end is at or past it;
-    a segment of zero width gives its left ``y``. Left of ``xs[0]`` the
-    value is ``ys[0]``, right of ``xs[-1]`` it is ``ys[-1]``.
-    """
-    right = np.clip(np.searchsorted(xs, x, side="left"), 1, xs.size - 1)
-    left = right - 1
-    span = xs[right] - xs[left]
-    t = np.divide(x - xs[left], span, out=np.zeros_like(x), where=span != 0)
-    y = ys[left] + t * (ys[right] - ys[left])
-    return np.where(x <= xs[0], ys[0], np.where(x > xs[-1], ys[-1], y))
-
-
 def render_ascii(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
     """Character-grid rendering: diagonal '.', one mark per curve."""
     if len(curves) != len(labels):
@@ -189,7 +173,7 @@ def render_ascii(curves: Sequence[LorenzCurve], labels: Sequence[str]) -> str:
         grid[row][col] = "."
     for k, curve in enumerate(curves):
         mark = _ASCII_MARKS[k % len(_ASCII_MARKS)]
-        for col, q in enumerate(_interp(*_with_origin(curve), columns).tolist()):
+        for col, q in enumerate(np.interp(columns, *_with_origin(curve)).tolist()):
             row = round((1.0 - q) * (ASCII_HEIGHT - 1))
             if 0 <= row < ASCII_HEIGHT:
                 grid[row][col] = mark

@@ -861,6 +861,30 @@ class TestFileRoutes:
         assert result == ("error", "line 41, column 1: '4x' is not a number")
         assert paths == [str(path)] and stream and lines
 
+    def test_no_block_past_the_first_data_row_is_split(self, tmp_path, monkeypatch):
+        # The whole-file route splits the blocks up to the one holding the
+        # first data row, and leaves the rest to numpy; stdin splits them all.
+        monkeypatch.setattr(sagini_io, "_READ_BLOCK", 4)
+        raw = b"\nid,income\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(200))
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        ends = np.cumsum([len(block) for block in sagini_io._blocks(io.BytesIO(raw))])
+        head = int(np.argmax(ends > raw.index(b"\n0,0\n") + 1))
+        assert len(ends) > head + 100
+        from_file = InputSpec(path=str(path), header=True, column="income")
+        for spec, split in ((from_file, raw[: ends[head]]), (replace(from_file, path="-"), raw)):
+            monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(raw)))
+            with mock.patch.object(sagini_io, "_lines", wraps=sagini_io._lines) as lines:
+                values, _ = read_values(spec)
+            assert values.tolist() == list(range(200))
+            assert "".join(call.args[0] for call in lines.call_args_list) == split.decode()
+
+    def test_unknown_format_of_a_regular_file(self, tmp_path):
+        path = write(tmp_path, "1\n2\n")
+        with mock.patch.object(np, "loadtxt") as loadtxt, pytest.raises(ParseError) as err:
+            read_values(InputSpec(path=path, format="json"))
+        assert str(err.value) == "unknown input format 'json'" and not loadtxt.called
+
     @pytest.mark.parametrize("block", [3, sagini_io._READ_BLOCK])
     def test_invalid_utf8_after_the_header(self, tmp_path, monkeypatch, block):
         # The first pass decodes only up to the first data row; numpy's

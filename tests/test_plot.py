@@ -1,7 +1,6 @@
 """Unit tests for the SVG and ASCII Lorenz renderers."""
 
 import hashlib
-import random
 import re
 
 import numpy as np
@@ -19,7 +18,6 @@ from sagini.plot import (
     TOLERANCE,
     X_LABEL,
     Y_LABEL,
-    _interp,
     _with_origin,
     map_x,
     map_y,
@@ -106,36 +104,6 @@ class TestSvg:
         svg = render_svg([curve, curve], ["a<b", "c&d"])
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
-
-
-def interp_by_scan(xs, ys, x):
-    """The first segment whose right end is at or past x, by linear scan."""
-    if x <= xs[0]:
-        return ys[0]
-    for left in range(len(xs) - 1):
-        if x <= xs[left + 1]:
-            span = xs[left + 1] - xs[left]
-            t = 0.0 if span == 0 else (x - xs[left]) / span
-            return ys[left] + t * (ys[left + 1] - ys[left])
-    return ys[-1]
-
-
-class TestInterp:
-    @pytest.mark.parametrize("n", [2, 3, 7, 60, 61, 1000])
-    def test_matches_linear_scan(self, n):
-        rng = random.Random(n)
-        values = [rng.lognormvariate(0, 1) for _ in range(n)]
-        xs, ys = _with_origin(lorenz_curve(build_dataset(values)))
-        probes = [i / 60 for i in range(61)] + xs.tolist() + [-0.5, 1.5]
-        probes += [rng.random() for _ in range(200)]
-        got = _interp(xs, ys, np.array(probes)).tolist()
-        assert got == [interp_by_scan(xs.tolist(), ys.tolist(), x) for x in probes]
-
-    def test_repeated_grid_point(self):
-        xs, ys = [0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0]
-        probes = [0.25, 0.5, 0.75]
-        got = _interp(np.array(xs), np.array(ys), np.array(probes)).tolist()
-        assert got == [interp_by_scan(xs, ys, x) for x in probes]
 
 
 def mapped(curve):
