@@ -144,8 +144,8 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
     :class:`ValueError`, as do a code outside ``range(len(words))``, which
     numpy would read from the end or fail on untyped, no columns, a count
     of columns other than the count of ``%s``, and columns that are not all
-    1-D and as long as the first. A column of another dtype, or a pair
-    whose codes are not integers, raises :class:`TypeError`.
+    1-D and as long as the first. Any other column, or a pair whose codes
+    are not integers, raises :class:`TypeError`.
     """
     literals = template.split("%s")
     if len(columns) != len(literals) - 1 or not columns:
@@ -164,6 +164,10 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
             if bad.size:
                 raise ValueError(f"code {column.flat[bad[0]]} is not in range({len(words)})")
             width, write = max(map(len, words)), partial(_write_words, words)
+        elif not isinstance(column, (np.ndarray, np.generic)):
+            raise TypeError(
+                f"a column must be an array or a (codes, words) pair, got {type(column).__name__}"
+            )
         elif column.dtype == np.uint64:
             top = int(column.max(initial=0))
             width, write = 8 * (1 + (top >= 10**8) + (top >= 10**16)), _write_digits

@@ -213,14 +213,7 @@ def compute(
             input_path, input_format, column, header, from_lorenz, digest=provenance
         )
         result = metrics_from_lorenz(curve) if data is None else report(data)
-    doc = build_document(
-        result,
-        curve,
-        data=data,
-        digest=digest,
-        with_provenance=provenance,
-        _q_array=True,
-    )
+    doc = build_document(result, curve, data=data, digest=digest)
     if out_format == "json":
         pieces = json_pieces(doc)
     elif out_format == "csv":

@@ -59,23 +59,19 @@ writes in turn; the ``document_to_*`` and ``sweep_to_*`` functions join
 the same pieces. A block of rows of finite floats, JSON or CSV, is laid
 out as one byte matrix by :func:`sagini._repr.rows_text`, a column at a
 time, its floats by a shortest-repr formatter, not a ``float.__repr__``
-call each; it is handed the CLI's float64 array of shares and a
+call each; it is handed the document's float64 array of shares and a
 :class:`SweepResult`'s columns, with no Python float or row object per
-value. On 1e6 rows of cents data, ``compute`` to JSON takes 0.53-0.73 s
-(median 0.55 s) and to CSV 0.79-0.86 s, and both peak at 68 MB RSS, 34 MB
-above the interpreter with its imports, on a 2-core x86-64 host with
-Python 3.11 and numpy 2.4; with a list of shares and the
-``float.__repr__`` join JSON took 0.95-1.02 s and 98.7 MB there.
+value.
 
 The report document (schema ``"2"``) holds ``schema_version``, ``input``,
-``indices``, ``lorenz.q`` and an optional ``provenance`` block. The grid
-``p_i = i/n`` is implied by ``input.n`` and not written; CSV output
-writes it as ``i / n``. JSON output uses shortest round-trip float
-formatting (15+ significant digits). The JSON writers match
-``json.dumps(doc, indent=2)`` byte for byte on report and sweep documents
-of finite floats, and every writer but the text one raises
-:class:`ValueError` on a nan or an inf, which JSON cannot hold; text
-output is fixed to 6 decimals and says so.
+``indices``, ``lorenz.q``, the curve's float64 array, and, when the input
+was hashed, a ``provenance`` block. The grid ``p_i = i/n`` is implied by
+``input.n`` and not written; CSV output writes it as ``i / n``. JSON
+output uses shortest round-trip float formatting (15+ significant
+digits). The JSON writers match ``json.dumps(doc, indent=2)``, ``q`` as a
+list, byte for byte on documents of finite floats, and every writer but
+the text one raises :class:`ValueError` on a nan or an inf, which JSON
+cannot hold; text output is fixed to 6 decimals and says so.
 """
 
 from __future__ import annotations
@@ -473,20 +469,17 @@ def build_document(
     *,
     data: Dataset | None,
     digest: str | None,
-    with_provenance: bool = True,
-    _q_array: bool = False,
 ) -> dict:
-    """Assemble the report document (JSON-ready plain dict).
+    """Assemble the report document.
 
-    ``lorenz`` holds only the shares ``q``, n of them with ``q_n = 1``;
+    ``lorenz`` holds only the shares ``q``, n of them with ``q_n = 1``: the
+    curve's read-only float64 array, which ``json.dumps`` takes only as
+    ``q.tolist()``; :func:`document_to_json` writes it as such.
     ``p_i = i/n`` follows from ``input.n``. ``data``, the dataset behind a
     raw-value report, supplies the input's mean, min, max and total; it is
     None for Lorenz-point input, where only n is known and the rest are
-    null.
-
-    The CLI passes the private ``_q_array=True``, which leaves ``q`` as the
-    curve's read-only float64 array: the writers take it a block at a time,
-    while a list of it would hold 32 bytes a share beside the array's 8.
+    null. The ``provenance`` block is there when ``digest``, the input's
+    sha256 hex, is not None.
     """
     stats = dict.fromkeys(("mean", "min", "max", "total"))
     if data is not None:
@@ -510,13 +503,13 @@ def build_document(
             "skew_direction": result.skew_direction,
             "convex": result.convex,
         },
-        "lorenz": {"q": curve.q if _q_array else curve.q.tolist()},
+        "lorenz": {"q": curve.q},
     }
-    if with_provenance:
+    if digest is not None:
         doc["provenance"] = {
             "tool_version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(),
-            "input_digest": f"sha256:{digest}" if digest else None,
+            "input_digest": f"sha256:{digest}",
         }
     return doc
 
@@ -534,15 +527,14 @@ def json_pieces(doc: dict) -> Iterator[str]:
     Before Python 3.13, :mod:`json` falls back to its pure-Python encoder
     when ``indent`` is set, and would spend nearly all its time on the
     Lorenz shares ``q``. So json writes the document with ``q`` empty, and
-    the shares, a list or the CLI's float64 array, are spliced in a block
-    at a time by :func:`sagini._repr.rows_text`, as :mod:`json` spells
-    them. A nan or an inf raises :class:`ValueError`.
+    the shares are spliced in a block at a time by
+    :func:`sagini._repr.rows_text`, as :mod:`json` spells them. A nan or
+    an inf raises :class:`ValueError`.
     """
     q = doc["lorenz"]["q"]
     skeleton = {**doc, "lorenz": {**doc["lorenz"], "q": []}}
-    # A list is converted a block at a time, never as a whole.
     blocks = (
-        _text("      %s", [np.asarray(q[start : start + _WRITE_BLOCK])], ",\n")
+        _text("      %s", [q[start : start + _WRITE_BLOCK]], ",\n")
         for start in range(0, len(q), _WRITE_BLOCK)
     )
     yield from _spliced(skeleton, "q", blocks)
@@ -602,7 +594,7 @@ def csv_pieces(doc: dict) -> Iterator[str]:
     n = doc["input"]["n"]
     q = doc["lorenz"]["q"]
     for start in range(0, len(q), _WRITE_BLOCK):
-        block = np.asarray(q[start : start + _WRITE_BLOCK])
+        block = q[start : start + _WRITE_BLOCK]
         i = np.arange(start + 1, start + len(block) + 1, dtype=np.uint64)
         yield _text("%s,%s,%s\n", [i, i / n, block])
 

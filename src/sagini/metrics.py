@@ -278,9 +278,9 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
     Raises
     ------
     TypeError
-        Any string (or bytes) value, or None; numeric text is not silently
-        parsed, so read it with :mod:`sagini.io` or convert it first, and
-        None is not read as NaN. The first offending index is reported.
+        Text as the input or as any value, or None; numeric text is not
+        silently parsed, so read it with :mod:`sagini.io` or convert it
+        first, and None is not read as NaN. The first bad index is reported.
     EmptyOrSingletonError
         Fewer than two observations; the curve needs at least one
         interior point.
@@ -293,6 +293,8 @@ def build_dataset(raw: Iterable[float]) -> Dataset:
         Values summing to zero or less; shares would be undefined or
         sign-flipped.
     """
+    if isinstance(raw, (str, bytes, bytearray)):
+        raise TypeError(f"values: {type(raw).__name__} input is text, not a sequence of numbers")
     if not hasattr(raw, "__len__"):
         raw = list(raw)
     _reject_non_numbers(raw)

@@ -265,15 +265,9 @@ class TestReadLorenzPoints:
         )
 
 
-def document_for(values, with_provenance=True):
+def document_for(values, digest="ab" * 32):
     data = build_dataset(values)
-    return build_document(
-        report(data),
-        lorenz_curve(data),
-        data=data,
-        digest="ab" * 32,
-        with_provenance=with_provenance,
-    )
+    return build_document(report(data), lorenz_curve(data), data=data, digest=digest)
 
 
 class TestDocument:
@@ -297,7 +291,7 @@ class TestDocument:
         ids=["zero first", "negative zero first"],
     )
     def test_min_max_keep_the_first_extreme(self, values, min_max):
-        doc = document_for(values, with_provenance=False)
+        doc = document_for(values, digest=None)
         assert min_max in document_to_json(doc)
         assert type(doc["input"]["min"]) is float and type(doc["input"]["max"]) is float
 
@@ -308,9 +302,19 @@ class TestDocument:
                                 "total": data.total}
         assert list(doc["input"]) == ["n", "mean", "min", "max", "total"]
 
+    def test_shares_are_the_curves_array(self):
+        data = build_dataset([3.0, 1.0, 2.0])
+        curve = lorenz_curve(data)
+        doc = build_document(report(data), curve, data=data, digest=None)
+        assert doc["lorenz"]["q"] is curve.q
+
     def test_provenance_suppressed(self):
-        doc = document_for([1.0, 2.0], with_provenance=False)
-        assert "provenance" not in doc
+        assert "provenance" not in document_for([1.0, 2.0], digest=None)
+
+    def test_provenance_names_the_digest(self):
+        digest = hashlib.sha256(b"1\n2\n").hexdigest()
+        doc = document_for([1.0, 2.0], digest=digest)
+        assert doc["provenance"]["input_digest"] == "sha256:" + digest
 
     def test_json_round_trip_recovers_indices(self):
         doc = document_for([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
@@ -327,7 +331,7 @@ class TestDocument:
         doc = document_for([1.0, 7.0, 3.0])
         parsed = json.loads(document_to_json(doc))
         assert parsed["indices"]["gini"] == doc["indices"]["gini"]
-        assert parsed["lorenz"]["q"] == doc["lorenz"]["q"]
+        assert parsed["lorenz"]["q"] == doc["lorenz"]["q"].tolist()
 
     def test_csv_layout(self):
         text = document_to_csv(document_for([1.0, 2.0, 3.0]))
@@ -1120,17 +1124,17 @@ def test_file_reader_agrees_with_the_stream_reader(table, points):
 
 
 def json_golden(doc):
-    assert document_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+    listed = {**doc, "lorenz": {"q": doc["lorenz"]["q"].tolist()}}
+    assert document_to_json(doc) == json.dumps(listed, indent=2) + "\n"
 
 
-def curve_document(q, **kwargs):
+def curve_document(q, digest=None):
     curve = LorenzCurve(q=np.asarray(q, dtype=float), convex=False)
     return build_document(
         metrics_from_lorenz(lorenz_from_points([(0.5, 0.25), (1.0, 1.0)])),
         curve,
         data=None,
-        digest=None,
-        **kwargs,
+        digest=digest,
     )
 
 
@@ -1181,9 +1185,9 @@ def non_finite_case(where, special):
             result = replace(result, summary={**result.summary, "gini": gini})
         return result, (sweep_json_pieces, sweep_csv_pieces, sweep_to_json, sweep_to_csv)
     q = [0.1, 0.2, 0.3, 0.4, 0.5, 1.0]
-    if where in ("shares", "share array"):
+    if where == "shares":
         q[4] = special
-    doc = curve_document(q, _q_array=where == "share array")
+    doc = curve_document(q)
     if where == "index":
         doc["indices"]["g_left"] = special
     elif where == "input":
@@ -1191,12 +1195,12 @@ def non_finite_case(where, special):
     return doc, (json_pieces, csv_pieces, document_to_json, document_to_csv)
 
 
-def check_writers_raise_at_the_first_special(q, q_array):
+def check_writers_raise_at_the_first_special(q):
     """With a nan or an inf among the shares ``q``, both report writers
     write the blocks of shares ahead of the first as a document of finite
     shares has them, then raise."""
-    doc = curve_document(q, with_provenance=False, _q_array=q_array)
-    finite = curve_document(np.nan_to_num(q, posinf=0.75, neginf=0.25), with_provenance=False)
+    doc = curve_document(q)
+    finite = curve_document(np.nan_to_num(q, posinf=0.75, neginf=0.25))
     first = int(np.flatnonzero(~np.isfinite(q))[0])
     for writer in (json_pieces, csv_pieces):
         written = []
@@ -1211,9 +1215,9 @@ class TestJsonGolden:
     """document_to_json and sweep_to_json are exactly json.dumps(doc, indent=2)
     plus a newline, and they and the CSV writers raise on a nan or an inf."""
 
-    @pytest.mark.parametrize("with_provenance", [True, False])
-    def test_values_document(self, with_provenance):
-        json_golden(document_for([3.0, 1.0, 4.0, 1.0, 5.0, 9.0], with_provenance))
+    @pytest.mark.parametrize("hashed", [True, False])
+    def test_values_document(self, hashed):
+        json_golden(document_for([3.0, 1.0, 4.0, 1.0, 5.0, 9.0], "ab" * 32 if hashed else None))
 
     def test_two_values(self):
         json_golden(document_for([1.0, 3.0]))
@@ -1230,18 +1234,15 @@ class TestJsonGolden:
         assert doc["input"]["mean"] is None
         json_golden(doc)
 
-    @pytest.mark.parametrize("with_provenance", [True, False])
-    def test_float_spellings(self, with_provenance):
-        json_golden(
-            curve_document(
-                [-0.0, 5e-324, 1e-05, 0.1, 1e16, 1e22, -1e-300, 1.0],
-                with_provenance=with_provenance,
-            )
-        )
+    @pytest.mark.parametrize("hashed", [True, False])
+    def test_float_spellings(self, hashed):
+        q = [-3e-05, -0.0, 0.0, 5e-324, 1e-05, 9.5e-05, 0.0001, 0.1, 1 / 3, 123.5, 1e16, 1e22,
+             -1e-300, 1.0]
+        json_golden(curve_document(q, "cd" * 32 if hashed else None))
 
     @pytest.mark.parametrize("special", NON_FINITE, ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "where", ["shares", "share array", "index", "input", "sweep column", "sweep summary"]
+        "where", ["shares", "index", "input", "sweep column", "sweep summary"]
     )
     def test_writers_raise_on_non_finite_floats(self, where, special):
         # JSON holds no nan or inf: every report and sweep writer raises,
@@ -1253,20 +1254,9 @@ class TestJsonGolden:
                 written.extend(writer(value))
             assert not re.search(r"\b(nan|inf|infinity)\b", "".join(written), re.I)
 
-    def test_array_document_is_written_as_the_list_document(self):
-        # The CLI's document holds q as the curve's array.
-        q = [-3e-05, -0.0, 0.0, 5e-324, 9.5e-05, 0.0001, 0.1, 1 / 3, 123.5, 1e16, 1e22, 1.0]
-        listed = curve_document(q, with_provenance=False)
-        array = curve_document(q, with_provenance=False, _q_array=True)
-        assert isinstance(array["lorenz"]["q"], np.ndarray)
-        json_golden(listed)
-        assert document_to_json(array) == document_to_json(listed)
-        assert document_to_csv(array) == document_to_csv(listed)
-
     def test_array_blocks_with_specials_raise(self):
-        # The CLI's document, whose shares are an array.
         nan, inf = float("nan"), float("inf")
-        check_writers_raise_at_the_first_special([0.5, 1e-05, nan, 0.25, inf, -inf, -0.0, 1.0], q_array=True)
+        check_writers_raise_at_the_first_special([0.5, 1e-05, nan, 0.25, inf, -inf, -0.0, 1.0])
 
     @pytest.mark.parametrize(
         "family, params",
@@ -1332,14 +1322,15 @@ class TestJsonGolden:
 
     def test_specials_after_the_first_floats(self):
         nan, inf = float("nan"), float("inf")
-        check_writers_raise_at_the_first_special([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0], q_array=False)
+        check_writers_raise_at_the_first_special([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0])
 
     def test_csv_rows_are_the_lorenz_shares(self):
-        doc = curve_document([0.1, 0.2, 0.3, 0.4, 0.5, -0.0, 1.0])
+        q = [-3e-05, -0.0, 0.0, 5e-324, 9.5e-05, 0.0001, 0.1, 1 / 3, 123.5, 1e16, 1e22, 1.0]
+        doc = curve_document(q)
         lines = document_to_csv(doc).splitlines()
         n = doc["input"]["n"]
         assert lines[lines.index("i,p,q") + 1 :] == [
-            f"{i},{i / n!r},{q!r}" for i, q in enumerate(doc["lorenz"]["q"], start=1)
+            f"{i},{i / n!r},{share!r}" for i, share in enumerate(q, start=1)
         ]
 
 
@@ -1351,7 +1342,7 @@ class TestJsonGoldenSmallBlocks(TestJsonGolden):
         monkeypatch.setattr(sagini_io, "_WRITE_BLOCK", 2)
 
     def test_pieces_hold_a_block_each(self):
-        doc = curve_document([0.1, 0.2, 0.3, 0.4, 1.0], with_provenance=False)
+        doc = curve_document([0.1, 0.2, 0.3, 0.4, 1.0])
         pieces = list(json_pieces(doc))
         # The first piece holds the text ahead of the shares and their first
         # block; the last closes the document.
@@ -1423,12 +1414,15 @@ class TestMemory:
         assert peak <= 2 * path.stat().st_size
 
     def test_writer_peak_beyond_the_document_is_bounded(self, tmp_path):
-        check_writer_peak(tmp_path, q_array=False)
+        # The formatter writes the shares a block at a time from the array.
+        from sagini.cli import _write_output
 
-    def test_writer_peak_beyond_the_array_document_is_bounded(self, tmp_path):
-        # The CLI's document, whose shares the formatter writes a block at a
-        # time from the array.
-        check_writer_peak(tmp_path, q_array=True)
+        data = build_dataset(np.random.default_rng(8).lognormal(10.0, 1.0, 200_000))
+        doc = build_document(report(data), lorenz_curve(data), data=data, digest=None)
+        out = tmp_path / "report.json"
+        peak = traced_peak(lambda: _write_output(str(out), json_pieces(doc)))
+        assert peak <= 4 * 2**20
+        assert out.read_text() == document_to_json(doc)
 
     @pytest.mark.parametrize("source", ["rows", "columns"])
     def test_sweep_writer_peak_beyond_the_result_is_bounded(self, tmp_path, source):
@@ -1447,14 +1441,3 @@ class TestMemory:
         assert peak <= 4 * 2**20
         assert ("rows" in vars(result)) == (source == "rows")
         assert out.read_text() == sweep_to_json(result)
-
-
-def check_writer_peak(tmp_path, q_array):
-    from sagini.cli import _write_output
-
-    data = build_dataset(np.random.default_rng(8).lognormal(10.0, 1.0, 200_000))
-    doc = build_document(report(data), lorenz_curve(data), data=data, digest=None, _q_array=q_array)
-    out = tmp_path / "report.json"
-    peak = traced_peak(lambda: _write_output(str(out), json_pieces(doc)))
-    assert peak <= 4 * 2**20
-    assert out.read_text() == document_to_json(doc)

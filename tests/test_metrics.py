@@ -209,6 +209,18 @@ class TestBuildDataset:
         with pytest.raises(TypeError, match=f"string {where}"):
             build_dataset(raw)
 
+    @pytest.mark.parametrize(
+        "raw", ["12", b"12", bytearray(b"12")], ids=["str", "bytes", "bytearray"]
+    )
+    def test_text_input_rejected(self, raw):
+        # A bytearray would otherwise be read as its byte codes, 49.0 and 50.0.
+        with pytest.raises(TypeError, match=f"^values: {type(raw).__name__} input is text"):
+            build_dataset(raw)
+
+    def test_memoryview_of_floats_reads(self):
+        raw = memoryview(np.array([1.0, 2.0, 3.0]))
+        assert build_dataset(raw).values.tolist() == [1.0, 2.0, 3.0]
+
     def test_caller_array_stays_writeable(self):
         raw = np.array([1.0, 2.0, 3.0])
         data = build_dataset(raw)

@@ -193,6 +193,13 @@ class TestColumnChecks:
         with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}$"):
             rows_text("%s,%s", [np.array([1, 2], dtype=np.uint64), column])
 
+    @pytest.mark.parametrize(
+        "column", [[0.5, 1.0], memoryview(b"ab"), 0.5], ids=["list", "memoryview", "float"]
+    )
+    def test_a_column_of_another_type_raises(self, column):
+        with pytest.raises(TypeError, match=f"got {type(column).__name__}$"):
+            rows_text("%s", [column], ",")
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
     def test_pair_codes_may_be_any_integers(self, dtype):
         codes = np.array([1, 0, 1], dtype=dtype)
