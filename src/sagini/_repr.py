@@ -6,9 +6,10 @@ written as ``float.__repr__`` writes them, uint64, or codes into a few
 words. No Python object is made per value. :mod:`sagini.io` writes the
 JSON Lorenz shares, the CSV ``i,p,q`` rows and the sweep rows with it.
 
-A part of the rows at a time is laid out as a byte matrix: the template's
-bytes at fixed places, each field in a slot as wide as its column's
-widest text, and a mask of the bytes used, which compacts it. An int's
+The rows of a call, which :mod:`sagini.io` sizes to at most 8,192 floats,
+are laid out as one byte matrix: the template's bytes at fixed places,
+each field in a slot as wide as its column's widest text, and a mask of
+the bytes used, which compacts it. An int's
 digits are eight to a uint64 word, split by SWAR steps (4 + 4, 2 + 2,
 1 + 1 digits within the word), leading zeros masked out.
 
@@ -59,10 +60,6 @@ _LOW63 = (1 << 63) - 1
 _ASCII_ZEROS = 0x3030_3030_3030_3030
 #: The longest repr, "-1.2345678901234567e-308".
 _REPR_BYTES = 24
-#: Bytes of the row matrix :func:`rows_text` lays out at a time: a block of
-#: 8192 JSON shares in one part, while a sweep's part, its mask and the
-#: float formatter's temporaries stay below a megabyte.
-_PART_BYTES = 1 << 18
 
 
 def _schubfach_g(k: int) -> int:
@@ -136,16 +133,17 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
     - a 1-D float64 array of finite values, written as ``float.__repr__``
       writes them;
     - a 1-D uint64 array;
-    - or a pair ``(codes, words)`` of an integer array and a sequence of
-      str, its fields ``words[code]``.
+    - or a pair ``(codes, words)``, a tuple of an integer array and a
+      sequence of str, its fields ``words[code]``.
 
     ``template`` holds no other ``%``. A nan or an inf in a float column,
     which ``repr`` and :mod:`json` spell otherwise, raises
     :class:`ValueError`, as do a code outside ``range(len(words))``, which
     numpy would read from the end or fail on untyped, no columns, a count
     of columns other than the count of ``%s``, and columns that are not all
-    1-D and as long as the first. Any other column, or a pair whose codes
-    are not integers, raises :class:`TypeError`.
+    1-D and as long as the first. Any other column, a tuple that is not
+    such a pair, or a pair whose codes are not an integer array or whose
+    words are not str, raises :class:`TypeError`. No rows give ``""``.
     """
     literals = template.split("%s")
     if len(columns) != len(literals) - 1 or not columns:
@@ -157,13 +155,17 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
     for literal, column in zip(literals, columns):
         layout += literal.encode()
         if isinstance(column, tuple):
-            column, words = column[0], [word.encode() for word in column[1]]
+            if len(column) != 2 or not isinstance(column[0], np.ndarray):
+                kinds = ", ".join(type(item).__name__ for item in column)
+                raise TypeError(f"a pair must be (codes array, words), got ({kinds})")
+            # str.encode raises TypeError on a word that is not a str.
+            column, words = column[0], [str.encode(word) for word in column[1]]
             if column.dtype.kind not in "iu":
                 raise TypeError(f"a pair's codes must be integers, got dtype {column.dtype}")
             bad = np.flatnonzero((column < 0) | (column >= len(words)))
             if bad.size:
                 raise ValueError(f"code {column.flat[bad[0]]} is not in range({len(words)})")
-            width, write = max(map(len, words)), partial(_write_words, words)
+            width, write = max(map(len, words), default=0), partial(_write_words, words)
         elif not isinstance(column, (np.ndarray, np.generic)):
             raise TypeError(
                 f"a column must be an array or a (codes, words) pair, got {type(column).__name__}"
@@ -177,7 +179,7 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
                 f"got dtype {column.dtype}"
             )
         elif np.isfinite(column).all():
-            width, write = _REPR_BYTES, _write_floats
+            width, write = _REPR_BYTES, None
         else:
             raise ValueError("a float column holds a nan or an inf")
         fields.append((len(layout), width, write, column))
@@ -187,36 +189,31 @@ def rows_text(template: str, columns: Sequence, sep: str = "") -> str:
     if len(shape) != 1 or any(column.shape != shape for *_, column in fields):
         raise ValueError("the columns must all be 1-D and as long as the first")
     (rows,) = shape
+    if not rows:
+        return ""
     layout += literals[-1].encode()
     end = len(layout)
     layout += sep.encode()
-    # A part of the rows at a time, so that its matrix, mask and the
-    # formatter's temporaries stay small. The mask keeps the template's
-    # bytes and each field's text without its padding.
-    text = bytearray()
-    step = max(1, _PART_BYTES // len(layout))
-    for first in range(0, rows, step):
-        part = slice(first, first + step)
-        # np.tile fills it several times faster than a broadcast assignment.
-        matrix = np.tile(np.frombuffer(layout, dtype=np.uint8), (min(step, rows - first), 1))
-        keep = np.ones(matrix.shape, dtype=bool)
-        # The part's float columns are formatted as one array, which costs
-        # a fifth of the numpy calls for the five of a sweep row.
-        floats = [column[part] for _, _, write, column in fields if write is _write_floats]
-        if floats:
-            words, length = _float_words(np.concatenate(floats))
-        count = len(matrix)
-        for start, width, write, column in fields:
-            cells = np.s_[:, start : start + width]
-            if write is _write_floats:
-                write(words[:count], length[:count], matrix[cells], keep[cells])
-                words, length = words[count:], length[count:]
-            else:
-                write(column[part], matrix[cells], keep[cells])
-        if first + step >= rows:
-            keep[-1, end:] = False  # no separator after the last row
-        text += memoryview(matrix[keep])
-    return str(text, "utf-8")
+    # np.tile fills it several times faster than a broadcast assignment.
+    # The mask keeps the template's bytes and each field's unpadded text.
+    matrix = np.tile(np.frombuffer(layout, dtype=np.uint8), (rows, 1))
+    keep = np.ones(matrix.shape, dtype=bool)
+    # The float columns are formatted as one array, which costs a fifth of
+    # the numpy calls for the five of a sweep row.
+    floats = [column for _, _, write, column in fields if write is None]
+    if floats:
+        text, length = _float_words(np.concatenate(floats))
+        reprs = zip(np.split(text, len(floats)), np.split(length, len(floats)))
+    for start, width, write, column in fields:
+        cells = np.s_[:, start : start + width]
+        if write is None:
+            text, length = next(reprs)
+            matrix[cells] = text
+            keep[cells] = _KEEP.take(length, axis=0)
+        else:
+            write(column, matrix[cells], keep[cells])
+    keep[-1, end:] = False  # no separator after the last row
+    return str(memoryview(matrix[keep]), "utf-8")
 
 
 def _write_words(words: list[bytes], codes: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
@@ -380,13 +377,6 @@ def _exponent(words: list, n: np.ndarray, d: np.ndarray) -> np.ndarray:
         if i:
             word |= np.where(at == i - 1, spill, 0)
     return mantissa + _SUFFIX_BYTES.take(d)
-
-
-def _write_floats(words: np.ndarray, length: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
-    """Write the reprs of :func:`_float_words` into ``text``, and the mask
-    of their bytes into ``keep``."""
-    text[:] = words
-    keep[:] = _KEEP.take(length, axis=0)
 
 
 def _shifted(lo, hi, g, s, sign: int) -> tuple[np.ndarray, np.ndarray]:

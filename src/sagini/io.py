@@ -54,12 +54,13 @@ route, so the table and the digest describe the same bytes.
 
 A read holds one block's bytes, text and lines, or its cells on the line
 path, or numpy's chunk, beyond the parsed table. The writers yield the
-report in pieces of :data:`_WRITE_BLOCK` shares or rows, which the CLI
-writes in turn; the ``document_to_*`` and ``sweep_to_*`` functions join
-the same pieces. A block of rows of finite floats, JSON or CSV, is laid
-out as one byte matrix by :func:`sagini._repr.rows_text`, a column at a
-time, its floats by a shortest-repr formatter, not a ``float.__repr__``
-call each; it is handed the document's float64 array of shares and a
+report in pieces of at most :data:`_WRITE_BLOCK` floats, 8,192 shares,
+4,096 CSV rows or 1,638 sweep rows, which the CLI writes in turn; the
+``document_to_*`` and ``sweep_to_*`` functions join the same pieces. A
+piece's rows, JSON or CSV, are laid out as one byte matrix by one
+:func:`sagini._repr.rows_text` call, a column at a time, its floats by a
+shortest-repr formatter, not a ``float.__repr__`` call each; it is
+handed the document's float64 array of shares and a
 :class:`SweepResult`'s columns, with no Python float or row object per
 value.
 
@@ -109,7 +110,8 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 #: holds about one block's bytes, text and lines.
 _READ_BLOCK = 1 << 18
 
-#: List items, Lorenz shares or sweep rows, that a writer puts in one piece.
+#: Floats that a writer formats in one piece: 8192 Lorenz shares of JSON,
+#: 4096 CSV ``i,p,q`` rows (p and q) or 1638 sweep rows (five floats).
 _WRITE_BLOCK = 8192
 
 
@@ -533,10 +535,7 @@ def json_pieces(doc: dict) -> Iterator[str]:
     """
     q = doc["lorenz"]["q"]
     skeleton = {**doc, "lorenz": {**doc["lorenz"], "q": []}}
-    blocks = (
-        _text("      %s", [q[start : start + _WRITE_BLOCK]], ",\n")
-        for start in range(0, len(q), _WRITE_BLOCK)
-    )
+    blocks = (_text("      %s", [q[cut]], ",\n") for cut in _cuts(len(q), 1))
     yield from _spliced(skeleton, "q", blocks)
 
 
@@ -561,6 +560,13 @@ def _spliced(skeleton: dict, key: str, blocks: Iterable[str]) -> Iterator[str]:
     yield (closing + tail if opening == ",\n" else text) + "\n"
 
 
+def _cuts(rows: int, floats: int) -> Iterator[slice]:
+    """Slices of ``range(rows)``, in order, for rows of ``floats`` floats:
+    each a piece of at most :data:`_WRITE_BLOCK` floats, or of one row."""
+    step = max(1, _WRITE_BLOCK // floats)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def _text(template: str, columns: list, sep: str = "") -> str:
     """:func:`sagini._repr.rows_text`, imported on first use: it builds its
     tables when it loads, and a command that writes no float needs neither."""
@@ -576,8 +582,8 @@ def document_to_csv(doc: dict) -> str:
 
 def csv_pieces(doc: dict) -> Iterator[str]:
     """The CSV report: a ``key,value`` table, then ``i,p,q`` rows,
-    :data:`_WRITE_BLOCK` of them to a piece, floats as ``repr`` writes
-    them. A nan or an inf raises :class:`ValueError`."""
+    :data:`_WRITE_BLOCK` floats, p and q, to a piece, floats as ``repr``
+    writes them. A nan or an inf raises :class:`ValueError`."""
     flat = {
         "schema_version": doc["schema_version"],
         "n": doc["input"]["n"],
@@ -593,10 +599,9 @@ def csv_pieces(doc: dict) -> Iterator[str]:
     # has n below 2**53, where the float64 i and n are exact.
     n = doc["input"]["n"]
     q = doc["lorenz"]["q"]
-    for start in range(0, len(q), _WRITE_BLOCK):
-        block = q[start : start + _WRITE_BLOCK]
-        i = np.arange(start + 1, start + len(block) + 1, dtype=np.uint64)
-        yield _text("%s,%s,%s\n", [i, i / n, block])
+    for cut in _cuts(len(q), 2):
+        i = np.arange(cut.start + 1, min(cut.stop, len(q)) + 1, dtype=np.uint64)
+        yield _text("%s,%s,%s\n", [i, i / n, q[cut]])
 
 
 def _csv_value(value) -> str:
@@ -650,8 +655,8 @@ def sweep_to_json(result: SweepResult) -> str:
 
 def sweep_json_pieces(result: SweepResult) -> Iterator[str]:
     """``json.dumps(doc, indent=2) + "\\n"`` in pieces for the sweep document
-    ``{"config": ..., "rows": [...], "summary": ...}``, with
-    :data:`_WRITE_BLOCK` rows to a piece. A nan or an inf raises
+    ``{"config": ..., "rows": [...], "summary": ...}``, in the pieces of
+    rows of :func:`_sweep_blocks`. A nan or an inf raises
     :class:`ValueError`."""
     config = result.config
     plan = {name: getattr(config, name) for name in ("family", "sample_size", "replications", "seed")}
@@ -667,9 +672,9 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 
 def sweep_csv_pieces(result: SweepResult) -> Iterator[str]:
-    """The sweep as CSV in pieces: a header, the rows, :data:`_WRITE_BLOCK`
-    to a piece, floats as ``repr`` writes them, and a line per summary
-    value. A nan or an inf raises :class:`ValueError`."""
+    """The sweep as CSV in pieces: a header, the rows in the pieces of
+    :func:`_sweep_blocks`, floats as ``repr`` writes them, and a line per
+    summary value. A nan or an inf raises :class:`ValueError`."""
     yield ",".join(_SWEEP_FIELDS) + "\n"
     template = ",".join(["%s"] * len(_SWEEP_FIELDS)) + "\n"
     for block in _sweep_blocks(result, str):
@@ -679,9 +684,9 @@ def sweep_csv_pieces(result: SweepResult) -> Iterator[str]:
 
 
 def _sweep_blocks(result: SweepResult, spell) -> Iterator[list]:
-    """The columns of each block of :data:`_WRITE_BLOCK` sweep rows, as
+    """The columns of each block of 1638 sweep rows (:func:`_cuts`), as
     :func:`sagini._repr.rows_text` takes them for :data:`_SWEEP_FIELDS`:
-    the index, the float fields and the skew calls, spelled by ``spell``.
+    the index, the five float fields and the skew calls, spelled by ``spell``.
     ``rows_text`` raises :class:`ValueError` on a nan or an inf, and so
     does this on ragged columns, whose extra values no block would reach."""
     floats = [result.columns[name] for name in _SWEEP_FIELDS[1:-1]]
@@ -689,6 +694,5 @@ def _sweep_blocks(result: SweepResult, spell) -> Iterator[list]:
         raise ValueError("a sweep's columns must all be 1-D and as long as its skew codes")
     words = [spell(call) for call in get_args(SkewDirection)]
     index = np.arange(len(result.skew), dtype=np.uint64)
-    for start in range(0, len(index), _WRITE_BLOCK):
-        cut = slice(start, start + _WRITE_BLOCK)
+    for cut in _cuts(len(index), len(floats)):
         yield [index[cut], *(column[cut] for column in floats), (result.skew[cut], words)]

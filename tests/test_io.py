@@ -1202,13 +1202,20 @@ def check_writers_raise_at_the_first_special(q):
     doc = curve_document(q)
     finite = curve_document(np.nan_to_num(q, posinf=0.75, neginf=0.25))
     first = int(np.flatnonzero(~np.isfinite(q))[0])
-    for writer in (json_pieces, csv_pieces):
+    # A JSON piece holds a block of shares, a CSV piece a block of p and q.
+    for writer, floats in ((json_pieces, 1), (csv_pieces, 2)):
         written = []
         with pytest.raises(ValueError, match="nan or an inf"):
             written.extend(writer(doc))
         # The CSV report's first piece is its key,value table.
-        assert len(written) == first // sagini_io._WRITE_BLOCK + (writer is csv_pieces)
+        rows = max(1, sagini_io._WRITE_BLOCK // floats)
+        assert len(written) == first // rows + (writer is csv_pieces)
         assert written == list(writer(finite))[: len(written)]
+
+
+def sweep_piece_rows():
+    """The rows of a sweep piece: a block of five floats a row, or one row."""
+    return max(1, sagini_io._WRITE_BLOCK // 5)
 
 
 class TestJsonGolden:
@@ -1291,12 +1298,12 @@ class TestJsonGolden:
         assert sweep_to_csv(result).splitlines()[1:] == lines
 
     def test_sweep_nan_in_the_second_block_only(self):
-        cfg = ExperimentConfig("lognormal", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
+        cfg = ExperimentConfig("lognormal", 3, sweep_piece_rows() + 1, 1, {})
         check_writers_raise_at_the_last_block(sensitivity_sweep(cfg), "g_left", float("nan"))
 
     @pytest.mark.parametrize("special", [float("inf"), -float("inf")])
     def test_sweep_infinity_in_the_second_block_only(self, special):
-        cfg = ExperimentConfig("pareto", 3, sagini_io._WRITE_BLOCK + 1, 1, {})
+        cfg = ExperimentConfig("pareto", 3, sweep_piece_rows() + 1, 1, {})
         check_writers_raise_at_the_last_block(sensitivity_sweep(cfg), "sag_minus_gini", special)
 
     @pytest.mark.parametrize("cut", [slice(None, 1), slice(None, None)], ids=["short", "long"])
@@ -1324,6 +1331,38 @@ class TestJsonGolden:
         nan, inf = float("nan"), float("inf")
         check_writers_raise_at_the_first_special([0.1, 0.2, 0.3, 0.4, nan, -0.0, inf, 1.0])
 
+    def test_each_piece_formats_at_most_a_block_of_floats(self, monkeypatch):
+        # Each writer hands the formatter pieces of whole rows, at most a
+        # block of floats or else one row, and as many rows as fit in a
+        # block in every piece but the last.
+        calls = []
+        text = sagini_io._text
+
+        def counted(template, columns, sep=""):
+            floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype == np.float64]
+            calls.append((len(floats), len(floats[0])))
+            return text(template, columns, sep)
+
+        monkeypatch.setattr(sagini_io, "_text", counted)
+        block = sagini_io._WRITE_BLOCK
+        shares = 2 * block + 3
+        doc = curve_document(np.arange(1, shares + 1) / shares)
+        reps = block // 2 + 3
+        result = sensitivity_sweep(ExperimentConfig("lognormal", 3, reps, 1, {}))
+        for writer, value, rows in (
+            (json_pieces, doc, shares),
+            (csv_pieces, doc, shares),
+            (sweep_json_pieces, result, reps),
+            (sweep_csv_pieces, result, reps),
+        ):
+            calls.clear()
+            "".join(writer(value))
+            (per_row,) = {floats for floats, _ in calls}
+            counts = [count for _, count in calls]
+            assert sum(counts) == rows and len(counts) > 1
+            assert all(count * per_row <= max(block, per_row) for count in counts)
+            assert all((count + 1) * per_row > block for count in counts[:-1])
+
     def test_csv_rows_are_the_lorenz_shares(self):
         q = [-3e-05, -0.0, 0.0, 5e-324, 9.5e-05, 0.0001, 0.1, 1 / 3, 123.5, 1e16, 1e22, 1.0]
         doc = curve_document(q)
@@ -1348,7 +1387,13 @@ class TestJsonGoldenSmallBlocks(TestJsonGolden):
         # block; the last closes the document.
         assert pieces[0].endswith('"q": [\n      0.1,\n      0.2')
         assert pieces[1:] == [",\n      0.3,\n      0.4", ",\n      1.0", "\n    ]\n  }\n}\n"]
-        assert len(list(csv_pieces(doc))) == 1 + 3
+        # A CSV row holds two floats, p and q, and a sweep row five: a
+        # piece of either holds one row.
+        rows = list(csv_pieces(doc))[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4", "5"]
+        result = sensitivity_sweep(ExperimentConfig("uniform", 3, 4, 1, {}))
+        rows = list(sweep_csv_pieces(result))[1:5]
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3"]
 
 
 def income_table(tmp_path, rows, encode=str.encode):
@@ -1441,3 +1486,26 @@ class TestMemory:
         assert peak <= 4 * 2**20
         assert ("rows" in vars(result)) == (source == "rows")
         assert out.read_text() == sweep_to_json(result)
+
+    def test_csv_writer_peak_beyond_the_document_is_bounded(self, tmp_path):
+        # The i,p,q rows are formatted a block of p and q at a time.
+        import sagini._repr  # noqa: F401
+        from sagini.cli import _write_output
+
+        data = build_dataset(np.random.default_rng(8).lognormal(10.0, 1.0, 200_000))
+        doc = build_document(report(data), lorenz_curve(data), data=data, digest=None)
+        out = tmp_path / "report.csv"
+        peak = traced_peak(lambda: _write_output(str(out), csv_pieces(doc)))
+        assert peak <= 4 * 2**20
+        assert out.read_text() == document_to_csv(doc)
+
+    def test_sweep_csv_writer_peak_beyond_the_result_is_bounded(self, tmp_path):
+        import sagini._repr  # noqa: F401
+        from sagini.cli import _write_output
+
+        result = sensitivity_sweep(ExperimentConfig("lognormal", 10, 5000, 1, {}))
+        out = tmp_path / "sweep.csv"
+        peak = traced_peak(lambda: _write_output(str(out), sweep_csv_pieces(result)))
+        assert peak <= 4 * 2**20
+        assert "rows" not in vars(result)
+        assert out.read_text() == sweep_to_csv(result)

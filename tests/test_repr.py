@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sagini._repr import _PART_BYTES, _REPR_BYTES, rows_text
+from sagini._repr import rows_text
 
 
 def float_text(x, sep):
@@ -60,9 +60,9 @@ class TestFloatText:
         assert float_text(q, ",\n      ") == repr_join(q, ",\n      ")
 
     @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_past_the_first_part_raises(self, special):
+    def test_non_finite_value_in_the_last_of_many_rows_raises(self, special):
         # A nan or an inf would be written as the digits of a finite double.
-        x = np.random.default_rng(5).random(3 * _PART_BYTES // _REPR_BYTES)
+        x = np.random.default_rng(5).random(3 * _PART_ROWS)
         x[-1] = special
         with pytest.raises(ValueError, match="nan or an inf"):
             float_text(x, ",")
@@ -97,14 +97,16 @@ _LAYOUTS = {
     "e+300": 4e300,
     "e-324": 5e-324,
 }
-#: Rows of a one-column part: far more than 8191, so a part of 8191 is one.
-_PART_ROWS = _PART_BYTES // (_REPR_BYTES + 1)
+#: Rows of a part, a run of rows in the layout tests: more than 8191, so a
+#: part of 8191 is one, and three parts, about 30,000 rows, are laid out in
+#: one call.
+_PART_ROWS = 10_000
 
 
 class TestWordLayout:
     """Each layout is spelled on its own rows among others: at the first,
     middle and last row of a part of another, of either sign, in one part
-    and over several."""
+    and over several, all in one call."""
 
     def test_the_classes_are_as_named(self):
         for name, value in _LAYOUTS.items():
@@ -204,6 +206,33 @@ class TestColumnChecks:
     def test_pair_codes_may_be_any_integers(self, dtype):
         codes = np.array([1, 0, 1], dtype=dtype)
         assert rows_text("%s", [(codes, ["a", "bc"])], ",") == "bc,a,bc"
+
+    @pytest.mark.parametrize(
+        "pair, got",
+        [
+            (([0, 1], ["a", "b"]), "list, list"),
+            ((0.5, 1.0, 2.0), "float, float, float"),
+            ((np.array([0]), ["a"], "x"), "ndarray, list, str"),
+            ((np.array([0]),), "ndarray"),
+            ((np.int64(0), ["a"]), "int64, list"),
+        ],
+        ids=["list codes", "three floats", "three items", "one item", "scalar codes"],
+    )
+    def test_a_tuple_other_than_a_pair_raises(self, pair, got):
+        message = rf"^a pair must be \(codes array, words\), got \({got}\)$"
+        with pytest.raises(TypeError, match=message):
+            rows_text("%s", [pair], ",")
+
+    @pytest.mark.parametrize("word", [1, b"a", None], ids=["int", "bytes", "None"])
+    def test_pair_words_of_another_type_raise(self, word):
+        with pytest.raises(TypeError, match=type(word).__name__):
+            rows_text("%s", [(np.array([0, 1]), ["a", word])], ",")
+
+    def test_an_empty_pair_without_words_writes_nothing(self):
+        # No rows are "" whatever the columns, as for any empty block.
+        empty = (np.array([], dtype=np.int64), [])
+        assert rows_text("%s", [empty], ",") == ""
+        assert rows_text("%s,%s\n", [np.zeros(0), empty]) == ""
 
     @pytest.mark.parametrize(
         "codes, bad", [([-1, 0], -1), ([0, 2], 2), ([1, 5, -3], 5), ([2**63], 2**63)]
